@@ -25,7 +25,7 @@ from .errors import (
     SympalError,
     TwistBreaksRegularity,
 )
-from .groupkit import from_fixture, to_fixture
+from .groupkit import DEFAULT_CAP, from_fixture, to_fixture
 from .npgroup import build_chi, build_np_group, find_np_primes, np_params
 from .regularity import (
     check_npower_distinct,
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="trichotomy verdict for a group fixture")
     c.add_argument("--input", required=True)
-    c.add_argument("--cap", type=int, default=2 * 10**7)
+    c.add_argument("--cap", type=int, default=DEFAULT_CAP)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=run_classify)
 
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     np_.add_argument("--q", type=int, required=True)
     np_.add_argument("--p", type=int, required=True)
     np_.add_argument("--ell", type=int, required=True)
-    np_.add_argument("--cap", type=int, default=2 * 10**7)
+    np_.add_argument("--cap", type=int, default=DEFAULT_CAP)
     np_.add_argument("--json", action="store_true")
     np_.add_argument("--classify", action="store_true",
                      help="pipe the result into the classifier")
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     mk = sub.add_parser("mackey", help="character-theory verification sweeps")
     mk.add_argument("--input", required=True)
-    mk.add_argument("--seed", type=int, default=0)
     mk.add_argument("--json", action="store_true")
     mk.set_defaults(func=run_mackey)
     return ap

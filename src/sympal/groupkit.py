@@ -1,12 +1,23 @@
 """Finitely generated matrix groups: closure enumeration, transvection
 harvesting, normal closures, spinning, and irreducibility.
 
-The enumerator packs each matrix into a single uint64 (entry indices are
-bit-fields), keeps the element set as a sorted key array, and does the
-breadth-first products in numpy batches.  That is what makes the
-9.36-million-element Sp_4(F_5) closure affordable on one core.  Groups
-whose matrices do not fit in 64 bits fall back to a plain dict-based
-BFS.
+One closure kernel serves every field and size.  Its unit is a key: a
+fixed number of small non-negative integers (slots) packed into 64-bit
+words, sorted by the last slot first (`_Packing`).  One breadth-first
+search over keys (`_reach`) runs twice:
+
+* over rows: a row vector is its n entries, and row·g is an F_ell-linear
+  map of the entries' base-ell digits, one integer matrix product per
+  generator, so no field needs multiplication tables.  Sorted row keys
+  number the rows reached from the identity's rows in increasing
+  reversed-coordinate order, and each generator gets a table from a row's
+  number to the number of row·g;
+* over elements: an element is its n row numbers, so a product with a
+  generator is n gathers.
+
+Sorted element keys list the elements in increasing reversed-entry-tuple
+order.  More than n·cap rows raise CapExceeded before any element is
+built, since every row is row i of some element.
 """
 
 from __future__ import annotations
@@ -14,14 +25,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, UnverifiedIrreducibility
-from .ffield import FieldSpec
 from .linalg import Mat, Vec
 from .symplectic import (
     SqMatrix,
@@ -36,117 +47,177 @@ from .symplectic import (
 
 DEFAULT_CAP = 2 * 10**7
 EXHAUSTIVE_VECTOR_LIMIT = 10**6
+# hashed into cache file names, so files of another key encoding never load
+_KEY_ENCODING = "row-index-v1"
+# cached elements whose products with each generator on the left are checked
+_LEFT_SAMPLE = 64
+_WORD = (1 << 64) - 1
 
 
 # ---------------------------------------------------------------------------
-# batched arithmetic and packing
+# the closure kernel: packed keys, one search, row tables
 # ---------------------------------------------------------------------------
 
-class _Kernel:
-    """Vectorized matrix products and uint64 packing for one space."""
+class _Packing:
+    """Keys of `slots` integers below 2^bits, sorted by the last slot first.
 
-    def __init__(self, space: SympSpace):
-        self.space = space
-        self.n = space.n
-        self.q = space.field.order
-        self.bits = max((self.q - 1).bit_length(), 1)
-        self.packable = self.n * self.n * self.bits <= 63
-        self.prime = space.field.degree == 1
-        if not self.prime:
-            add, mul, _, _ = space.field.ctx.tables()
-            self._add = add.astype(np.int32)
-            self._mul = mul.astype(np.int32)
-        self._shifts = np.arange(self.n * self.n, dtype=np.uint64) * np.uint64(self.bits)
+    Slot i sits in word i // per at bit (i % per)·bits, per = 64 // bits.
+    A one-word key is a uint64; a longer one is a void of its words stored
+    big-endian, most significant first, so byte order is numeric order and
+    sort, searchsorted and insert treat both alike.
+    """
 
-    def matmul(self, batch: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """(N,n,n) @ (n,n) entrywise over the field, int32 arrays."""
-        if self.prime:
-            return (batch.astype(np.int64) @ g) % self.space.field.ell
-        prod = self._mul[batch[:, :, :, None], g[None, None, :, :]]
-        acc = prod[:, :, 0, :]
-        for k in range(1, self.n):
-            acc = self._add[acc, prod[:, :, k, :]]
-        return acc
+    def __init__(self, slots: int, bits: int):
+        per = 64 // bits
+        self.words = -(-slots // per)
+        self.dtype = np.dtype(np.uint64) if self.words == 1 else np.dtype(f"V{8 * self.words}")
+        self.place = [(i // per, np.uint64(i % per * bits)) for i in range(slots)]
+        self.offsets = [i // per * 64 + i % per * bits for i in range(slots)]
+        self.mask = np.uint64((1 << bits) - 1)
 
-    def pack(self, batch: np.ndarray) -> np.ndarray:
-        flat = batch.reshape(len(batch), -1).astype(np.uint64)
-        keys = np.zeros(len(batch), dtype=np.uint64)
-        for pos in range(self.n * self.n):
-            keys |= flat[:, pos] << self._shifts[pos]
-        return keys
+    def _keys(self, words: np.ndarray) -> np.ndarray:
+        """Keys from an (N, words) uint64 array, least significant word first."""
+        if self.words == 1:
+            return words[:, 0]
+        return np.ascontiguousarray(words[:, ::-1], dtype=">u8").view(self.dtype).ravel()
 
-    def unpack(self, keys: np.ndarray) -> np.ndarray:
-        mask = np.uint64((1 << self.bits) - 1)
-        out = np.empty((len(keys), self.n * self.n), dtype=np.int32)
-        for pos in range(self.n * self.n):
-            out[:, pos] = ((keys >> self._shifts[pos]) & mask).astype(np.int32)
-        return out.reshape(len(keys), self.n, self.n)
+    def _words(self, keys: np.ndarray) -> np.ndarray:
+        if self.words == 1:
+            return keys[:, None]
+        big = np.ascontiguousarray(keys).view(">u8").reshape(len(keys), self.words)
+        return big[:, ::-1].astype(np.uint64)
 
-    def traces(self, keys: np.ndarray) -> np.ndarray:
-        """Field trace entry (as index) of every packed matrix."""
-        mask = np.uint64((1 << self.bits) - 1)
-        diag = [((keys >> self._shifts[i * self.n + i]) & mask).astype(np.int64)
-                for i in range(self.n)]
-        if self.prime:
-            return sum(diag) % self.space.field.ell
-        acc = diag[0]
-        for d in diag[1:]:
-            acc = self._add[acc, d]
-        return acc
+    def encode(self, cols: Sequence[np.ndarray]) -> np.ndarray:
+        words = np.zeros((len(cols[0]), self.words), dtype=np.uint64)
+        for col, (j, shift) in zip(cols, self.place):
+            words[:, j] |= col.astype(np.uint64, copy=False) << shift
+        return self._keys(words)
+
+    def slots(self, keys: np.ndarray) -> Iterator[np.ndarray]:
+        words = self._words(keys)
+        for j, shift in self.place:
+            yield (words[:, j] >> shift) & self.mask
+
+    def decode(self, keys: np.ndarray) -> list[np.ndarray]:
+        return list(self.slots(keys))
+
+    def from_slots(self, slot_lists) -> np.ndarray:
+        """Keys of Python integer sequences, one per key."""
+        ints = [sum(s << off for s, off in zip(slots, self.offsets)) for slots in slot_lists]
+        words = np.array([[k >> (64 * j) & _WORD for j in range(self.words)] for k in ints],
+                         dtype=np.uint64).reshape(len(ints), self.words)
+        return self._keys(words)
 
 
-def _mat_array(m: SqMatrix) -> np.ndarray:
-    return np.array(m.rows, dtype=np.int32)
+def _in_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Membership of each probe key in a sorted key array."""
+    pos = np.minimum(np.searchsorted(sorted_keys, probe), len(sorted_keys) - 1)
+    return sorted_keys[pos] == probe
 
 
-_CHUNK = 1 << 18
-
-
-def _closure_keys(kernel: _Kernel, gens: list[np.ndarray], cap: int) -> np.ndarray:
-    """Sorted uint64 keys of the closure of the generators (with identity)."""
-    n = kernel.n
-    ident = np.eye(n, dtype=np.int32)[None, :, :]
-    seen = np.sort(kernel.pack(ident))
-    frontier = seen.copy()
+def _reach(start: np.ndarray, steps: Sequence[Callable[[np.ndarray], np.ndarray]],
+           limit: int) -> np.ndarray:
+    """Sorted keys reached from the sorted distinct start keys by the steps,
+    a level at a time; CapExceeded once more than `limit` are reached."""
+    seen = frontier = start
     while len(frontier):
-        batches = []
-        mats = kernel.unpack(frontier)
-        for g in gens:
-            for lo in range(0, len(mats), _CHUNK):
-                prod = kernel.matmul(mats[lo:lo + _CHUNK], g)
-                batches.append(kernel.pack(prod))
-        keys = np.unique(np.concatenate(batches))
+        keys = np.concatenate([step(frontier) for step in steps])
+        keys.sort()
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         pos = np.searchsorted(seen, keys)
-        pos_c = np.minimum(pos, len(seen) - 1)
-        new = keys[(seen[pos_c] != keys)]
-        if not len(new):
-            break
-        seen = np.insert(seen, np.searchsorted(seen, new), new)
-        if len(seen) > cap:
+        fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
+        frontier = keys[fresh]
+        seen = np.insert(seen, pos[fresh], frontier)
+        if len(seen) > limit:
             raise CapExceeded(len(seen))
-        frontier = new
     return seen
 
 
-def _closure_fallback(space: SympSpace, gens: list[Mat], cap: int) -> list[Mat]:
-    spec = space.field
-    ident = linalg.identity(spec, space.n)
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                p = linalg.mat_mul(spec, m, g)
-                if p not in seen:
-                    seen.add(p)
-                    order.append(p)
-                    new.append(p)
-                    if len(seen) > cap:
-                        raise CapExceeded(len(seen))
-        frontier = new
-    return sorted(order)
+class _RowTable:
+    """The rows of <gens>, numbered, with one row-image table per generator."""
+
+    def __init__(self, space: SympSpace, gens: Sequence[Mat], cap: int):
+        spec, n = space.field, space.n
+        self.spec, self.n, self.gens = spec, n, list(gens)
+        self.ell = spec.ell
+        self.powers = spec.ell ** np.arange(spec.degree, dtype=np.int64)
+        self.row_pack = _Packing(n, max((spec.order - 1).bit_length(), 1))
+        maps = [self._digit_map(g) for g in gens]
+        steps = [lambda keys, m=m: self._row_times(keys, m) for m in maps]
+        ident = linalg.identity(spec, n)
+        self.row_keys = _reach(np.sort(self.row_pack.from_slots(ident)), steps, n * cap)
+        self.entries = np.stack(self.row_pack.decode(self.row_keys), axis=1).astype(np.int64)
+        self.pack = _Packing(n, max((len(self.row_keys) - 1).bit_length(), 1))
+        self.images = [np.searchsorted(self.row_keys, step(self.row_keys)) for step in steps]
+        self.identity = self.key_of(ident)
+
+    def digits(self, x: np.ndarray) -> np.ndarray:
+        """Base-ell digits of encoded field elements, on a new last axis."""
+        return x[..., None] // self.powers % self.ell
+
+    def _digit_map(self, g: Mat) -> np.ndarray:
+        """row -> row·g on the rows' n·degree entry digits."""
+        ctx, d = self.spec.ctx, self.spec.degree
+        m = np.zeros((self.n * d, self.n * d), dtype=np.int64)
+        for i, grow in enumerate(g):
+            for k in range(d):
+                m[i * d + k] = [x for gij in grow for x in ctx.digits(ctx.mul(gij, self.ell ** k))]
+        return m
+
+    def _row_times(self, keys: np.ndarray, m: np.ndarray) -> np.ndarray:
+        x = self.digits(np.stack(self.row_pack.decode(keys), axis=1).astype(np.int64))
+        y = x.reshape(len(keys), -1) @ m % self.ell
+        return self.row_pack.encode(list((y.reshape(x.shape) @ self.powers).T))
+
+    def times(self, cols: Sequence[np.ndarray], image: np.ndarray) -> np.ndarray:
+        """Keys of the decoded elements times the generator with this row-image table."""
+        return self.pack.encode([image[col] for col in cols])
+
+    def key_of(self, m: Mat) -> Optional[np.ndarray]:
+        """The one-key array of m, or None if a row of m is not a reached row."""
+        probe = self.row_pack.from_slots(m)
+        pos = np.searchsorted(self.row_keys, probe)
+        if not np.array_equal(self.row_keys[np.minimum(pos, len(self.row_keys) - 1)], probe):
+            return None
+        return self.pack.encode(list(pos[:, None]))
+
+    def mats(self, keys: np.ndarray) -> list[Mat]:
+        rows = np.stack(self.pack.decode(keys), axis=1).astype(np.intp)
+        return [tuple(map(tuple, m)) for m in self.entries[rows].tolist()]
+
+    def is_closure(self, keys) -> bool:
+        """Whether a key array read from disk is a closure over this table:
+        of this table's key dtype, 1-D, strictly increasing, every key
+        canonical, holding the identity, closed under one step by each
+        generator, and, on up to _LEFT_SAMPLE evenly spaced keys x, holding
+        g·x for each generator g.  A well-formed superset closed on both
+        sides at the sampled keys is not caught."""
+        if not (isinstance(keys, np.ndarray) and keys.dtype == self.pack.dtype
+                and keys.ndim == 1 and len(keys)):
+            return False
+        if not (np.array_equal(np.sort(keys), keys) and np.all(keys[1:] != keys[:-1])):
+            return False
+        cols = self.pack.decode(keys)
+        if any(np.any(col >= len(self.row_keys)) for col in cols) \
+                or not np.array_equal(self.pack.encode(cols), keys):
+            return False
+        if not (_in_sorted(keys, self.identity)[0] and all(
+                np.all(_in_sorted(keys, self.times(cols, image))) for image in self.images)):
+            return False
+        sample = np.linspace(0, len(keys) - 1, min(len(keys), _LEFT_SAMPLE)).astype(np.intp)
+        for x in self.mats(keys[sample]):
+            for g in self.gens:
+                key = self.key_of(linalg.mat_mul(self.spec, g, x))
+                if key is None or not _in_sorted(keys, key)[0]:
+                    return False
+        return True
+
+
+def _closure_keys(table: _RowTable, cap: int) -> np.ndarray:
+    """Sorted keys of the closure of the generators (with identity)."""
+    steps = [lambda keys, image=image: table.times(table.pack.decode(keys), image)
+             for image in table.images]
+    return _reach(table.identity, steps, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -154,39 +225,45 @@ def _closure_fallback(space: SympSpace, gens: list[Mat], cap: int) -> list[Mat]:
 # ---------------------------------------------------------------------------
 
 class ElementSet(Sequence):
-    """The enumerated elements of a group, decoded lazily from packed keys."""
+    """The enumerated elements of a group, decoded lazily from sorted keys."""
 
-    def __init__(self, space: SympSpace, kernel: Optional[_Kernel],
-                 keys: Optional[np.ndarray], rows_list: Optional[list[Mat]] = None):
+    _CHUNK_DECODE = 4096
+
+    def __init__(self, space: SympSpace, table: _RowTable, keys: np.ndarray):
         self.space = space
-        self._kernel = kernel
+        self._table = table
         self._keys = keys
-        self._rows = rows_list
 
     def __len__(self) -> int:
-        return len(self._keys) if self._keys is not None else len(self._rows)
-
-    def rows_at(self, i: int) -> Mat:
-        if self._rows is not None:
-            return self._rows[i]
-        m = self._kernel.unpack(self._keys[i:i + 1])[0]
-        return tuple(tuple(int(x) for x in row) for row in m)
+        return len(self._keys)
 
     def __getitem__(self, i: int) -> SqMatrix:
-        return SqMatrix(self.space, self.rows_at(i))
+        i = range(len(self))[i]
+        return SqMatrix(self.space, self._table.mats(self._keys[i:i + 1])[0])
 
     def __iter__(self) -> Iterator[SqMatrix]:
-        for i in range(len(self)):
-            yield self[i]
+        for lo in range(0, len(self), self._CHUNK_DECODE):
+            for m in self._table.mats(self._keys[lo:lo + self._CHUNK_DECODE]):
+                yield SqMatrix(self.space, m)
 
     def __contains__(self, m) -> bool:
         if isinstance(m, SqMatrix):
             m = m.rows
-        if self._rows is not None:
-            return m in self._rows
-        key = self._kernel.pack(np.array(m, dtype=np.int32)[None, :, :])[0]
-        i = int(np.searchsorted(self._keys, key))
-        return i < len(self._keys) and self._keys[i] == key
+        key = self._table.key_of(m)
+        return key is not None and bool(_in_sorted(self._keys, key)[0])
+
+    def indices_with_trace(self, t: int) -> np.ndarray:
+        """Positions of the elements whose trace is the field element t.
+
+        Field addition is digit-wise addition mod ell, so each element's
+        trace digits are sums of per-row diagonal digits.
+        """
+        table = self._table
+        acc = 0
+        for i, col in enumerate(table.pack.slots(self._keys)):
+            acc = acc + table.digits(table.entries[:, i])[col]
+        hit = np.all(acc % table.ell == table.digits(np.int64(t)), axis=1)
+        return np.nonzero(hit)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +298,12 @@ def group(space: SympSpace, generators) -> MatrixGroup:
     return MatrixGroup(space, tuple(generators))
 
 
-def _cache_path(space: SympSpace, gens, cap_tag: str) -> Optional[str]:
+def _cache_path(space: SympSpace, gens) -> Optional[str]:
     root = os.environ.get("SYMPAL_CACHE_DIR")
     if not root:
         return None
     doc = {
+        "encoding": _KEY_ENCODING,
         "field": [space.field.ell, space.field.degree, list(space.field.modulus)],
         "n": space.n,
         "gram": [list(r) for r in space.gram],
@@ -235,31 +313,39 @@ def _cache_path(space: SympSpace, gens, cap_tag: str) -> Optional[str]:
     return os.path.join(root, f"closure-{digest}.npy")
 
 
+def _load_closure(path: str, table: _RowTable) -> Optional[np.ndarray]:
+    """The cached keys at path, or None if missing, unreadable or not a closure."""
+    try:
+        keys = np.load(path)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        return None
+    return keys if table.is_closure(keys) else None
+
+
 def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     """Full element set of <generators> if its order is at most `cap`.
 
-    Deterministic: the result is keyed and ordered by the packed matrix
-    encoding.  Raises CapExceeded (with the count reached) otherwise.
+    Deterministic: elements are listed in increasing reversed-entry-tuple
+    order.  Raises CapExceeded past the cap, with the count of elements
+    reached, or of rows when more than n·cap rows are reached first.  A
+    cache file that fails `_RowTable.is_closure` is recomputed and
+    overwritten.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    kernel = _Kernel(g.space)
-    if not kernel.packable:
-        rows = _closure_fallback(g.space, [m.rows for m in g.generators], cap)
-        return ElementSet(g.space, None, None, rows)
-    path = _cache_path(g.space, g.generators, "")
-    if path and os.path.exists(path):
-        keys = np.load(path)
-        if len(keys) > cap:
-            raise CapExceeded(len(keys))
-        return ElementSet(g.space, kernel, keys)
-    keys = _closure_keys(kernel, [_mat_array(m) for m in g.generators], cap)
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = path + f".tmp{os.getpid()}.npy"   # np.save insists on the suffix
-        np.save(tmp, keys)
-        os.replace(tmp, path)
-    return ElementSet(g.space, kernel, keys)
+    table = _RowTable(g.space, [m.rows for m in g.generators], cap)
+    path = _cache_path(g.space, g.generators)
+    keys = _load_closure(path, table) if path else None
+    if keys is None:
+        keys = _closure_keys(table, cap)
+        if path:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            tmp = path + f".tmp{os.getpid()}.npy"   # np.save insists on the suffix
+            np.save(tmp, keys)
+            os.replace(tmp, path)
+    elif len(keys) > cap:
+        raise CapExceeded(len(keys))
+    return ElementSet(g.space, table, keys)
 
 
 def group_order(g: MatrixGroup, cap: int = DEFAULT_CAP) -> int:
@@ -285,16 +371,8 @@ def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
     """
     elems = g.elements(cap)
     out = []
-    if elems._keys is not None:
-        kernel = elems._kernel
-        ctx = g.space.field.ctx
-        target = ctx.encode([g.space.n % g.space.field.ell]
-                            + [0] * (g.space.field.degree - 1))
-        idxs = np.nonzero(kernel.traces(elems._keys) == target)[0]
-        candidates = (elems[int(i)] for i in idxs)
-    else:
-        candidates = iter(elems)
-    for m in candidates:
+    for i in elems.indices_with_trace(g.space.n % g.space.field.ell):
+        m = elems[int(i)]
         verdict = detect_transvection(m)
         if verdict.kind is TransvectionKind.NONTRIVIAL:
             out.append((m, verdict.data))

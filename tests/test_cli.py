@@ -51,6 +51,15 @@ def test_classify_cap_exceeded(huge_fixture_path):
     assert main(["classify", "--input", huge_fixture_path, "--cap", "10"]) == 3
 
 
+def test_np_group_n8_classify_enumerates_multiword_keys(capsys):
+    # 272 elements whose 272 rows need 8 * 9 = 72-bit element keys
+    rc = main(["np-group", "--n", "8", "--q", "19", "--p", "17", "--ell", "103",
+               "--classify"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "no nontrivial transvection" in captured.out + captured.err
+
+
 def test_np_group_emits_consumable_fixture(capsys):
     rc = main(["np-group", "--n", "2", "--q", "5", "--p", "3", "--ell", "7",
                "--json"])

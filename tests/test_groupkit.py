@@ -2,13 +2,16 @@
 
 import json
 import os
+import time
 
+import numpy as np
 import pytest
 
+from sympal import groupkit, linalg
 from sympal.errors import CapExceeded
 from sympal.ffield import field_make, mult_generator
+from sympal.npgroup import build_chi, build_np_group, np_params
 from sympal.groupkit import (
-    ElementSet,
     MatrixGroup,
     closure_enumerate,
     from_fixture,
@@ -22,6 +25,7 @@ from sympal.groupkit import (
     to_fixture,
 )
 from sympal.symplectic import (
+    SqMatrix,
     SympSpace,
     detect_transvection,
     make_transvection,
@@ -190,3 +194,148 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch):
     assert len(cached) == 1
     g2 = group(s, gens)
     assert group_order(g2) == 120
+
+
+@pytest.mark.parametrize("damage", ["truncated", "unsorted", "float", "garbage"])
+def test_damaged_cache_file_is_recomputed(tmp_path, monkeypatch, damage):
+    monkeypatch.setenv("SYMPAL_CACHE_DIR", str(tmp_path))
+    _, g = sp2_f5()
+    assert group_order(g) == 120
+    (path,) = tmp_path.glob("closure-*.npy")
+    keys = np.load(path)
+    if damage == "truncated":
+        np.save(path, keys[:60])
+    elif damage == "unsorted":
+        np.save(path, keys[::-1])
+    elif damage == "float":
+        np.save(path, keys.astype(np.float64))
+    else:
+        path.write_bytes(b"\x93NUMPY not an array")
+    _, g2 = sp2_f5()
+    assert group_order(g2) == 120
+    assert list(tmp_path.glob("closure-*.npy")) == [path]
+    assert np.array_equal(np.load(path), keys)
+
+
+def test_large_extension_field_closes_without_dense_tables():
+    s = SympSpace.standard(field_make(5, 5), 2)   # q = 3125
+    g = group(s, [make_transvection(s, (1, 0), 1)])
+    assert group_order(g) == 5
+    assert len(harvest_transvections(g)) == 4
+
+
+def np_group_4_7_5_11():
+    g, _ = build_np_group(build_chi(np_params(4, 7, 5, 11)))
+    return g.space, g
+
+
+def np_group_8_19_17_103():
+    g, _ = build_np_group(build_chi(np_params(8, 19, 17, 103)))
+    return g.space, g
+
+
+@pytest.mark.parametrize("build", [sp2_f5, sp2_f25, np_group_4_7_5_11,
+                                   np_group_8_19_17_103])
+def test_elements_listed_in_reversed_entry_order(build):
+    _, g = build()
+    rows = [m.rows for m in g.elements()]
+    flat = [tuple(x for row in m for x in row)[::-1] for m in rows]
+    assert len(set(flat)) == len(flat) == group_order(g)
+    assert flat == sorted(flat)
+
+
+@pytest.mark.parametrize("build", [sp2_f5, sp2_f25, np_group_4_7_5_11])
+def test_row_images_match_mat_vec(build):
+    s, g = build()
+    gens = [m.rows for m in g.generators]
+    table = groupkit._RowTable(s, gens, 10**6)
+    rows = [tuple(r) for r in table.entries.tolist()]
+    assert rows == sorted(rows, key=lambda r: r[::-1])
+    for gen, image in zip(gens, table.images):
+        cols = linalg.transpose(gen)   # row·g = g^T row
+        assert [rows[i] for i in image] == [linalg.mat_vec(s.field, cols, r) for r in rows]
+
+
+def test_small_group_with_multiword_keys():
+    # 2np = 272 elements; 272 rows need 9 bits each, 72 bits per element
+    _, g = np_group_8_19_17_103()
+    elems = g.elements()
+    assert len(elems) == 272
+    assert elems._keys.dtype == np.dtype("V16")
+    assert all(m in elems for m in elems)
+    ident = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    assert tuple(ident) in elems
+    assert tuple([ident[1], ident[0]] + ident[2:]) not in elems   # a transposition
+
+
+def test_packing_orders_by_last_slot_first():
+    rng = np.random.default_rng(7)
+    for slots, bits in [(4, 9), (8, 9), (3, 20), (5, 64)]:
+        pack = groupkit._Packing(slots, bits)
+        vals = [tuple(int(x) for x in rng.integers(0, 1 << min(bits, 62), slots))
+                for _ in range(200)]
+        keys = pack.from_slots(vals)
+        assert [tuple(int(c[i]) for c in pack.decode(keys)) for i in range(200)] == vals
+        assert np.array_equal(pack.encode(pack.decode(keys)), keys)
+        order = np.argsort(keys, kind="stable")
+        assert [vals[i][::-1] for i in order] == sorted(v[::-1] for v in vals)
+
+
+def test_sp4_f17_element_search_with_two_word_keys_hits_cap():
+    s = SympSpace.standard(field_make(17, 1), 4)
+    g = group(s, [make_transvection(s, v, 1) for v in
+                  [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                   (0, 0, 0, 1), (1, 1, 0, 0)]])
+    # 83,520 rows, under 4 * cap, so the refusal comes from the element search
+    with pytest.raises(CapExceeded) as exc:
+        closure_enumerate(g, 10**5)
+    assert exc.value.count > 10**5
+
+
+def test_large_field_refusal_is_quick():
+    s = SympSpace.standard(field_make(499, 1), 2)
+    g = group(s, [make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)])
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        closure_enumerate(g, 10**6)   # 249,000 rows, then elements past the cap
+    assert time.perf_counter() - start < 20
+
+
+def test_cache_superset_with_extra_cosets_is_recomputed(tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMPAL_CACHE_DIR", str(tmp_path))
+    _, g = sp2_f5()
+    elems = g.elements()
+    (path,) = tmp_path.glob("closure-*.npy")
+    keys = np.load(path)
+    # x·G for a singular x with reached rows is closed under the generators
+    # on the right, so only the products on the left expose it
+    x = SqMatrix(g.space, ((1, 0), (1, 0)))
+    extra = np.concatenate([elems._table.key_of((x * m).rows) for m in elems])
+    np.save(path, np.union1d(keys, extra))
+    assert len(np.load(path)) == 144
+    _, g2 = sp2_f5()
+    assert group_order(g2) == 120
+    assert np.array_equal(np.load(path), keys)
+
+
+def test_multiword_cache_round_trip(tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMPAL_CACHE_DIR", str(tmp_path))
+    _, g = np_group_8_19_17_103()
+    first = [m.rows for m in g.elements()]
+    (path,) = tmp_path.glob("closure-*.npy")
+    np.save(path, np.load(path)[:100])
+    _, g2 = np_group_8_19_17_103()
+    assert [m.rows for m in g2.elements()] == first
+    _, g3 = np_group_8_19_17_103()
+    assert [m.rows for m in g3.elements()] == first
+
+
+def test_cap_exceeded_from_row_bound(monkeypatch):
+    def no_element_bfs(*args):
+        raise AssertionError("element BFS ran")
+
+    monkeypatch.setattr(groupkit, "_closure_keys", no_element_bfs)
+    _, g = sp2_f5()   # 24 rows reachable: more than 2 * 5
+    with pytest.raises(CapExceeded) as exc:
+        closure_enumerate(g, 5)
+    assert exc.value.count > 5
