@@ -196,7 +196,8 @@ def is_huge(g: MatrixGroup, cap: int = DEFAULT_CAP) -> bool:
     """
     verdict = classify(g, cap)
     if isinstance(verdict, Huge):
-        assert verdict.transvection_subgroup_order >= sp_order(g.space.n, g.space.field.ell)
+        if verdict.transvection_subgroup_order < sp_order(g.space.n, g.space.field.ell):
+            raise WitnessCheckFailed("huge verdict with |H| below |Sp_n(ell)|")
         return True
     return False
 

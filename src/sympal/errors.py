@@ -51,10 +51,6 @@ class CapExceeded(SympalError):
         self.count = count
 
 
-class UnverifiedIrreducibility(SympalError):
-    """Spinning filled the space but exhaustive confirmation was out of range."""
-
-
 # --- classification ---
 
 class NoTransvection(SympalError):

@@ -82,8 +82,13 @@ def _euler_phi(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_ell (coefficient lists, constant term first)
+# polynomials over a field (coefficient lists, constant term first)
 # ---------------------------------------------------------------------------
+#
+# Coefficients are element indices and arithmetic goes through the field's
+# context, so the same helpers serve F_ell (field construction runs them over
+# the prime field, before the extension exists) and F_q (factoring the
+# characteristic polynomials of the irreducibility test).
 
 def _poly_trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -91,68 +96,146 @@ def _poly_trim(f: list[int]) -> list[int]:
     return f
 
 
-def _poly_mulmod(f: list[int], g: list[int], mod: list[int], ell: int) -> list[int]:
+def _poly_add(f: list[int], g: list[int], ctx: "_Fq") -> list[int]:
+    if len(f) < len(g):
+        f, g = g, f
+    return _poly_trim([ctx.add(a, b) for a, b in zip(f, g)] + f[len(g):])
+
+
+def _poly_sub(f: list[int], g: list[int], ctx: "_Fq") -> list[int]:
+    return _poly_add(f, [ctx.neg(b) for b in g], ctx)
+
+
+def _poly_mul(f: list[int], g: list[int], ctx: "_Fq") -> list[int]:
     prod = [0] * (len(f) + len(g) - 1) if f and g else []
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                prod[i + j] = (prod[i + j] + a * b) % ell
-    return _poly_rem(prod, mod, ell)
+                if b:
+                    prod[i + j] = ctx.add(prod[i + j], ctx.mul(a, b))
+    return _poly_trim(prod)
 
 
-def _poly_rem(f: list[int], mod: list[int], ell: int) -> list[int]:
-    f = list(f)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, ell)
-    while len(f) > dm:
-        c = f[-1] * inv_lead % ell
+def _poly_divmod(f: list[int], g: list[int], ctx: "_Fq") -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by a trimmed nonzero g."""
+    rem = list(f)
+    dg = len(g) - 1
+    inv_lead = ctx.inv(g[-1])
+    quot = [0] * max(len(f) - dg, 0)
+    while len(rem) > dg:
+        c = ctx.mul(rem[-1], inv_lead)
         if c:
-            off = len(f) - 1 - dm
-            for j, b in enumerate(mod):
-                f[off + j] = (f[off + j] - c * b) % ell
-        f.pop()
-    return _poly_trim(f)
+            off = len(rem) - 1 - dg
+            quot[off] = c
+            for j, b in enumerate(g):
+                rem[off + j] = ctx.sub(rem[off + j], ctx.mul(c, b))
+        rem.pop()
+    return _poly_trim(quot), _poly_trim(rem)
 
 
-def _poly_gcd(f: list[int], g: list[int], ell: int) -> list[int]:
-    f, g = list(f), list(g)
+def _poly_rem(f: list[int], mod: list[int], ctx: "_Fq") -> list[int]:
+    return _poly_divmod(f, mod, ctx)[1]
+
+
+def _poly_mulmod(f: list[int], g: list[int], mod: list[int], ctx: "_Fq") -> list[int]:
+    return _poly_rem(_poly_mul(f, g, ctx), mod, ctx)
+
+
+def _poly_monic(f: list[int], ctx: "_Fq") -> list[int]:
+    inv = ctx.inv(f[-1])
+    return [ctx.mul(c, inv) for c in f]
+
+
+def _poly_gcd(f: list[int], g: list[int], ctx: "_Fq") -> list[int]:
+    """The monic gcd of trimmed f and g, not both zero."""
     while g:
-        f, g = g, _poly_rem(f, g, ell)
-    return f
+        f, g = g, _poly_rem(f, g, ctx)
+    return _poly_monic(f, ctx)
 
 
-def _poly_powmod(base: list[int], e: int, mod: list[int], ell: int) -> list[int]:
+def _poly_powmod(base: list[int], e: int, mod: list[int], ctx: "_Fq") -> list[int]:
     result = [1]
-    acc = _poly_rem(list(base), mod, ell)
+    acc = _poly_rem(base, mod, ctx)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, acc, mod, ell)
-        acc = _poly_mulmod(acc, acc, mod, ell)
+            result = _poly_mulmod(result, acc, mod, ctx)
+        acc = _poly_mulmod(acc, acc, mod, ctx)
         e >>= 1
     return result
 
 
-def _poly_sub(f: list[int], g: list[int], ell: int) -> list[int]:
-    n = max(len(f), len(g))
-    f = f + [0] * (n - len(f))
-    g = g + [0] * (n - len(g))
-    return _poly_trim([(a - b) % ell for a, b in zip(f, g)])
+def _distinct_degree(f: list[int], ctx: "_Fq") -> Iterator[tuple[int, list[int]]]:
+    """(d, g_d) for each d where g_d, the product of the distinct monic
+    irreducible factors of f of degree d, is not 1.
 
-
-def _is_irreducible(mod: list[int], ell: int) -> bool:
-    # standard criterion: x^(ell^r) = x mod f, and x^(ell^(r/p)) - x coprime
-    # to f for every prime p dividing r
-    r = len(mod) - 1
+    gcd(f, x^(q^d) - x) holds each irreducible factor of degree dividing d
+    once, whatever its multiplicity in f; the factors of lower degree are
+    divided out of f, every power of them, before d is reached.
+    """
+    rest = _poly_monic(f, ctx)
     x = [0, 1]
-    xq = _poly_powmod(x, ell**r, mod, ell)
-    if _poly_sub(xq, x, ell):
-        return False
-    for p in factorize(r):
-        xe = _poly_powmod(x, ell ** (r // p), mod, ell)
-        g = _poly_gcd(list(mod), _poly_sub(xe, x, ell), ell)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    xq = x                                   # x^(q^d) mod rest
+    d = 0
+    while len(rest) > 1:
+        d += 1
+        if len(rest) - 1 < 2 * d:
+            # every factor left has degree >= d, so one of them is all of it
+            yield len(rest) - 1, rest
+            return
+        xq = _poly_powmod(xq, ctx.q, rest, ctx)
+        g = _poly_gcd(rest, _poly_sub(xq, x, ctx), ctx)
+        if len(g) > 1:
+            yield d, g
+            while len(g) > 1:
+                rest = _poly_divmod(rest, g, ctx)[0]
+                g = _poly_gcd(rest, g, ctx)
+            xq = _poly_rem(xq, rest, ctx)
+
+
+def _is_irreducible(mod: list[int], ctx: "_Fq") -> bool:
+    """Whether a monic polynomial is irreducible: the first degree at which
+    distinct-degree factorization finds a factor is its own degree.  Most
+    reducible polynomials have a small factor, found after a few steps."""
+    return next(_distinct_degree(mod, ctx))[0] == len(mod) - 1
+
+
+def _equal_degree(g: list[int], d: int, ctx: "_Fq", rng) -> list[list[int]]:
+    """The monic irreducible factors of g, a product of distinct monic
+    irreducibles of degree d (Cantor-Zassenhaus).
+
+    A random a splits g through gcd(g, s(a)), where s(a) is
+    a^((q^d-1)/2) - 1 in odd characteristic and the trace
+    a + a^2 + a^4 + ... + a^(2^(rd-1)) over F_2 when q = 2^r: in the field
+    F_q[x]/(p) of each factor p, s takes the value 0 on about half of all a.
+    """
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _poly_trim([rng.randrange(ctx.q) for _ in range(len(g) - 1)])
+        if ctx.ell == 2:
+            s = term = a
+            for _ in range(ctx.r * d - 1):
+                term = _poly_mulmod(term, term, g, ctx)
+                s = _poly_add(s, term, ctx)
+        else:
+            s = _poly_sub(_poly_powmod(a, (ctx.q ** d - 1) // 2, g, ctx), [1], ctx)
+        h = _poly_gcd(g, s, ctx)
+        if 1 < len(h) < len(g):
+            return (_equal_degree(h, d, ctx, rng)
+                    + _equal_degree(_poly_divmod(g, h, ctx)[0], d, ctx, rng))
+
+
+def poly_factors(spec: "FieldSpec", f, rng) -> list[list[int]]:
+    """The distinct monic irreducible factors of a nonzero polynomial over
+    the field (element indices, constant term first), sorted by degree and
+    then coefficients.  `rng` (a random.Random) drives the equal-degree
+    splitting; the result does not depend on it."""
+    ctx = spec.ctx
+    f = _poly_trim(list(f))
+    if not f:
+        raise ZeroArgument("the zero polynomial has no factorization")
+    out = [p for d, g in _distinct_degree(f, ctx) for p in _equal_degree(g, d, ctx, rng)]
+    return sorted(out, key=lambda p: (len(p), p))
 
 
 def _monic_polys_lex(ell: int, degree: int) -> Iterator[list[int]]:
@@ -202,8 +285,9 @@ def field_make(ell: int, degree: int) -> FieldSpec:
         raise FieldTooLarge(f"{ell}^{degree} exceeds {FIELD_LIMIT}")
     if degree == 1:
         return FieldSpec(ell, 1, (0, 1))
+    prime = field_make(ell, 1).ctx
     for mod in _monic_polys_lex(ell, degree):
-        if _is_irreducible(mod, ell):
+        if _is_irreducible(mod, prime):
             return FieldSpec(ell, degree, tuple(mod))
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -295,7 +379,8 @@ class _Fq:
         pb = _poly_trim(list(self.digits(b)))
         if not pa or not pb:
             return 0
-        return self.encode(_poly_mulmod(pa, pb, self.mod, self.ell) + [0] * self.r)
+        prime = field_make(self.ell, 1).ctx
+        return self.encode(_poly_mulmod(pa, pb, self.mod, prime) + [0] * self.r)
 
     # -- generator and logarithm tables --
 
@@ -339,13 +424,19 @@ class _Fq:
             import numpy as np
 
             g = self.generator()
+            # multiplying by g is F_ell-linear on the digits: row k is g·x^k
+            times_g = [self.digits(self._raw_mul(g, self.ell ** k)) for k in range(self.r)]
             exp = np.zeros(self.q - 1, dtype=np.int64)
             log = np.full(self.q, -1, dtype=np.int64)
             acc = 1
             for i in range(self.q - 1):
                 exp[i] = acc
                 log[acc] = i
-                acc = self._raw_mul(acc, g)
+                out = [0] * self.r
+                for d, row in zip(self.digits(acc), times_g):
+                    if d:
+                        out = [x + d * c for x, c in zip(out, row)]
+                acc = self.encode(out)
             if acc != 1:
                 raise AssertionError("generator order mismatch")
             self._exp, self._log = exp, log

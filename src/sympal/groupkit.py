@@ -18,6 +18,10 @@ search over keys (`_reach`) runs twice:
 Sorted element keys list the elements in increasing reversed-entry-tuple
 order.  More than n·cap rows raise CapExceeded before any element is
 built, since every row is row i of some element.
+
+Irreducibility of the natural module needs no enumeration at all: Norton's
+test (`is_irreducible`) spins a few vectors chosen from the kernels of
+polynomials in random algebra elements, and decides exactly at every size.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -32,7 +37,8 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import CapExceeded, UnverifiedIrreducibility
+from .errors import CapExceeded
+from .ffield import FieldSpec, poly_factors
 from .linalg import Mat, Vec
 from .symplectic import (
     SqMatrix,
@@ -46,7 +52,6 @@ from .symplectic import (
 )
 
 DEFAULT_CAP = 2 * 10**7
-EXHAUSTIVE_VECTOR_LIMIT = 10**6
 # hashed into cache file names, so files of another key encoding never load
 _KEY_ENCODING = "row-index-v1"
 # cached elements whose products with each generator on the left are checked
@@ -426,17 +431,6 @@ def spin(space: SympSpace, generators: Sequence[SqMatrix], seed: Vec) -> Subspac
     return Subspace.from_vectors(space, basis)
 
 
-def _projective_reps(space: SympSpace) -> Iterator[Vec]:
-    """One representative per line: first nonzero coordinate is 1."""
-    from itertools import product
-
-    q = space.field.order
-    n = space.n
-    for lead in range(n):
-        for tail in product(range(q), repeat=n - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
 @dataclass(frozen=True)
 class IrreducibilityResult:
     irreducible: bool
@@ -446,44 +440,60 @@ class IrreducibilityResult:
         return self.irreducible
 
 
+def _random_combination(spec: FieldSpec, items: Sequence[tuple], rng: random.Random) -> tuple:
+    """A seeded random linear combination of equal-length tuples."""
+    ctx = spec.ctx
+    out = [0] * len(items[0])
+    for item in items:
+        c = rng.randrange(spec.order)
+        if c:
+            out = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(out, item)]
+    return tuple(out)
+
+
 def is_irreducible(g: MatrixGroup, seed: int = 0) -> IrreducibilityResult:
-    """Decide irreducibility of the natural module.
+    """Decide irreducibility of the natural module exactly, by Norton's test
+    in the form of Holt and Rees ("Testing modules for irreducibility", 1994).
 
-    For spaces with at most 10^6 vectors this is exact: every line is
-    spun, which finds a proper invariant subspace whenever one exists
-    (any invariant subspace contains a line, and that line spins inside
-    it).  Beyond that size only heuristic spins run, and a full sweep of
-    them raises UnverifiedIrreducibility instead of claiming a proof.
+    Each round adds a product of two random generator words to a list of
+    words and draws theta, a random linear combination of the list.  For
+    each irreducible factor p of theta's characteristic polynomial, a
+    random nonzero vector of N = ker p(theta) is spun; a proper spin is the
+    witness.  If dim N = deg p, N is one-dimensional over F[x]/(p), so every
+    proper submodule U either contains N or meets it in 0, and then
+    p(theta) is invertible on U and ker p(theta)^T lies in the annihilator
+    of U.  Spinning a vector of ker p(theta)^T under the transposed
+    generators therefore decides: a proper spin gives its annihilator as
+    the witness, a full one proves irreducibility.  Otherwise the next
+    factor, then the next theta, is tried.  Every verdict is proved; the
+    seed only picks which elements and vectors are tried, and so which
+    witness is returned.
     """
-    space = g.space
-    gens = g.generators
-    if space.field.order ** space.n <= EXHAUSTIVE_VECTOR_LIMIT:
-        for v in _projective_reps(space):
-            w = spin(space, gens, v)
-            if w.dim < space.n:
-                return IrreducibilityResult(False, w)
-        return IrreducibilityResult(True)
-    import random
-
+    space, gens = g.space, g.generators
+    spec, n = space.field, space.n
     rng = random.Random(seed)
-    basis_vecs = [tuple(1 if i == j else 0 for j in range(space.n))
-                  for i in range(space.n)]
-    from .symplectic import random_vector
-
-    samples = basis_vecs + [random_vector(space, rng) for _ in range(32)]
-    dual_gens = [SqMatrix(space, linalg.transpose(m.rows)) for m in gens]
-    for v in samples:
-        w = spin(space, gens, v)
-        if w.dim < space.n:
-            return IrreducibilityResult(False, w)
-        wd = spin(space, dual_gens, v)
-        if wd.dim < space.n:
-            # a proper dual-invariant subspace dualizes to a proper
-            # invariant one: its annihilator
-            ann = linalg.nullspace(space.field, wd.basis, space.n)
-            return IrreducibilityResult(False, Subspace(space, ann))
-    raise UnverifiedIrreducibility(
-        "spins filled the space but the vector count exceeds the exhaustive limit")
+    dual = [SqMatrix(space, linalg.transpose(m.rows)) for m in gens]
+    words = [m.rows for m in gens]
+    while True:
+        words.append(linalg.mat_mul(spec, rng.choice(words), rng.choice(words)))
+        flat = _random_combination(spec, [sum(w, ()) for w in words], rng)
+        theta = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        for p in poly_factors(spec, linalg.charpoly(spec, theta), rng):
+            p_theta = linalg.mat_poly(spec, p, theta)
+            kernel = linalg.nullspace(spec, p_theta, n)
+            v: Vec = ()
+            while not any(v):
+                v = _random_combination(spec, kernel, rng)
+            w = spin(space, gens, v)
+            if w.dim < n:
+                return IrreducibilityResult(False, w)
+            if len(kernel) == len(p) - 1:
+                dual_kernel = linalg.nullspace(spec, linalg.transpose(p_theta), n)
+                wd = spin(space, dual, dual_kernel[0])
+                if wd.dim < n:
+                    ann = linalg.nullspace(spec, wd.basis, n)
+                    return IrreducibilityResult(False, Subspace(space, ann))
+                return IrreducibilityResult(True)
 
 
 # ---------------------------------------------------------------------------

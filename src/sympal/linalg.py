@@ -84,6 +84,58 @@ def mat_add(spec: FieldSpec, a: Mat, b: Mat) -> Mat:
                  for ra, rb in zip(a, b))
 
 
+def charpoly(spec: FieldSpec, a: Mat) -> list[int]:
+    """det(xI - a) as coefficients, constant term first (monic, length n+1).
+
+    Elimination similarities bring a to upper Hessenberg form h, then the
+    determinant is expanded along the subdiagonal:
+    p_m = (x - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}.
+    Nothing divides by an integer, so this holds in every characteristic.
+    """
+    ctx = spec.ctx
+    n = len(a)
+    h = [list(r) for r in a]
+    for j in range(n - 2):
+        k = j + 1
+        piv = next((i for i in range(k, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[piv], h[k] = h[k], h[piv]
+            for row in h:
+                row[piv], row[k] = row[k], row[piv]
+        inv = ctx.inv(h[k][j])
+        for i in range(k + 1, n):
+            c = ctx.mul(h[i][j], inv)
+            if c:
+                # row i -= c row k, then column k += c column i
+                h[i] = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(h[i], h[k])]
+                for row in h:
+                    row[k] = ctx.add(row[k], ctx.mul(c, row[i]))
+    polys = [[1]]
+    for m in range(n):
+        cur = [0] + polys[m]
+        for i, c in enumerate(polys[m]):
+            cur[i] = ctx.sub(cur[i], ctx.mul(h[m][m], c))
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = ctx.mul(t, h[i + 1][i])
+            c = ctx.mul(h[i][m], t)
+            for k, d in enumerate(polys[i]):
+                cur[k] = ctx.sub(cur[k], ctx.mul(c, d))
+        polys.append(cur)
+    return polys[n]
+
+
+def mat_poly(spec: FieldSpec, f, a: Mat) -> Mat:
+    """f(a), for f given as coefficients, constant term first (Horner)."""
+    n = len(a)
+    out = zero_mat(n, n)
+    for c in reversed(f):
+        out = mat_add(spec, mat_mul(spec, out, a), scalar_mat(spec, n, c))
+    return out
+
+
 def rref(spec: FieldSpec, rows) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     ctx = spec.ctx

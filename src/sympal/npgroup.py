@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import (
-    InvalidParams,
-    NoInvariantForm,
-    NotIrreducible,
-    UnverifiedIrreducibility,
-)
+from .errors import InvalidParams, NoInvariantForm, NotIrreducible
 from .ffield import FieldSpec, field_make, is_prime, mult_generator, multiplicative_order
 from .groupkit import MatrixGroup, is_irreducible
 from .linalg import Mat
@@ -120,7 +115,8 @@ def build_chi(params: NpParams) -> ChiQ:
     # canonical primitive p-th root: the least power of the canonical
     # generator with order p
     zeta = ctx.pow(g, (spec.order - 1) // params.p)
-    assert ctx.pow(zeta, params.p) == 1 and zeta != 1
+    if zeta == 1 or ctx.pow(zeta, params.p) != 1:
+        raise InvalidParams(f"no primitive {params.p}-th root of unity in {spec}")
     return ChiQ(params, zeta, ctx.neg(1))
 
 
@@ -203,13 +199,9 @@ def build_np_group(chi: ChiQ) -> tuple[MatrixGroup, Mat]:
 
 
 def _assert_irreducible(g: MatrixGroup):
-    """Spin-check when exhaustive; otherwise the distinct-character
-    criterion (already enforced on the diagonal) carries the claim."""
-    try:
-        ok = is_irreducible(g)
-    except UnverifiedIrreducibility:
-        return
-    if not ok:
+    """Prove the module irreducible (groupkit's exact test, at every size);
+    the distinct-character criterion alone is not taken as proof."""
+    if not is_irreducible(g):
         raise NotIrreducible("the induced module has a proper invariant subspace")
 
 
@@ -218,7 +210,7 @@ def twist_unramified(g: MatrixGroup, alpha: int) -> MatrixGroup:
 
     Expects generators in build_np_group order (D, F).  The torsion
     restrictions are unchanged, so irreducibility survives; this is
-    re-asserted by spinning.
+    re-proved by the exact irreducibility test.
     """
     space = g.space
     ctx = space.field.ctx
@@ -228,7 +220,7 @@ def twist_unramified(g: MatrixGroup, alpha: int) -> MatrixGroup:
     tf = SqMatrix(space, linalg.mat_scalar(space.field, f.rows, alpha))
     twisted = MatrixGroup(space, (d, tf))
     # torsion restrictions are untouched by the twist, so the distinctness
-    # criterion still applies; spin-check too where exhaustive
+    # criterion still applies; the exact test proves it as well
     if not induced_irreducible_criterion([d.rows[i][i] for i in range(space.n)]):
         raise NotIrreducible("torsion characters collide")
     _assert_irreducible(twisted)

@@ -4,6 +4,8 @@ Oracle values (moduli, generators, logs) were computed independently by
 brute-force scripts over the integer encodings and frozen here.
 """
 
+import random
+
 import pytest
 
 from sympal.errors import FieldTooLarge, NotGenerator, SpecMismatch, ZeroArgument
@@ -16,6 +18,7 @@ from sympal.ffield import (
     is_prime,
     mult_generator,
     multiplicative_order,
+    poly_factors,
     subfield_embed,
 )
 
@@ -153,3 +156,88 @@ def test_number_theory_helpers():
 def test_field_too_large_guard():
     with pytest.raises(FieldTooLarge):
         field_make(1009, 2)  # order > 10^6
+
+
+# ---------------------------------------------------------------------------
+# polynomial factorization over F_q
+# ---------------------------------------------------------------------------
+
+def _mul(f, g, ctx):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+    return out
+
+
+def _divides(g, f, ctx):
+    """Whether monic g divides f, by schoolbook long division."""
+    rem = list(f)
+    while len(rem) >= len(g):
+        c = rem[-1]
+        off = len(rem) - len(g)
+        for j, b in enumerate(g):
+            rem[off + j] = ctx.sub(rem[off + j], ctx.mul(c, b))
+        rem.pop()
+    return not any(rem)
+
+
+def _has_root(f, ctx):
+    for x in range(ctx.q):
+        acc = 0
+        for c in reversed(f):
+            acc = ctx.add(ctx.mul(acc, x), c)
+        if acc == 0:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("ell,degree", [(5, 1), (5, 2), (2, 2), (3, 2)])
+def test_factors_multiply_back_to_the_squarefree_part(ell, degree):
+    spec = field_make(ell, degree)
+    ctx = spec.ctx
+    rng = random.Random(ell * 10 + degree)
+    for _ in range(40):
+        f = [1]
+        for _ in range(rng.randrange(1, 4)):
+            g = [rng.randrange(spec.order) for _ in range(rng.randrange(1, 4))] + [1]
+            for _ in range(rng.choice((1, 1, 2, ell))):
+                f = _mul(f, g, ctx)
+        factors = poly_factors(spec, f, rng)
+        assert len(set(map(tuple, factors))) == len(factors)
+        rad = [1]
+        for p in factors:
+            # every factor divides a random factor of degree <= 3, so it is
+            # irreducible iff it is monic without a root
+            assert p[-1] == 1 and 2 <= len(p) <= 4
+            assert len(p) == 2 or not _has_root(p, ctx)
+            rad = _mul(rad, p, ctx)
+        # rad | f | rad^deg(f): rad is the product of f's distinct irreducibles
+        assert _divides(rad, f, ctx)
+        power = [1]
+        for _ in range(len(f) - 1):
+            power = _mul(power, rad, ctx)
+        assert _divides(f, power, ctx)
+
+
+@pytest.mark.parametrize("ell,degree", [(2, 2), (5, 1), (3, 2)])
+def test_factors_of_x_to_the_q_squared_minus_x(ell, degree):
+    spec = field_make(ell, degree)
+    q = spec.order
+    f = [0] * (q * q + 1)
+    f[1], f[-1] = spec.ctx.neg(1), 1
+    factors = poly_factors(spec, f, random.Random(0))
+    # every monic irreducible of degree 1 or 2, once: q linear, (q^2-q)/2 quadratic
+    assert [len(p) - 1 for p in factors] == [1] * q + [2] * ((q * q - q) // 2)
+    assert [p[0] for p in factors[:q]] == sorted(spec.ctx.neg(a) for a in range(q))
+
+
+def test_field_moduli_are_their_own_factorization():
+    for ell, degree in [(2, 5), (3, 4), (5, 3), (7, 2)]:
+        mod = list(field_make(ell, degree).modulus)
+        assert poly_factors(field_make(ell, 1), mod, random.Random(1)) == [mod]
+
+
+def test_factor_rejects_zero():
+    with pytest.raises(ZeroArgument):
+        poly_factors(field_make(5, 1), [0, 0], random.Random(0))

@@ -2,9 +2,11 @@
 
 import pytest
 
-from sympal.errors import InvalidParams
+import sympal.errors
+from sympal import npgroup
+from sympal.errors import InvalidParams, NotIrreducible
 from sympal.ffield import field_make, multiplicative_order
-from sympal.groupkit import group_order
+from sympal.groupkit import IrreducibilityResult, group_order, is_irreducible
 from sympal.linalg import mat_mul, scalar_mat
 from sympal.npgroup import (
     build_chi,
@@ -141,3 +143,17 @@ def test_n4_case():
     assert f4.rows == scalar_mat(spec, 4, spec.ctx.neg(1))
     # diagonal entries pairwise distinct
     assert len({d.rows[i][i] for i in range(4)}) == 4
+
+
+def test_n4_group_over_a_large_field_is_proved_irreducible():
+    g, _ = build_np_group(build_chi(np_params(4, 7, 5, 41)))
+    assert g.space.field.order ** 4 > 10**6   # past the old exhaustive limit
+    assert is_irreducible(g)
+    assert is_irreducible(twist_unramified(g, 3))
+    assert not hasattr(sympal.errors, "UnverifiedIrreducibility")
+
+
+def test_reducible_verdict_is_not_swallowed(monkeypatch):
+    monkeypatch.setattr(npgroup, "is_irreducible", lambda g: IrreducibilityResult(False))
+    with pytest.raises(NotIrreducible):
+        build_np_group(fixture_2357())
