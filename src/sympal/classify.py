@@ -99,6 +99,11 @@ def recognize_sp_over_subfield(h: MatrixGroup, cap: int = DEFAULT_CAP) -> int:
         raise CharTooSmall(f"characteristic {h.space.field.ell} < 5")
     if not is_irreducible(h):
         raise NoOrderMatch("subgroup is not irreducible")
+    return _match_sp_order(h, cap)
+
+
+def _match_sp_order(h: MatrixGroup, cap: int) -> int:
+    """recognize_sp_over_subfield without its precondition checks."""
     order = group_order(h, cap)
     n = h.space.n
     r = h.space.field.degree
@@ -131,7 +136,7 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
     h = MatrixGroup(g.space, tuple(h_gens))
     h_red = is_irreducible(h)
     if h_red.irreducible:
-        d = recognize_sp_over_subfield(h, cap)
+        d = _match_sp_order(h, cap)
         return Huge(d, group_order(h, cap))
 
     return _build_induced(g, h_gens, harvested[0][1].direction)

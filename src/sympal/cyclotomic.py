@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import WitnessCheckFailed
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
@@ -35,7 +37,8 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
         if c:
             for j, dj in enumerate(den):
                 num[i + j] -= c * dj
-    assert not any(num), "non-exact polynomial division"
+    if any(num):
+        raise WitnessCheckFailed("non-exact polynomial division")
     return out
 
 

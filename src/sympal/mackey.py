@@ -9,20 +9,26 @@ Character tables come from Dixon's method: split the simultaneous
 eigenvectors of the class-sum matrices over a prime field F_P with
 P = 1 mod exponent, read the degrees off the orthogonality relation,
 and lift the values back to the cyclotomic field through the
-eigenvalue-multiplicity discrete Fourier inversion.
+eigenvalue-multiplicity discrete Fourier inversion.  The linear algebra
+runs on `linalg` over `field_make(P, 1)`; the eigenvalues of a class
+matrix on an eigenspace are the roots of its characteristic polynomial
+(`linalg.charpoly`, factored by `ffield.poly_factors`).  A prime P above
+`ffield.FIELD_LIMIT` raises FieldTooLarge.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
+from . import linalg
 from .cyclotomic import Cyc, rational, root, zero
-from .errors import HypothesisFailed, NotSubgroup
-from .ffield import factorize, is_prime
+from .errors import HypothesisFailed, InvalidParams, NotSubgroup, WitnessCheckFailed
+from .ffield import field_make, is_prime, poly_factors
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +87,30 @@ class FiniteGroup:
                 raise ValueError("multiplication table row is not a permutation")
             if 0 not in self.table[a]:
                 raise ValueError("element has no inverse")
-        if m <= 200:
-            for a in range(m):
-                for b in range(m):
-                    for c in range(m):
-                        if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                            raise ValueError("multiplication is not associative")
+        if any(sorted(col) != list(range(m)) for col in zip(*self.table)):
+            raise ValueError("multiplication table column is not a permutation")
+        # Light's test: the s with (x s) y = x (s y) for all x, y are closed
+        # under products, so checking s in a generating set S suffices.  S is
+        # chosen greedily; in a group each new s at least doubles <S>, so
+        # 2^|S| <= m, and a larger S already proves the table is no group.
+        t = self.table
+        gens: list[int] = []
+        reached = {0}
+        for a in range(m):
+            if a in reached:
+                continue
+            gens.append(a)
+            if 1 << len(gens) > m:
+                raise ValueError("multiplication is not associative")
+            frontier = list(reached)
+            while frontier:
+                frontier = [y for y in {t[x][s] for x in frontier for s in gens}
+                            if y not in reached]
+                reached.update(frontier)
+        for s in gens:
+            for row in t:
+                if tuple(row[z] for z in t[s]) != t[row[s]]:
+                    raise ValueError("multiplication is not associative")
 
     def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * self.order
@@ -323,13 +347,17 @@ class ClassFunction:
     def degree(self) -> Cyc:
         return self.values[self.group.class_of[0]]
 
+    def _check_compatible(self, other: "ClassFunction"):
+        if self.group is not other.group or self.cyc_order != other.cyc_order:
+            raise InvalidParams("class functions on different groups or fields")
+
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        assert self.group is other.group and self.cyc_order == other.cyc_order
+        self._check_compatible(other)
         return ClassFunction(self.group, self.cyc_order,
                              tuple(a + b for a, b in zip(self.values, other.values)))
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        assert self.group is other.group and self.cyc_order == other.cyc_order
+        self._check_compatible(other)
         return ClassFunction(self.group, self.cyc_order,
                              tuple(a * b for a, b in zip(self.values, other.values)))
 
@@ -355,7 +383,7 @@ def regular_character(g: FiniteGroup, cyc_order: int) -> ClassFunction:
 
 def inner_product(phi1: ClassFunction, phi2: ClassFunction) -> Cyc:
     """(1/|G|) sum_g phi1(g^-1) phi2(g), exactly."""
-    assert phi1.group is phi2.group and phi1.cyc_order == phi2.cyc_order
+    phi1._check_compatible(phi2)
     g = phi1.group
     acc = zero(phi1.cyc_order)
     for ci, cls in enumerate(g.classes):
@@ -470,60 +498,6 @@ def mackey_check(g: FiniteGroup, h: Subgroup, n: Subgroup,
 # character tables (Dixon's method)
 # ---------------------------------------------------------------------------
 
-def _modp_rref(rows: list[list[int]], p: int) -> list[list[int]]:
-    work = [r[:] for r in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(work)) if work[i][c] % p), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][c], -1, p)
-        work[rank] = [x * inv % p for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c] % p:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return work[:rank]
-
-
-def _modp_nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    red = _modp_rref(rows, p)
-    pivots = []
-    for r in red:
-        pivots.append(next(j for j, x in enumerate(r) if x))
-    free = [j for j in range(ncols) if j not in pivots]
-    out = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, piv in enumerate(pivots):
-            v[piv] = (-red[i][f]) % p
-        out.append(v)
-    return out
-
-
-def _modp_solve_matrix(b_cols: list[list[int]], target_cols: list[list[int]],
-                       p: int) -> list[list[int]]:
-    """Solve B X = T column-by-column (B given as list of columns, full rank)."""
-    k = len(b_cols[0])
-    d = len(b_cols)
-    out_cols = []
-    for t in target_cols:
-        aug = [[b_cols[j][i] for j in range(d)] + [t[i]] for i in range(k)]
-        red = _modp_rref(aug, p)
-        x = [0] * d
-        for r in red:
-            lead = next(j for j, v in enumerate(r) if v)
-            if lead == d:
-                raise ValueError("inconsistent system in eigen-splitting")
-            x[lead] = r[d]
-        out_cols.append(x)
-    return out_cols
-
-
 @lru_cache(maxsize=None)
 def _dixon_prime(exponent: int, order: int) -> int:
     p = 2 * order + 1
@@ -531,14 +505,6 @@ def _dixon_prime(exponent: int, order: int) -> int:
     while not is_prime(p):
         p += exponent
     return p
-
-
-def _primitive_root_modp(p: int) -> int:
-    fac = factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise AssertionError("no primitive root found")
 
 
 def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
@@ -554,7 +520,9 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
     k = len(g.classes)
     reps = [cls[0] for cls in g.classes]
     p = _dixon_prime(e, g.order)
-    w = pow(_primitive_root_modp(p), (p - 1) // e, p)
+    fp = field_make(p, 1)   # FieldTooLarge beyond FIELD_LIMIT
+    w = fp.ctx.pow(fp.ctx.generator(), (p - 1) // e)
+    rng = random.Random(0)
 
     # class-sum structure constants: (A_i)_{jk} = #{x in C_i : x^-1 z_k in C_j}
     mats = []
@@ -564,39 +532,32 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
             for x in g.classes[ci]:
                 cj = g.class_of[g.mul(g.inv[x], zk)]
                 a[cj][ck] += 1
-        mats.append(a)
+        mats.append(tuple(map(tuple, a)))
 
-    # simultaneous eigenvectors over F_p; subspaces kept as column lists
-    spaces = [[[1 if i == j else 0 for i in range(k)] for j in range(k)]]
+    # simultaneous eigenvectors over F_P; subspaces kept as row bases V,
+    # split by the eigenvalues of each A_i restricted to V: the roots of
+    # its characteristic polynomial
+    spaces = [linalg.identity(fp, k)]
     for a in mats[1:]:
         new_spaces = []
-        for cols in spaces:
-            if len(cols) == 1:
-                new_spaces.append(cols)
+        for v in spaces:
+            d = len(v)
+            if d == 1:
+                new_spaces.append(v)
                 continue
-            a_cols = [[sum(a[i][j] * c[j] for j in range(k)) % p for i in range(k)]
-                      for c in cols]
-            r = _modp_solve_matrix(cols, a_cols, p)   # restriction matrix, d x d cols
-            d = len(cols)
-            r_rows = [[r[j][i] for j in range(d)] for i in range(d)]
-            remaining = d
-            for lam in range(p):
-                if remaining == 0:
-                    break
-                shifted = [[(r_rows[i][j] - (lam if i == j else 0)) % p
-                            for j in range(d)] for i in range(d)]
-                null = _modp_nullspace(shifted, d, p)
-                if null:
-                    eig_cols = []
-                    for coeffs in null:
-                        eig_cols.append([sum(cols[j][i] * coeffs[j]
-                                             for j in range(d)) % p
-                                         for i in range(k)])
-                    new_spaces.append(eig_cols)
-                    remaining -= len(null)
+            # column j of r holds the coordinates of A v_j in the basis V
+            vt = linalg.transpose(v)
+            r = linalg.transpose(tuple(linalg.solve(fp, vt, linalg.mat_vec(fp, a, row))
+                                       for row in v))
+            for f in poly_factors(fp, linalg.charpoly(fp, r), rng):
+                if len(f) > 2:
+                    raise WitnessCheckFailed("a class matrix does not split over F_P")
+                lam = fp.ctx.neg(f[0])
+                shifted = linalg.mat_sub(fp, r, linalg.scalar_mat(fp, d, lam))
+                new_spaces.append(linalg.mat_mul(fp, linalg.nullspace(fp, shifted, d), v))
         spaces = new_spaces
-    assert all(len(s) == 1 for s in spaces) and len(spaces) == k, \
-        "class-matrix eigenspaces did not fully split"
+    if len(spaces) != k or any(len(v) != 1 for v in spaces):
+        raise WitnessCheckFailed("class-matrix eigenspaces did not fully split")
 
     id_class = g.class_of[0]
     chars = []
@@ -609,25 +570,28 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
             jinv = g.class_of[g.inv[reps[j]]]
             s = (s + omega[j] * omega[jinv] * pow(len(g.classes[j]), -1, p)) % p
         dd = g.order * pow(s, -1, p) % p
-        deg = next(d for d in range(1, g.order + 1) if d * d % p == dd)
+        # no root gives degree 0, which fails the degree-sum check below
+        deg = next((d for d in range(1, g.order + 1) if d * d % p == dd), 0)
         degree_sq_sum += deg * deg
-        chi_modp = [deg * omega[j] * pow(len(g.classes[j]), -1, p) % p
-                    for j in range(k)]
+        chi_p = [deg * omega[j] * pow(len(g.classes[j]), -1, p) % p
+                 for j in range(k)]
         values = []
         for j, z in enumerate(reps):
             o = g.element_orders[z]
             wo = pow(w, e // o, p)
             val = zero(n_cyc)
             for u in range(o):
-                m_u = sum(chi_modp[g.class_of[g.power(z, s_)]]
+                m_u = sum(chi_p[g.class_of[g.power(z, s_)]]
                           * pow(wo, (-u * s_) % o, p) for s_ in range(o))
                 m_u = m_u * pow(o, -1, p) % p
-                assert m_u <= deg, "multiplicity lift out of range"
+                if m_u > deg:
+                    raise WitnessCheckFailed("multiplicity lift out of range")
                 if m_u:
                     val = val + m_u * root(n_cyc, u * (n_cyc // o))
             values.append(val)
         chars.append(ClassFunction(g, n_cyc, tuple(values)))
-    assert degree_sq_sum == g.order, "degrees do not sum to |G|"
+    if degree_sq_sum != g.order:
+        raise WitnessCheckFailed("degrees do not sum to |G|")
     chars.sort(key=lambda c: (c.degree.rational_value(),
                               tuple(v.reduced() for v in c.values)))
     return chars
@@ -641,7 +605,8 @@ def linear_characters(g: FiniteGroup, cyc_order: Optional[int] = None
 
 def character_order(chi: ClassFunction) -> int:
     """Order of a degree-1 character in the dual group."""
-    assert chi.degree.rational_value() == 1, "order is for linear characters"
+    if chi.degree.rational_value() != 1:
+        raise InvalidParams("order is for linear characters")
     one = trivial_character(chi.group, chi.cyc_order)
     acc = chi
     o = 1

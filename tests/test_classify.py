@@ -1,5 +1,6 @@
 """The trichotomy classifier and its witnesses."""
 
+import importlib
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from sympal.symplectic import (
     scaling_similitude,
 )
 
+classify_mod = importlib.import_module("sympal.classify")   # sympal.classify is also a function
 F5 = field_make(5, 1)
 F25 = field_make(5, 2)
 
@@ -89,6 +91,20 @@ def test_huge_case_f25():
     assert isinstance(v, Huge)
     assert v.subfield_degree == 2
     assert v.transvection_subgroup_order == 15600
+
+
+@pytest.mark.parametrize("build", [huge_f5, huge_f25])
+def test_huge_verdict_runs_one_irreducibility_test_per_group(build, monkeypatch):
+    calls = []
+    real = classify_mod.is_irreducible
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(classify_mod, "is_irreducible", counted)
+    assert isinstance(classify(build()), Huge)
+    assert len(calls) == 2   # G, then its transvection subgroup H
 
 
 def test_induced_case():

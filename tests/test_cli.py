@@ -1,6 +1,7 @@
 """CLI exit-code contract and document round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -145,6 +146,14 @@ def test_mackey_sweep(tmp_path, capsys):
     bad.write_text(json.dumps({"group": {"semidirect": [7, 3]},
                                "sweep": "nonsense"}))
     assert main(["mackey", "--input", str(bad)]) == 1
+
+    # Z/202 with row 1's entries at columns 2 and 3 swapped: no group
+    table = [[(a + b) % 202 for b in range(202)] for a in range(202)]
+    table[1][2], table[1][3] = table[1][3], table[1][2]
+    bad.write_text(json.dumps({"group": {"table": table}, "sweep": "mackey"}))
+    t0 = time.perf_counter()
+    assert main(["mackey", "--input", str(bad)]) == 1
+    assert time.perf_counter() - t0 < 10
 
 
 def test_mackey_permutation_group_input(tmp_path, capsys):

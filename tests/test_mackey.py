@@ -2,7 +2,8 @@
 
 import pytest
 
-from sympal.errors import HypothesisFailed, NotSubgroup
+from sympal import mackey
+from sympal.errors import FieldTooLarge, HypothesisFailed, NotSubgroup
 from sympal.mackey import (
     ClassFunction,
     FiniteGroup,
@@ -63,31 +64,64 @@ def test_class_counts():
 def test_bad_table_rejected():
     with pytest.raises(ValueError):
         FiniteGroup(((0, 1), (1, 1)))
+    # above 200 elements, where associativity once went unchecked: Z/202
+    # with row 1's entries at columns 2 and 3 swapped (rows stay
+    # permutations, columns 2 and 3 do not) ...
+    z202 = [[(a + b) % 202 for b in range(202)] for a in range(202)]
+    table = [row[:] for row in z202]
+    table[1][2], table[1][3] = table[1][3], table[1][2]
+    with pytest.raises(ValueError):
+        FiniteGroup(table)
+    # ... and a non-associative Latin square with identity: swap the
+    # intercalate 1+2 = 102+103, 1+103 = 102+2
+    table = [row[:] for row in z202]
+    for a, b, c in ((1, 2, 104), (1, 103, 3), (102, 2, 3), (102, 103, 104)):
+        table[a][b] = c
+    with pytest.raises(ValueError, match="associative"):
+        FiniteGroup(table)
+
+
+# oracle degrees from standard tables
+DEGREE_CASES = [
+    (S3, [1, 1, 2]),
+    (dihedral_group(4), [1, 1, 1, 1, 2]),
+    (quaternion_group(), [1, 1, 1, 1, 2]),
+    (alternating_group(4), [1, 1, 1, 3]),
+    (symmetric_group(4), [1, 1, 2, 3, 3]),
+    (sl2_3(), [1, 1, 1, 2, 2, 2, 3]),
+    (semidirect_cyclic(7, 3), [1, 1, 1, 3, 3]),
+    (semidirect_cyclic(11, 5), [1, 1, 1, 1, 1, 5, 5]),
+]
 
 
 def test_character_table_degrees():
-    # oracle degrees from standard tables
-    cases = [
-        (S3, [1, 1, 2]),
-        (dihedral_group(4), [1, 1, 1, 1, 2]),
-        (quaternion_group(), [1, 1, 1, 1, 2]),
-        (alternating_group(4), [1, 1, 1, 3]),
-        (symmetric_group(4), [1, 1, 2, 3, 3]),
-        (sl2_3(), [1, 1, 1, 2, 2, 2, 3]),
-        (semidirect_cyclic(7, 3), [1, 1, 1, 3, 3]),
-        (semidirect_cyclic(11, 5), [1, 1, 1, 1, 1, 5, 5]),
-    ]
-    for g, degrees in cases:
+    for g, degrees in DEGREE_CASES:
         ct = character_table(g)
         assert sorted(int(c.degree.rational_value()) for c in ct) == degrees
 
 
 def test_orthonormality():
-    for g in (S3, quaternion_group(), semidirect_cyclic(7, 3)):
+    extra = (alternating_group(5), symmetric_group(5), semidirect_cyclic(13, 4))
+    for g in [g for g, _ in DEGREE_CASES] + list(extra):
         ct = character_table(g)
+        # rows: <chi_i, chi_j> = delta_ij
         for i, a in enumerate(ct):
             for j, b in enumerate(ct):
                 assert inner_product(a, b).rational_value() == (1 if i == j else 0)
+        # columns: sum_chi chi(x) conj(chi(y)) = |C_G(x)| delta, conj(chi(y)) = chi(y^-1)
+        for ci, cx in enumerate(g.classes):
+            for cj, cy in enumerate(g.classes):
+                y_inv = g.inv[cy[0]]
+                total = sum((chi.at(cx[0]) * chi.at(y_inv) for chi in ct[1:]),
+                            ct[0].at(cx[0]) * ct[0].at(y_inv))
+                want = g.order // len(cx) if ci == cj else 0
+                assert total.rational_value() == want
+
+
+def test_dixon_prime_beyond_field_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(mackey, "_dixon_prime", lambda exponent, order: 1_000_003)
+    with pytest.raises(FieldTooLarge):
+        character_table(S3)
 
 
 def test_subgroup_enumeration():

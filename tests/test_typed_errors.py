@@ -3,18 +3,19 @@
 import ast
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
-from sympal import npgroup
+import sympal
+from sympal import mackey, npgroup
 from sympal.classify import Huge, is_huge
 from sympal.errors import InvalidParams, WitnessCheckFailed
 from sympal.ffield import field_make, one
 from sympal.groupkit import group
 from sympal.symplectic import SympSpace, make_transvection
 
-# mackey and cyclotomic still assert inside the character layer
-CHECKED = ["ffield", "linalg", "symplectic", "groupkit", "classify", "npgroup"]
+CHECKED = sorted(m.name for m in pkgutil.iter_modules(sympal.__path__))
 
 
 @pytest.mark.parametrize("name", CHECKED)
@@ -40,3 +41,22 @@ def test_build_chi_rejects_a_non_primitive_root(monkeypatch):
     monkeypatch.setattr(npgroup, "mult_generator", one)   # zeta would be 1
     with pytest.raises(InvalidParams):
         npgroup.build_chi(params)
+
+
+def test_dixon_split_check_raises_typed_error(monkeypatch):
+    real = mackey.poly_factors
+    # dropping an eigenvalue leaves the class-matrix eigenspaces unsplit
+    monkeypatch.setattr(mackey, "poly_factors", lambda spec, f, rng: real(spec, f, rng)[1:])
+    with pytest.raises(WitnessCheckFailed):
+        mackey.character_table(mackey.symmetric_group(3))
+
+
+def test_class_functions_on_different_groups_raise_typed_error():
+    a = mackey.trivial_character(mackey.symmetric_group(3), 6)
+    b = mackey.trivial_character(mackey.cyclic_group(3), 6)
+    with pytest.raises(InvalidParams):
+        a + b
+    with pytest.raises(InvalidParams):
+        mackey.inner_product(a, b)
+    with pytest.raises(InvalidParams):
+        mackey.character_order(mackey.regular_character(mackey.symmetric_group(3), 6))
