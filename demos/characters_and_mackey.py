@@ -2,8 +2,9 @@
 #
 #     python3 demos/characters_and_mackey.py
 #
-# Everything is exact -- class function values live in cyclotomic fields
-# represented by rational vectors, so equalities are real equalities.
+# Everything is exact -- class function values live in cyclotomic fields,
+# stored as integer coefficients modulo the cyclotomic polynomial, so
+# equalities are real equalities.
 
 from sympal.mackey import (
     all_subgroups,

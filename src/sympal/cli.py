@@ -182,12 +182,29 @@ def run_mackey(args) -> int:
         print(f"error: malformed sweep document: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
+    dixon: dict = {}    # multiplication table -> its character table
+    tables: dict = {}   # subgroup -> its character table
+
+    def table(s):
+        # conjugate subgroups often have equal tables, and equal tables have
+        # equal characters: run Dixon once per table, attach the values to
+        # each subgroup's own group
+        if s not in tables:
+            ct = dixon.get(s.group.table)
+            if ct is None:
+                ct = dixon[s.group.table] = mk.character_table(s.group, g.exponent)
+            tables[s] = [mk.ClassFunction(s.group, c.cyc_order, c.values) for c in ct]
+        return tables[s]
+
+    def linear(s):
+        return [c for c in table(s) if c.degree == 1]
+
     counterexamples = 0
     checks = skipped = 0
     subs = mk.all_subgroups(g)
     if sweep == "mackey":
         for n in subs:
-            chars = mk.character_table(n.group, g.exponent)
+            chars = table(n)
             for h in subs:
                 for chi in chars:
                     checks += 1
@@ -197,10 +214,10 @@ def run_mackey(args) -> int:
         p = int(doc["p"])
         norms = [s for s in subs if mk.is_normal(g, s) and 0 < s.order < g.order]
         for n in norms:
-            for chi in mk.linear_characters(n.group, g.exponent):
+            for chi in linear(n):
                 target = mk.induce(g, n, chi)
                 for h in subs:
-                    for s_char in mk.character_table(h.group, g.exponent):
+                    for s_char in table(h):
                         if mk.induce(g, h, s_char) != target:
                             continue
                         try:
@@ -217,7 +234,7 @@ def run_mackey(args) -> int:
         norms = [s for s in subs if mk.is_normal(g, s) and 0 < s.order < g.order]
         for n in norms:
             b = bound if bound is not None else n.index
-            chars = [c for c in mk.linear_characters(n.group, g.exponent)]
+            chars = linear(n)
             for h in subs:
                 for chi in chars:
                     try:

@@ -1,17 +1,24 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Numbers are coefficient vectors over Q modulo x^n - 1 (the group algebra
-of Z/n), which makes multiplication a cyclic convolution and Galois
-action an index permutation.  Equality and rationality questions go
-through reduction modulo the n-th cyclotomic polynomial, computed by
-peeling Phi_d out of x^n - 1 for the proper divisors d.
+A number is kept in one canonical form: the integer coefficients of
+1, zeta, ..., zeta^(d-1), d = phi(n) -- its remainder modulo the n-th
+cyclotomic polynomial Phi_n, constant term first -- over a positive
+integer denominator coprime to them.  Character values are algebraic
+integers, so in practice the denominator is 1 and everything runs on
+integer tuples: equality and hashing compare tuples, addition adds them,
+and multiplication is a convolution followed by reduction mod Phi_n.
+Galois action and embedding map zeta^j to its image and reduce.  A
+Fraction enters only when a caller multiplies by one (an inner product's
+1/|G|).  Phi_n is computed by peeling Phi_d out of x^n - 1 for the
+proper divisors d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, neg, sub
 
 from .errors import WitnessCheckFailed
 
@@ -42,111 +49,178 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _reduce_mod_phi(coeffs, n: int) -> tuple[Fraction, ...]:
-    """Remainder of the vector (as a polynomial) modulo Phi_n."""
+@lru_cache(maxsize=None)
+def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(n), the nonzero lower terms (j, c_j) of the monic Phi_n)."""
     phi = cyclotomic_poly(n)
-    work = [Fraction(c) for c in coeffs]
-    deg = len(phi) - 1
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce_mod_phi(coeffs, n: int) -> tuple:
+    """Remainder of sum_j c_j x^j modulo Phi_n: phi(n) coefficients."""
+    deg, terms = _phi_terms(n)
+    work = list(coeffs)
+    if len(work) < deg:
+        work += [0] * (deg - len(work))
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
-            for j, pj in enumerate(phi):
-                work[i - deg + j] -= c * pj
+            base = i - deg
+            for j, pj in terms:
+                work[base + j] -= c * pj
     return tuple(work[:deg])
 
 
-@dataclass(frozen=True)
 class Cyc:
-    """An element of Q(zeta_n), stored mod x^n - 1 (not reduced)."""
+    """An element of Q(zeta_n) in canonical form (see the module docstring).
 
-    n: int
-    coeffs: tuple[Fraction, ...]   # length n
+    `Cyc(n, coeffs)` is sum_j coeffs[j] zeta_n^j for integer or Fraction
+    coefficients of any length.  Instances are immutable; the attributes
+    are `n`, `coeffs` (phi(n) integers) and `den` (positive, coprime to
+    the coefficients, 1 when they are all zero).
+    """
+
+    __slots__ = ("n", "coeffs", "den")
+
+    def __new__(cls, n: int, coeffs) -> "Cyc":
+        coeffs = list(coeffs)
+        if all(isinstance(c, int) for c in coeffs):
+            return _make(n, _reduce_mod_phi(coeffs, n), 1)
+        vals = [Fraction(c) for c in coeffs]
+        den = lcm(1, *(v.denominator for v in vals))
+        ints = [v.numerator * (den // v.denominator) for v in vals]
+        return _normal(n, _reduce_mod_phi(ints, n), den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Cyc is immutable")
+
+    def __reduce__(self):
+        return _make, (self.n, self.coeffs, self.den)
+
+    def __repr__(self) -> str:
+        return f"Cyc(n={self.n}, coeffs={self.coeffs}, den={self.den})"
 
     def _chk(self, other: "Cyc"):
         if self.n != other.n:
             raise ValueError(f"cyclotomic orders differ: {self.n} vs {other.n}")
 
-    def __add__(self, other: "Cyc") -> "Cyc":
+    def _combine(self, other: "Cyc", op) -> "Cyc":
         self._chk(other)
-        return Cyc(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _normal(self.n, tuple(map(op, self.coeffs, other.coeffs)), d1)
+        return _normal(self.n, tuple(op(a * d2, b * d1)
+                                     for a, b in zip(self.coeffs, other.coeffs)), d1 * d2)
+
+    def __add__(self, other: "Cyc") -> "Cyc":
+        return self._combine(other, add)
 
     def __sub__(self, other: "Cyc") -> "Cyc":
-        self._chk(other)
-        return Cyc(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, sub)
 
     def __neg__(self) -> "Cyc":
-        return Cyc(self.n, tuple(-a for a in self.coeffs))
+        return _make(self.n, tuple(map(neg, self.coeffs)), self.den)
 
     def __mul__(self, other) -> "Cyc":
-        if isinstance(other, (int, Fraction)):
-            return Cyc(self.n, tuple(a * other for a in self.coeffs))
+        if isinstance(other, int):
+            return _normal(self.n, tuple(a * other for a in self.coeffs), self.den)
+        if isinstance(other, Fraction):
+            k = other.numerator
+            return _normal(self.n, tuple(a * k for a in self.coeffs),
+                           self.den * other.denominator)
         self._chk(other)
-        out = [Fraction(0)] * self.n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % self.n] += a * b
-        return Cyc(self.n, tuple(out))
+        b = other.coeffs
+        conv = [0] * (2 * len(b) - 1)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        conv[j] += x * y
+        return _normal(self.n, _reduce_mod_phi(conv, self.n), self.den * other.den)
 
     __rmul__ = __mul__
 
     def galois(self, s: int) -> "Cyc":
         """The map zeta^j -> zeta^(j s); s = -1 is complex conjugation."""
-        out = [Fraction(0)] * self.n
+        n = self.n
+        out = [0] * n
         for j, a in enumerate(self.coeffs):
-            out[(j * s) % self.n] += a
-        return Cyc(self.n, tuple(out))
+            out[(j * s) % n] += a
+        return _normal(n, _reduce_mod_phi(out, n), self.den)
 
     def conj(self) -> "Cyc":
         return self.galois(-1)
-
-    def reduced(self) -> tuple[Fraction, ...]:
-        return _reduce_mod_phi(self.coeffs, self.n)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = rational(self.n, other)
-        if not isinstance(other, Cyc) or self.n != other.n:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash((self.n, self.reduced()))
-
-    def is_zero(self) -> bool:
-        return not any(self.reduced())
-
-    def is_rational(self) -> bool:
-        return not any(self.reduced()[1:])
-
-    def rational_value(self) -> Fraction:
-        red = self.reduced()
-        if any(red[1:]):
-            raise ValueError("not a rational number")
-        return red[0]
 
     def embed(self, m: int) -> "Cyc":
         """The same number inside Q(zeta_m); requires n | m."""
         if m % self.n:
             raise ValueError(f"{self.n} does not divide {m}")
         k = m // self.n
-        out = [Fraction(0)] * m
+        out = [0] * m
         for j, a in enumerate(self.coeffs):
-            out[j * k] += a
-        return Cyc(m, tuple(out))
+            out[j * k] = a
+        return _normal(m, _reduce_mod_phi(out, m), self.den)
+
+    def reduced(self) -> tuple:
+        """The coefficients mod Phi_n as numbers (ints when den is 1)."""
+        if self.den == 1:
+            return self.coeffs
+        return tuple(Fraction(c, self.den) for c in self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and Fraction(self.coeffs[0], self.den) == other
+        if not isinstance(other, Cyc) or self.n != other.n:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.n, self.coeffs, self.den))
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def is_rational(self) -> bool:
+        return not any(self.coeffs[1:])
+
+    def rational_value(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError("not a rational number")
+        return Fraction(self.coeffs[0], self.den)
+
+
+_new = object.__new__
+_set_n, _set_coeffs, _set_den = (Cyc.__dict__[a].__set__ for a in Cyc.__slots__)
+
+
+def _make(n: int, coeffs: tuple[int, ...], den: int) -> Cyc:
+    """A Cyc from coefficients already in canonical form."""
+    out = _new(Cyc)
+    _set_n(out, n)
+    _set_coeffs(out, coeffs)
+    _set_den(out, den)
+    return out
+
+
+def _normal(n: int, coeffs: tuple[int, ...], den: int) -> Cyc:
+    """A Cyc from reduced integer coefficients over a positive denominator."""
+    if den != 1:
+        g = gcd(den, *coeffs)
+        if g != 1:
+            coeffs = tuple(c // g for c in coeffs)
+            den //= g
+    return _make(n, coeffs, den)
 
 
 def zero(n: int) -> Cyc:
-    return Cyc(n, (Fraction(0),) * n)
+    return _make(n, (0,) * _phi_terms(n)[0], 1)
 
 
 def rational(n: int, value) -> Cyc:
-    return Cyc(n, (Fraction(value),) + (Fraction(0),) * (n - 1))
+    v = Fraction(value)
+    return _make(n, (v.numerator,) + (0,) * (_phi_terms(n)[0] - 1), v.denominator)
 
 
 def root(n: int, k: int) -> Cyc:
     """zeta_n^k."""
-    out = [Fraction(0)] * n
-    out[k % n] = Fraction(1)
-    return Cyc(n, tuple(out))
+    return Cyc(n, [0] * (k % n) + [1])

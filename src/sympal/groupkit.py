@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import CapExceeded
+from .errors import CapExceeded, WitnessCheckFailed
 from .ffield import FieldSpec, poly_factors
 from .linalg import Mat, Vec
 from .symplectic import (
@@ -57,6 +57,10 @@ _KEY_ENCODING = "row-index-v1"
 # cached elements whose products with each generator on the left are checked
 _LEFT_SAMPLE = 64
 _WORD = (1 << 64) - 1
+# Rounds of Norton's test before is_irreducible gives up.  Each round decides
+# with probability bounded below by a constant (Holt and Rees), and the test
+# corpus never needed more than 4, so reaching this bound means a bug.
+NORTON_ROUNDS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +471,15 @@ def is_irreducible(g: MatrixGroup, seed: int = 0) -> IrreducibilityResult:
     the witness, a full one proves irreducibility.  Otherwise the next
     factor, then the next theta, is tried.  Every verdict is proved; the
     seed only picks which elements and vectors are tried, and so which
-    witness is returned.
+    witness is returned.  NORTON_ROUNDS rounds without a decision raise
+    WitnessCheckFailed.
     """
     space, gens = g.space, g.generators
     spec, n = space.field, space.n
     rng = random.Random(seed)
     dual = [SqMatrix(space, linalg.transpose(m.rows)) for m in gens]
     words = [m.rows for m in gens]
-    while True:
+    for _ in range(NORTON_ROUNDS):
         words.append(linalg.mat_mul(spec, rng.choice(words), rng.choice(words)))
         flat = _random_combination(spec, [sum(w, ()) for w in words], rng)
         theta = tuple(flat[i * n:(i + 1) * n] for i in range(n))
@@ -494,6 +499,7 @@ def is_irreducible(g: MatrixGroup, seed: int = 0) -> IrreducibilityResult:
                     ann = linalg.nullspace(spec, wd.basis, n)
                     return IrreducibilityResult(False, Subspace(space, ann))
                 return IrreducibilityResult(True)
+    raise WitnessCheckFailed(f"Norton's test found no deciding factor in {NORTON_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------

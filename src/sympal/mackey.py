@@ -1,9 +1,18 @@
 """Exact character theory on explicit finite groups.
 
 Groups live as multiplication tables over element indices 0..m-1 with
-identity 0.  Character values are exact cyclotomic numbers (Cyc) at a
-common order, so every identity here (Mackey, Frobenius reciprocity,
-the two-induction proposition) is checked with genuine equality.
+identity 0.  Character values are exact cyclotomic numbers (Cyc, in
+canonical integer form) at a common order, so every identity here
+(Mackey, Frobenius reciprocity, the two-induction proposition) is
+checked with genuine equality of integer tuples.
+
+The subgroup constructors (Subgroup.generated, conjugate_subgroup,
+intersect, subgroup_of, whole_group, trivial_subgroup, all_subgroups)
+return one interned Subgroup per (parent, element set), so a subgroup's
+table, conjugacy classes, normality and coset data are built once, and
+class functions on it stay tied to the one group object.  Induction is
+the left-coset representative formula; which coset conjugates land in
+which class of the subgroup is counted once per subgroup.
 
 Character tables come from Dixon's method: split the simultaneous
 eigenvectors of the class-sum matrices over a prime field F_P with
@@ -18,15 +27,15 @@ matrix on an eigenspace are the roots of its characteristic polynomial
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from . import linalg
-from .cyclotomic import Cyc, rational, root, zero
+from .cyclotomic import Cyc, rational, zero
 from .errors import HypothesisFailed, InvalidParams, NotSubgroup, WitnessCheckFailed
 from .ffield import field_make, is_prime, poly_factors
 
@@ -52,7 +61,8 @@ class FiniteGroup:
         self.element_orders = tuple(self._order_of(a) for a in range(self.order))
         self.exponent = 1
         for o in self.element_orders:
-            self.exponent = _lcm(self.exponent, o)
+            self.exponent = lcm(self.exponent, o)
+        self.interned: dict[frozenset, Subgroup] = {}   # see _interned
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -60,16 +70,6 @@ class FiniteGroup:
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv[g])
-
-    def power(self, a: int, k: int) -> int:
-        out, base = 0, a
-        k = k % self.element_orders[a] if hasattr(self, "element_orders") else k
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
 
     def _order_of(self, a: int) -> int:
         o, x = 1, a
@@ -123,12 +123,6 @@ class FiniteGroup:
                 seen[x] = True
             out.append(tuple(orbit))
         return tuple(out)
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 def group_from_elements(gens, op: Callable, ident) -> tuple[FiniteGroup, list]:
@@ -254,7 +248,9 @@ class Subgroup:
     """A subgroup of a parent group, with its own re-indexed table.
 
     Element i of self.group corresponds to parent element self.elements[i];
-    the identity stays at index 0.
+    the identity stays at index 0.  `Subgroup(parent, elements)` builds a
+    new object; the functions below return the one interned object per
+    (parent, element set), so its group and classes are built once.
     """
 
     def __init__(self, parent: FiniteGroup, elements):
@@ -271,6 +267,8 @@ class Subgroup:
         self.index_of = pos
         self.group = FiniteGroup(table, check=False)
         self.group.inv = tuple(pos[parent.inv[x]] for x in elems)
+        self.normal: Optional[bool] = None   # remembered by is_normal
+        self.induction: Optional[tuple] = None   # by _induction_terms
 
     @property
     def order(self) -> int:
@@ -285,45 +283,68 @@ class Subgroup:
 
     @staticmethod
     def generated(parent: FiniteGroup, gens) -> "Subgroup":
-        elems = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = parent.mul(x, g)
-                    if y not in elems:
-                        elems.add(y)
-                        new.append(y)
-            frontier = new
-        return Subgroup(parent, elems)
+        return _interned(parent, _generated(parent, gens))
+
+
+def _generated(parent: FiniteGroup, gens) -> frozenset:
+    """The element set of <gens>."""
+    elems = {0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = parent.mul(x, g)
+                if y not in elems:
+                    elems.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(elems)
+
+
+def _interned(parent: FiniteGroup, elements) -> Subgroup:
+    """The one Subgroup object of `parent` on this element set."""
+    key = frozenset(elements)
+    sub = parent.interned.get(key)
+    if sub is None:
+        sub = parent.interned[key] = Subgroup(parent, key)
+    return sub
 
 
 def whole_group(g: FiniteGroup) -> Subgroup:
-    return Subgroup(g, range(g.order))
+    return _interned(g, range(g.order))
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
-    return Subgroup(g, [0])
+    return _interned(g, [0])
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    return all(h.contains(g.conj(x, a)) for a in h.elements for x in range(g.order))
+    """Is h normal in g?  Remembered on h when g is its parent."""
+    if h.normal is not None and h.parent is g:
+        return h.normal
+    normal = all(h.contains(g.conj(x, a)) for a in h.elements for x in range(g.order))
+    if h.parent is g:
+        h.normal = normal
+    return normal
 
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """Every subgroup, found as joins of cyclic subgroups (ascending order)."""
-    found = {frozenset(Subgroup.generated(g, [a]).elements) for a in range(g.order)}
-    grew = True
-    while grew:
-        grew = False
-        pairs = list(itertools.combinations(sorted(found, key=sorted), 2))
-        for a, b in pairs:
-            join = frozenset(Subgroup.generated(g, list(a | b)).elements)
-            if join not in found:
-                found.add(join)
-                grew = True
-    subs = [Subgroup(g, s) for s in found]
+    gens: dict[frozenset, tuple[int, ...]] = {}   # element set -> generators
+    for x in range(g.order):
+        gens.setdefault(_generated(g, [x]), (x,))
+    todo = list(gens)
+    while todo:
+        a = todo.pop()
+        for b in list(gens):
+            if a <= b or b <= a:
+                continue
+            join = _generated(g, gens[a] + gens[b])
+            if join not in gens:
+                gens[join] = gens[a] + gens[b]
+                todo.append(join)
+    subs = [_interned(g, s) for s in gens]
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs
 
@@ -364,11 +385,10 @@ class ClassFunction:
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassFunction) and self.group is other.group
                 and self.cyc_order == other.cyc_order
-                and all((a - b).is_zero() for a, b in zip(self.values, other.values)))
+                and self.values == other.values)
 
     def __hash__(self):
-        return hash((id(self.group), self.cyc_order,
-                     tuple(v.reduced() for v in self.values)))
+        return hash((id(self.group), self.cyc_order, self.values))
 
 
 def trivial_character(g: FiniteGroup, cyc_order: int) -> ClassFunction:
@@ -396,17 +416,35 @@ def induce(g: FiniteGroup, h: Subgroup, chi: ClassFunction) -> ClassFunction:
     """Induced class function, by the left-coset representative formula."""
     if chi.group is not h.group:
         raise NotSubgroup("character is not on the given subgroup")
-    reps = coset_reps(g, h)
     vals = []
+    for terms in _induction_terms(g, h):
+        acc = zero(chi.cyc_order)
+        for c, count in terms:
+            acc = acc + (chi.values[c] if count == 1 else chi.values[c] * count)
+        vals.append(acc)
+    return ClassFunction(g, chi.cyc_order, tuple(vals))
+
+
+def _induction_terms(g: FiniteGroup, h: Subgroup) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each class of g with representative x: the pairs (c, k), k the
+    number of left coset representatives r with r^-1 x r in the class c
+    of h.group.  Remembered on h when g is its parent."""
+    if h.induction is not None and h.parent is g:
+        return h.induction
+    reps = coset_reps(g, h)
+    out = []
     for cls in g.classes:
         x = cls[0]
-        acc = zero(chi.cyc_order)
+        counts: dict[int, int] = {}
         for r in reps:
             y = g.mul(g.mul(g.inv[r], x), r)
             if h.contains(y):
-                acc = acc + chi.at(h.index_of[y])
-        vals.append(acc)
-    return ClassFunction(g, chi.cyc_order, tuple(vals))
+                c = h.group.class_of[h.index_of[y]]
+                counts[c] = counts.get(c, 0) + 1
+        out.append(tuple(counts.items()))
+    if h.parent is g:
+        h.induction = tuple(out)
+    return tuple(out)
 
 
 def restrict(g: FiniteGroup, h: Subgroup, phi: ClassFunction) -> ClassFunction:
@@ -443,7 +481,7 @@ def double_cosets(g: FiniteGroup, h: Subgroup, n: Subgroup) -> list[int]:
 
 
 def conjugate_subgroup(g: FiniteGroup, n: Subgroup, gamma: int) -> Subgroup:
-    return Subgroup(g, [g.conj(gamma, x) for x in n.elements])
+    return _interned(g, [g.conj(gamma, x) for x in n.elements])
 
 
 def conjugate_classfunction(g: FiniteGroup, n: Subgroup, chi: ClassFunction,
@@ -465,12 +503,12 @@ def conjugate_classfunction(g: FiniteGroup, n: Subgroup, chi: ClassFunction,
 
 
 def intersect(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
-    return Subgroup(g, [x for x in a.elements if b.contains(x)])
+    return _interned(g, [x for x in a.elements if b.contains(x)])
 
 
 def subgroup_of(g: FiniteGroup, big: Subgroup, small: Subgroup) -> Subgroup:
     """small (a subgroup of g inside big) re-expressed as a subgroup of big.group."""
-    return Subgroup(big.group, [big.index_of[x] for x in small.elements])
+    return _interned(big.group, [big.index_of[x] for x in small.elements])
 
 
 def mackey_check(g: FiniteGroup, h: Subgroup, n: Subgroup,
@@ -559,6 +597,20 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
     if len(spaces) != k or any(len(v) != 1 for v in spaces):
         raise WitnessCheckFailed("class-matrix eigenspaces did not fully split")
 
+    # for each class representative z of order o: the classes of z^s and
+    # the powers w_o^t of w_o = w^(e/o), a primitive o-th root of 1 in F_P
+    power_classes = []
+    for z in reps:
+        x, cls = 0, []
+        for _ in range(g.element_orders[z]):
+            cls.append(g.class_of[x])
+            x = g.mul(x, z)
+        power_classes.append(cls)
+    root_powers = {}
+    for o in set(g.element_orders):
+        wo = pow(w, e // o, p)
+        root_powers[o] = [pow(wo, t, p) for t in range(o)]
+
     id_class = g.class_of[0]
     chars = []
     degree_sq_sum = 0
@@ -576,19 +628,20 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
         chi_p = [deg * omega[j] * pow(len(g.classes[j]), -1, p) % p
                  for j in range(k)]
         values = []
-        for j, z in enumerate(reps):
-            o = g.element_orders[z]
-            wo = pow(w, e // o, p)
-            val = zero(n_cyc)
+        for cls in power_classes:
+            o = len(cls)
+            wt = root_powers[o]
+            o_inv = pow(o, -1, p)
+            # value = sum_u m_u zeta^(u n_cyc / o), m_u the multiplicity of
+            # the eigenvalue w_o^u of z
+            vec = [0] * n_cyc
             for u in range(o):
-                m_u = sum(chi_p[g.class_of[g.power(z, s_)]]
-                          * pow(wo, (-u * s_) % o, p) for s_ in range(o))
-                m_u = m_u * pow(o, -1, p) % p
+                m_u = sum(chi_p[c] * wt[(-u * s_) % o] for s_, c in enumerate(cls))
+                m_u = m_u * o_inv % p
                 if m_u > deg:
                     raise WitnessCheckFailed("multiplicity lift out of range")
-                if m_u:
-                    val = val + m_u * root(n_cyc, u * (n_cyc // o))
-            values.append(val)
+                vec[u * (n_cyc // o)] = m_u
+            values.append(Cyc(n_cyc, vec))
         chars.append(ClassFunction(g, n_cyc, tuple(values)))
     if degree_sq_sum != g.order:
         raise WitnessCheckFailed("degrees do not sum to |G|")

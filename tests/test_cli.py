@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from sympal import mackey
 from sympal.cli import main
 from sympal.ffield import field_make
 from sympal.groupkit import from_fixture, group, to_fixture
@@ -164,3 +165,22 @@ def test_mackey_permutation_group_input(tmp_path, capsys):
     assert main(["mackey", "--input", str(doc), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["counterexamples"] == 0
+
+
+@pytest.mark.parametrize("sweep,tables", [
+    ({"group": {"permutations": [[1, 0, 2, 3], [1, 2, 3, 0]]}, "sweep": "mackey"}, 13),
+    ({"group": {"semidirect": [7, 3]}, "sweep": "prop-nh", "p": 7}, 4),
+])
+def test_mackey_sweep_runs_dixon_once_per_subgroup_table(tmp_path, capsys, monkeypatch,
+                                                         sweep, tables):
+    # S4 has 30 subgroups with 13 distinct multiplication tables; 7:3 has 10
+    # subgroups with 4 (orders 1, 3, 7, 21)
+    seen = []
+    real = mackey.character_table
+    monkeypatch.setattr(mackey, "character_table",
+                        lambda g, n=None: seen.append(g.table) or real(g, n))
+    doc = tmp_path / "sweep.json"
+    doc.write_text(json.dumps(sweep))
+    assert main(["mackey", "--input", str(doc), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counterexamples"] == 0
+    assert len(seen) == len(set(seen)) == tables

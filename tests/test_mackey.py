@@ -130,6 +130,32 @@ def test_subgroup_enumeration():
     assert len(all_subgroups(quaternion_group())) == 6
 
 
+def test_subgroups_are_interned_per_element_set():
+    g = symmetric_group(4)
+    subs = all_subgroups(g)
+    assert all_subgroups(g) == subs   # the same objects again
+    by_elements = {s.elements: s for s in subs}
+    for n in subs:
+        for gamma in range(g.order):
+            conj = mackey.conjugate_subgroup(g, n, gamma)
+            assert by_elements[conj.elements] is conj
+        for h in subs:
+            meet = mackey.intersect(g, h, n)
+            assert by_elements[meet.elements] is meet
+            assert mackey.subgroup_of(g, h, meet) is mackey.subgroup_of(g, h, meet)
+    assert Subgroup.generated(g, [1]) is Subgroup.generated(g, [1])
+    assert whole_group(g) is by_elements[tuple(range(24))]
+    assert trivial_subgroup(g) is by_elements[(0,)]
+    # a direct construction is a new object with its own group
+    fresh = Subgroup(g, trivial_subgroup(g).elements)
+    assert fresh is not trivial_subgroup(g) and fresh.group is not trivial_subgroup(g).group
+    # normality is computed once per subgroup and agrees with the definition
+    for h in subs:
+        want = all(h.contains(g.conj(x, a)) for a in h.elements for x in range(g.order))
+        assert is_normal(g, h) == want and h.normal == want
+    assert sorted(s.order for s in subs if s.normal) == [1, 4, 12, 24]
+
+
 def test_subgroup_rejects_non_closed():
     with pytest.raises(NotSubgroup):
         # a transposition and a 3-cycle generate all of S3

@@ -4,11 +4,12 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import time
 
 import pytest
 
 import sympal
-from sympal import mackey, npgroup
+from sympal import groupkit, mackey, npgroup
 from sympal.classify import Huge, is_huge
 from sympal.errors import InvalidParams, WitnessCheckFailed
 from sympal.ffield import field_make, one
@@ -60,3 +61,17 @@ def test_class_functions_on_different_groups_raise_typed_error():
         mackey.inner_product(a, b)
     with pytest.raises(InvalidParams):
         mackey.character_order(mackey.regular_character(mackey.symmetric_group(3), 6))
+
+
+def test_norton_rounds_are_bounded(monkeypatch):
+    # a bug that keeps every theta from offering a deciding factor must
+    # raise once the round limit is reached, not loop forever
+    s = SympSpace.standard(field_make(5, 1), 4)
+    g = group(s, [make_transvection(s, v, 1) for v in ((1, 0, 0, 0), (0, 1, 0, 0),
+                                                       (0, 0, 1, 0), (1, 0, 0, 1))])
+    assert groupkit.is_irreducible(g).irreducible
+    monkeypatch.setattr(groupkit, "poly_factors", lambda spec, f, rng: [])
+    t0 = time.perf_counter()
+    with pytest.raises(WitnessCheckFailed, match="rounds"):
+        groupkit.is_irreducible(g)
+    assert time.perf_counter() - t0 < 10
