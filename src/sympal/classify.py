@@ -7,18 +7,31 @@ either recognize it (irreducible case, order matching against
 irreducible H-submodule and the generator orbit of its conjugates.
 Witnesses are verified, never trusted: a failed witness check signals an
 enumeration bug, not a mathematical possibility.
+
+The induced case is proved on the whole enumerated group by
+`extract_induction`, as array passes over the element keys: each element
+A is rewritten in the block basis, M = B^-1·A·B with B the concatenated
+block bases, by one fixed integer matrix on A's base-ell digits.  Then A
+permutes the blocks iff M is block-monomial (one nonzero m x m block per
+block row and column), the fixed blocks' diagonal traces must sum to
+trace(A), and the stabilizer of the first block is where M's (0, 0)
+block is nonzero.  This replaces transforming every block by every
+element, one subspace echelon form and linear solve at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
+
+import numpy as np
 
 from . import linalg
 from .errors import (
     CharTooSmall,
     NoOrderMatch,
     NoTransvection,
+    Singular,
     WitnessCheckFailed,
 )
 from .groupkit import (
@@ -218,57 +231,57 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
                       cap: int = DEFAULT_CAP) -> InducedExtraction:
     """Stabilizer of the first block with its block representation.
 
-    Verifies the index equals the block count and that the induced
-    character of the block action matches the character of G on V
-    pointwise over the enumerated group.
+    Let B be the matrix whose columns are the blocks' reduced-echelon
+    bases, concatenated.  Each element A is rewritten in the block basis
+    as M = B^-1·A·B, a fixed F_ell-linear map of A's entry digits
+    (`_RowTable.sandwich_map`), ARRAY_CHUNK elements at a time.  The m x m
+    block (r, c) of M is the block-r part of A applied to block c, so:
+
+    * A permutes the blocks iff every block row and every block column of
+      M holds exactly one nonzero block; otherwise WitnessCheckFailed
+      ("element moves a block off the orbit");
+    * the induced character of the block action at A is the sum of the
+      traces of the diagonal blocks of the blocks A fixes, which must equal
+      trace(A) (compared digit-wise);
+    * A stabilizes the first block iff M's (0, 0) block is nonzero, and
+      that block is A's matrix on it in the block's basis.
+
+    Finally the stabilizer's index must equal the block count.
     """
     space = g.space
-    spec = space.field
-    ctx = spec.ctx
+    n, m, h = space.n, verdict.block_dim, len(verdict.blocks)
+    if h * m != n or any(b.dim != m for b in verdict.blocks):
+        raise WitnessCheckFailed("blocks do not tile the space")
+    basis = linalg.transpose(tuple(v for b in verdict.blocks for v in b.basis))
+    try:
+        to_blocks = linalg.inverse(space.field, basis)
+    except Singular:
+        raise WitnessCheckFailed("blocks do not span") from None
     elems = g.elements(cap)
-    blocks = verdict.blocks
-    first = blocks[0]
-
-    def coords_on(block: Subspace, a: SqMatrix) -> Optional[Mat]:
-        """Matrix of a restricted to the block, or None if not stabilized."""
-        cols = []
-        bbt = linalg.transpose(block.basis)
-        for v in block.basis:
-            img = a.apply(v)
-            if not block.contains(img):
-                return None
-            cols.append(linalg.solve(spec, bbt, img))
-        return linalg.transpose(tuple(cols))
-
-    stab = []
-    action = []
-    block_index = {b.basis: i for i, b in enumerate(blocks)}
-    for a in elems:
-        # induced-character check: sum of block traces over fixed blocks
-        # must equal the full trace
-        tr_sum = 0
-        fixes_first = False
-        for b in blocks:
-            img = b.transform(a)
-            k = block_index.get(img.basis)
-            if k is None:
-                raise WitnessCheckFailed("element moves a block off the orbit")
-            if k == block_index[b.basis]:
-                restr = coords_on(b, a)
-                t = 0
-                for i in range(verdict.block_dim):
-                    t = ctx.add(t, restr[i][i])
-                tr_sum = ctx.add(tr_sum, t)
-                if b is first:
-                    fixes_first = True
-        if tr_sum != a.trace():
+    table = elems.table
+    change = table.sandwich_map(to_blocks, basis)
+    ell, diag, blocks = space.field.ell, np.arange(n), np.arange(h)
+    stab, action = [], []
+    for pos, entries in elems.entry_chunks():
+        a = table.digits(entries)
+        c = len(pos)
+        mm = (a.reshape(c, -1) @ change % ell).reshape(a.shape)
+        nonzero = mm.reshape(c, h, m, h, m, -1).any(axis=(2, 4, 5))
+        if not (np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=2) == 1)):
+            raise WitnessCheckFailed("element moves a block off the orbit")
+        traces = mm[:, diag, diag].reshape(c, h, m, -1).sum(axis=2)
+        fixed = nonzero[:, blocks, blocks, None]
+        if not np.array_equal((traces * fixed).sum(axis=1) % ell,
+                              a[:, diag, diag].sum(axis=1) % ell):
             raise WitnessCheckFailed("induced character mismatch")
-        if fixes_first:
-            stab.append(a)
-            action.append(coords_on(first, a))
+        keep = nonzero[:, 0, 0]
+        stab.append(pos[keep])
+        action.append(mm[keep, :m, :m] @ table.powers)
+    stab = np.concatenate(stab)
     if len(stab) * verdict.block_count != len(elems):
         raise WitnessCheckFailed("stabilizer index does not equal block count")
-    return InducedExtraction(tuple(stab), verdict.block_count, tuple(action))
+    block_action = tuple(tuple(map(tuple, x)) for x in np.concatenate(action).tolist())
+    return InducedExtraction(tuple(elems.at(stab)), verdict.block_count, block_action)
 
 
 def serialize_verdict(v: Classification) -> dict:

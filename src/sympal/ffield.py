@@ -24,6 +24,7 @@ from .errors import (
     NotGenerator,
     NotPrime,
     SpecMismatch,
+    WitnessCheckFailed,
     ZeroArgument,
 )
 
@@ -289,7 +290,7 @@ def field_make(ell: int, degree: int) -> FieldSpec:
     for mod in _monic_polys_lex(ell, degree):
         if _is_irreducible(mod, prime):
             return FieldSpec(ell, degree, tuple(mod))
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise WitnessCheckFailed(f"no monic irreducible of degree {degree} over F_{ell}")
 
 
 class _Fq:
@@ -438,7 +439,7 @@ class _Fq:
                         out = [x + d * c for x, c in zip(out, row)]
                 acc = self.encode(out)
             if acc != 1:
-                raise AssertionError("generator order mismatch")
+                raise WitnessCheckFailed("generator order mismatch")
             self._exp, self._log = exp, log
         return self._exp, self._log
 
@@ -599,7 +600,7 @@ def discrete_log(x: FieldElement, g: FieldElement) -> int:
         if j is not None:
             return (i * m + j) % n
         gamma = ctx.mul(gamma, giant_step)
-    raise AssertionError("BSGS failed on a valid generator")  # unreachable
+    raise WitnessCheckFailed("BSGS found no logarithm for a generator")
 
 
 def frobenius(x: FieldElement) -> FieldElement:
@@ -663,4 +664,4 @@ def subfield_embed(spec_small: FieldSpec, spec_big: FieldSpec) -> Embedding:
             power = big.mul(power, t)
         if acc == 0:
             return Embedding(spec_small, spec_big, FieldElement(spec_big, t))
-    raise AssertionError("modulus has no root in the extension")  # unreachable
+    raise WitnessCheckFailed("the small modulus has no root in the extension")

@@ -57,6 +57,9 @@ _KEY_ENCODING = "row-index-v1"
 # cached elements whose products with each generator on the left are checked
 _LEFT_SAMPLE = 64
 _WORD = (1 << 64) - 1
+# elements per chunk of the array passes (element iteration, harvest,
+# extract_induction), so their working memory does not grow with the group
+ARRAY_CHUNK = 4096
 # Rounds of Norton's test before is_irreducible gives up.  Each round decides
 # with probability bounded below by a constant (Holt and Rees), and the test
 # corpus never needed more than 4, so reaching this bound means a bug.
@@ -159,6 +162,10 @@ class _RowTable:
         self.pack = _Packing(n, max((len(self.row_keys) - 1).bit_length(), 1))
         self.images = [np.searchsorted(self.row_keys, step(self.row_keys)) for step in steps]
         self.identity = self.key_of(ident)
+        # row a·degree + b: the digits of x^a·x^b
+        self.mul_digits = np.array([spec.ctx.digits(spec.ctx.mul(self.ell ** a, self.ell ** b))
+                                    for a in range(spec.degree) for b in range(spec.degree)],
+                                   dtype=np.int64).reshape(spec.degree ** 2, spec.degree)
 
     def digits(self, x: np.ndarray) -> np.ndarray:
         """Base-ell digits of encoded field elements, on a new last axis."""
@@ -172,6 +179,33 @@ class _RowTable:
             for k in range(d):
                 m[i * d + k] = [x for gij in grow for x in ctx.digits(ctx.mul(gij, self.ell ** k))]
         return m
+
+    def sandwich_map(self, left: Mat, right: Mat) -> np.ndarray:
+        """x -> left·x·right on the n·n·degree entry digits of an n x n matrix x.
+
+        The map is F_q-linear in x, so F_ell-linear on its digits: digit k
+        of entry (i, j) stands for x^k·E_ij, sent to x^k·(column i of
+        left)·(row j of right).
+        """
+        ctx, d, n = self.spec.ctx, self.spec.degree, self.n
+        m = np.zeros((n * n * d, n * n * d), dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                for k in range(d):
+                    m[(i * n + j) * d + k] = [
+                        x for a in range(n) for b in range(n)
+                        for x in ctx.digits(ctx.mul(self.ell ** k, ctx.mul(left[a][i], right[j][b])))]
+        return m
+
+    def product_digits(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Digits of the field products of digit arrays x and y (last axis).
+
+        Multiplication is F_ell-bilinear on digits; for degree 1 this is the
+        integer product mod ell.
+        """
+        d = self.spec.degree
+        outer = (x[..., :, None] * y[..., None, :]).reshape(*x.shape[:-1], d * d) % self.ell
+        return outer @ self.mul_digits % self.ell
 
     def _row_times(self, keys: np.ndarray, m: np.ndarray) -> np.ndarray:
         x = self.digits(np.stack(self.row_pack.decode(keys), axis=1).astype(np.int64))
@@ -190,9 +224,13 @@ class _RowTable:
             return None
         return self.pack.encode(list(pos[:, None]))
 
-    def mats(self, keys: np.ndarray) -> list[Mat]:
+    def entry_array(self, keys: np.ndarray) -> np.ndarray:
+        """The (len(keys), n, n) entries of the decoded elements."""
         rows = np.stack(self.pack.decode(keys), axis=1).astype(np.intp)
-        return [tuple(map(tuple, m)) for m in self.entries[rows].tolist()]
+        return self.entries[rows]
+
+    def mats(self, keys: np.ndarray) -> list[Mat]:
+        return [tuple(map(tuple, m)) for m in self.entry_array(keys).tolist()]
 
     def is_closure(self, keys) -> bool:
         """Whether a key array read from disk is a closure over this table:
@@ -236,8 +274,6 @@ def _closure_keys(table: _RowTable, cap: int) -> np.ndarray:
 class ElementSet(Sequence):
     """The enumerated elements of a group, decoded lazily from sorted keys."""
 
-    _CHUNK_DECODE = 4096
-
     def __init__(self, space: SympSpace, table: _RowTable, keys: np.ndarray):
         self.space = space
         self._table = table
@@ -251,9 +287,27 @@ class ElementSet(Sequence):
         return SqMatrix(self.space, self._table.mats(self._keys[i:i + 1])[0])
 
     def __iter__(self) -> Iterator[SqMatrix]:
-        for lo in range(0, len(self), self._CHUNK_DECODE):
-            for m in self._table.mats(self._keys[lo:lo + self._CHUNK_DECODE]):
+        for lo in range(0, len(self), ARRAY_CHUNK):
+            for m in self._table.mats(self._keys[lo:lo + ARRAY_CHUNK]):
                 yield SqMatrix(self.space, m)
+
+    @property
+    def table(self) -> _RowTable:
+        return self._table
+
+    def at(self, positions: np.ndarray) -> list[SqMatrix]:
+        """The elements at the positions, decoded in one call."""
+        return [SqMatrix(self.space, m) for m in self._table.mats(self._keys[positions])]
+
+    def entry_chunks(self, positions: Optional[np.ndarray] = None
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(positions, entries), ARRAY_CHUNK elements at a time: the
+        positions (default all, in order) and their (C, n, n) entry array."""
+        if positions is None:
+            positions = np.arange(len(self))
+        for lo in range(0, len(positions), ARRAY_CHUNK):
+            pos = positions[lo:lo + ARRAY_CHUNK]
+            yield pos, self._table.entry_array(self._keys[pos])
 
     def __contains__(self, m) -> bool:
         if isinstance(m, SqMatrix):
@@ -374,17 +428,34 @@ def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
                           ) -> list[tuple[SqMatrix, TransvectionData]]:
     """All nontrivial transvections among the enumerated elements.
 
-    Candidates are pre-filtered by trace (a transvection has trace n) so
-    only a small slice of the element set is decoded.  Output order follows
-    the deterministic element ordering.
+    A transvection I + c·v(Jv)^T has trace n, and A - I of rank 1.  Both
+    are necessary conditions, so filtering by them drops no transvection:
+    the trace is tested on the keys of all elements at once, then A - I of
+    each candidate, ARRAY_CHUNK at a time, must be nonzero with every 2x2
+    minor zero (field products on digits).  detect_transvection then
+    decides each survivor exactly and gives its canonical data.  Output
+    order follows the deterministic element ordering.
     """
     elems = g.elements(cap)
+    table = elems.table
+    n = g.space.n
+    ident = table.digits(np.eye(n, dtype=np.int64))
+    # the minor on rows i < k and columns j < l is a_ij·a_kl - a_il·a_kj
+    i, k = np.triu_indices(n, 1)
+    i, k, j, l = i[:, None], k[:, None], i[None, :], k[None, :]
+    survivors = []
+    for pos, entries in elems.entry_chunks(elems.indices_with_trace(n % table.ell)):
+        a = (table.digits(entries) - ident) % table.ell
+        rank_one = np.any(a, axis=(1, 2, 3)) & np.all(
+            table.product_digits(a[:, i, j], a[:, k, l])
+            == table.product_digits(a[:, i, l], a[:, k, j]), axis=(1, 2, 3))
+        survivors.append(pos[rank_one])
     out = []
-    for i in elems.indices_with_trace(g.space.n % g.space.field.ell):
-        m = elems[int(i)]
-        verdict = detect_transvection(m)
-        if verdict.kind is TransvectionKind.NONTRIVIAL:
-            out.append((m, verdict.data))
+    if survivors:
+        for m in elems.at(np.concatenate(survivors)):
+            verdict = detect_transvection(m)
+            if verdict.kind is TransvectionKind.NONTRIVIAL:
+                out.append((m, verdict.data))
     return out
 
 

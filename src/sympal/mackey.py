@@ -31,11 +31,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from . import linalg
-from .cyclotomic import Cyc, rational, zero
+from .cyclotomic import Cyc, rational, root, zero
 from .errors import HypothesisFailed, InvalidParams, NotSubgroup, WitnessCheckFailed
 from .ffield import field_make, is_prime, poly_factors
 
@@ -656,17 +656,27 @@ def linear_characters(g: FiniteGroup, cyc_order: Optional[int] = None
             if c.degree.rational_value() == 1]
 
 
+@lru_cache(maxsize=None)
+def _zeta_exponents(n: int) -> dict[Cyc, int]:
+    """zeta_n^j -> j for j < n."""
+    return {root(n, j): j for j in range(n)}
+
+
 def character_order(chi: ClassFunction) -> int:
-    """Order of a degree-1 character in the dual group."""
+    """Order of a degree-1 character in the dual group: the lcm of the
+    orders of its values, each found among the powers zeta^j of
+    zeta = zeta_{cyc_order} (order cyc_order / gcd(j, cyc_order)).
+    InvalidParams if a value is not such a power."""
     if chi.degree.rational_value() != 1:
         raise InvalidParams("order is for linear characters")
-    one = trivial_character(chi.group, chi.cyc_order)
-    acc = chi
-    o = 1
-    while acc != one:
-        acc = acc * chi
-        o += 1
-    return o
+    n = chi.cyc_order
+    order = 1
+    for value in chi.values:
+        j = _zeta_exponents(n).get(value)
+        if j is None:
+            raise InvalidParams(f"value {value!r} is not a power of zeta_{n}")
+        order = lcm(order, n // gcd(j, n))
+    return order
 
 
 def character_power(chi: ClassFunction, k: int) -> ClassFunction:

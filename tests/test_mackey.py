@@ -1,9 +1,12 @@
 """Exact character theory: tables, induction, Mackey, the propositions."""
 
+import time
+
 import pytest
 
 from sympal import mackey
-from sympal.errors import FieldTooLarge, HypothesisFailed, NotSubgroup
+from sympal.cyclotomic import rational
+from sympal.errors import FieldTooLarge, HypothesisFailed, InvalidParams, NotSubgroup
 from sympal.mackey import (
     ClassFunction,
     FiniteGroup,
@@ -259,6 +262,32 @@ def test_character_order_and_split():
     assert character_order(c1) == 7
     assert character_order(c2) == 3
     assert c1 * c2 == chi
+
+
+def _order_by_powers(chi):
+    """The definition: the least k > 0 with chi^k trivial."""
+    one = trivial_character(chi.group, chi.cyc_order)
+    acc, k = chi, 1
+    while acc != one:
+        acc, k = acc * chi, k + 1
+    return k
+
+
+@pytest.mark.parametrize("build", [lambda: cyclic_group(21), lambda: S3,
+                                   lambda: semidirect_cyclic(7, 3)])
+def test_character_order_is_the_order_in_the_dual_group(build):
+    g = build()
+    for chi in linear_characters(g, g.exponent):
+        assert character_order(chi) == _order_by_powers(chi)
+
+
+def test_character_order_refuses_values_off_the_roots_of_unity():
+    # degree 1 but not a character: multiplying until trivial never ends
+    chi = ClassFunction(S3, 6, tuple(rational(6, v) for v in (1, 2, 2)))
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidParams):
+        character_order(chi)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_prop_nh_holds_on_frobenius_group():

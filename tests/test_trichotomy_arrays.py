@@ -1,0 +1,234 @@
+"""The array passes of the trichotomy against per-element reference oracles.
+
+`reference_extract_induction` and `reference_harvest` are the earlier
+per-element implementations of `classify.extract_induction` and
+`groupkit.harvest_transvections`, kept here as oracles: the array passes
+must return equal results, field by field and in order.
+"""
+
+import dataclasses
+import random
+from functools import lru_cache
+from typing import Optional
+
+import pytest
+
+from sympal import groupkit, linalg
+from sympal.classify import Induced, InducedExtraction, classify, extract_induction
+from sympal.errors import WitnessCheckFailed
+from sympal.ffield import FieldElement, field_make, mult_generator, subfield_embed
+from sympal.groupkit import DEFAULT_CAP, group, harvest_transvections
+from sympal.linalg import Mat
+from sympal.symplectic import (
+    SqMatrix,
+    Subspace,
+    SympSpace,
+    TransvectionKind,
+    detect_transvection,
+    make_transvection,
+    mat,
+    random_similitude,
+)
+
+F5 = field_make(5, 1)
+F25 = field_make(5, 2)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: one element at a time
+# ---------------------------------------------------------------------------
+
+def reference_extract_induction(g, verdict, cap=DEFAULT_CAP) -> InducedExtraction:
+    space = g.space
+    spec = space.field
+    ctx = spec.ctx
+    elems = g.elements(cap)
+    blocks = verdict.blocks
+    first = blocks[0]
+
+    def coords_on(block: Subspace, a: SqMatrix) -> Optional[Mat]:
+        """Matrix of a restricted to the block, or None if not stabilized."""
+        cols = []
+        bbt = linalg.transpose(block.basis)
+        for v in block.basis:
+            img = a.apply(v)
+            if not block.contains(img):
+                return None
+            cols.append(linalg.solve(spec, bbt, img))
+        return linalg.transpose(tuple(cols))
+
+    stab = []
+    action = []
+    block_index = {b.basis: i for i, b in enumerate(blocks)}
+    for a in elems:
+        tr_sum = 0
+        fixes_first = False
+        for b in blocks:
+            img = b.transform(a)
+            k = block_index.get(img.basis)
+            if k is None:
+                raise WitnessCheckFailed("element moves a block off the orbit")
+            if k == block_index[b.basis]:
+                restr = coords_on(b, a)
+                t = 0
+                for i in range(verdict.block_dim):
+                    t = ctx.add(t, restr[i][i])
+                tr_sum = ctx.add(tr_sum, t)
+                if b is first:
+                    fixes_first = True
+        if tr_sum != a.trace():
+            raise WitnessCheckFailed("induced character mismatch")
+        if fixes_first:
+            stab.append(a)
+            action.append(coords_on(first, a))
+    if len(stab) * verdict.block_count != len(elems):
+        raise WitnessCheckFailed("stabilizer index does not equal block count")
+    return InducedExtraction(tuple(stab), verdict.block_count, tuple(action))
+
+
+def reference_harvest(g, cap=DEFAULT_CAP):
+    elems = g.elements(cap)
+    out = []
+    for i in elems.indices_with_trace(g.space.n % g.space.field.ell):
+        m = elems[int(i)]
+        verdict = detect_transvection(m)
+        if verdict.kind is TransvectionKind.NONTRIVIAL:
+            out.append((m, verdict.data))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+# ---------------------------------------------------------------------------
+
+def _induced_gens(s):
+    gens = [make_transvection(s, v, 1) for v in
+            [(1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0),
+             (0, 1, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1)]]
+    swap = mat(s, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    return gens + [swap]
+
+
+def _lift_to_f25(m: SqMatrix, s25: SympSpace) -> SqMatrix:
+    emb = subfield_embed(F5, F25)
+    return SqMatrix(s25, tuple(tuple(emb(FieldElement(F5, x)).index for x in row)
+                               for row in m.rows))
+
+
+def _conjugate(gens, seed):
+    s = gens[0].space
+    a = random_similitude(s, random.Random(seed))
+    ai = a.inv()
+    return [a * m * ai for m in gens]
+
+
+def _gens(name: str):
+    s2, s4 = SympSpace.standard(F5, 2), SympSpace.standard(F5, 4)
+    s25 = SympSpace.standard(F25, 2)
+    if name == "reducible":
+        return [make_transvection(s2, (1, 0), 1)]
+    if name == "huge-f5":
+        return [make_transvection(s2, (1, 0), 1), make_transvection(s2, (0, 1), 1)]
+    if name == "huge-f25":
+        t = mult_generator(F25).index
+        return [make_transvection(s25, (1, 0), 1), make_transvection(s25, (0, 1), t)]
+    if name == "induced":
+        return _induced_gens(s4)
+    if name.startswith("induced-conj-"):
+        return _conjugate(_induced_gens(s4), int(name.rsplit("-", 1)[1]))
+    if name == "induced-f25":
+        # Sp2(F5) wr C2, 28,800 elements, written over F25: extension digits
+        s = SympSpace.standard(F25, 4)
+        return [_lift_to_f25(m, s) for m in _induced_gens(s4)]
+    raise KeyError(name)
+
+
+INDUCED = ["induced", "induced-conj-1", "induced-conj-2", "induced-conj-3", "induced-f25"]
+CRITERION_3 = ["reducible", "induced", "huge-f5", "huge-f25"]
+
+
+@lru_cache(maxsize=None)
+def case(name: str):
+    """(group, verdict) of a named fixture, enumerated once per session."""
+    gens = _gens(name)
+    g = group(gens[0].space, gens)
+    return g, classify(g)
+
+
+@lru_cache(maxsize=None)
+def reference_extraction(name: str) -> InducedExtraction:
+    return reference_extract_induction(*case(name))
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", INDUCED)
+def test_extract_induction_matches_reference(name):
+    g, v = case(name)
+    assert isinstance(v, Induced)
+    got, want = extract_induction(g, v), reference_extraction(name)
+    assert got.index == want.index
+    assert got.stabilizer == want.stabilizer
+    assert got.block_action == want.block_action
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(set(CRITERION_3 + INDUCED)))
+def test_harvest_matches_reference(name):
+    g, _ = case(name)
+    got = harvest_transvections(g)
+    assert got == reference_harvest(g)
+    assert got
+
+
+def test_small_chunks_give_the_same_results(monkeypatch):
+    g, v = case("induced")
+    want_harvest = harvest_transvections(g)
+    monkeypatch.setattr(groupkit, "ARRAY_CHUNK", 997)   # 29 chunks of 28,800 elements
+    assert extract_induction(g, v) == reference_extraction("induced")
+    assert harvest_transvections(g) == want_harvest
+
+
+def test_harvest_decides_only_rank_one_candidates(monkeypatch):
+    g, _ = case("induced")
+    calls = []
+    real = groupkit.detect_transvection
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(groupkit, "detect_transvection", counted)
+    hits = harvest_transvections(g)
+    candidates = g.elements().indices_with_trace(g.space.n % g.space.field.ell)
+    assert len(hits) <= len(calls) < len(candidates)
+    assert all(linalg.rank(g.space.field, linalg.mat_sub(
+        g.space.field, m.rows, linalg.identity(g.space.field, g.space.n))) == 1 for m in calls)
+
+
+def test_blocks_not_permuted_by_g_are_refused():
+    g, v = case("induced")
+    s = g.space
+    forged = dataclasses.replace(v, blocks=(
+        Subspace.from_vectors(s, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+        Subspace.from_vectors(s, [(0, 0, 1, 0), (0, 0, 0, 1)])))
+    with pytest.raises(WitnessCheckFailed, match="off the orbit"):
+        extract_induction(g, forged)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_wrong_block_count_is_refused(count):
+    g, v = case("induced")
+    with pytest.raises(WitnessCheckFailed, match="block count"):
+        extract_induction(g, dataclasses.replace(v, block_count=count))
+
+
+def test_blocks_that_do_not_span_are_refused():
+    g, v = case("induced")
+    forged = dataclasses.replace(v, blocks=(v.blocks[0], v.blocks[0]))
+    with pytest.raises(WitnessCheckFailed, match="span"):
+        extract_induction(g, forged)
+    with pytest.raises(WitnessCheckFailed, match="tile"):
+        extract_induction(g, dataclasses.replace(v, blocks=v.blocks[:1]))
