@@ -34,6 +34,7 @@ from .errors import (
     Singular,
     WitnessCheckFailed,
 )
+from .ffield import FieldSpec
 from .groupkit import (
     DEFAULT_CAP,
     MatrixGroup,
@@ -227,6 +228,20 @@ class InducedExtraction:
     block_action: tuple[Mat, ...]             # m x m matrices of stabilizer elements on S_1
 
 
+def sandwich_map(spec: FieldSpec, left: Mat, right: Mat) -> np.ndarray:
+    """x -> left·x·right on the n·n·degree entry digits of an n x n matrix x.
+
+    The map is F_q-linear in x, so F_ell-linear on its digits: entry (i, j)
+    of x, times left[a][i]·right[j][b], goes to entry (a, b), so block
+    ((i, j), (a, b)) is the digit matrix of multiplication by that product.
+    """
+    ctx, n, d = spec.ctx, len(left), spec.degree
+    lhs = ctx.digit_array(left).transpose(1, 0, 2)[:, None, :, None]     # [i, ., a, .]
+    rhs = ctx.digit_array(right)[None, :, None]                           # [., j, ., b]
+    blocks = ctx.mul_matrix(ctx.index_array(ctx.product_digits(lhs, rhs)))
+    return blocks.transpose(0, 1, 4, 2, 3, 5).reshape(n * n * d, n * n * d)
+
+
 def extract_induction(g: MatrixGroup, verdict: Induced,
                       cap: int = DEFAULT_CAP) -> InducedExtraction:
     """Stabilizer of the first block with its block representation.
@@ -234,7 +249,7 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
     Let B be the matrix whose columns are the blocks' reduced-echelon
     bases, concatenated.  Each element A is rewritten in the block basis
     as M = B^-1·A·B, a fixed F_ell-linear map of A's entry digits
-    (`_RowTable.sandwich_map`), ARRAY_CHUNK elements at a time.  The m x m
+    (`sandwich_map`), ARRAY_CHUNK elements at a time.  The m x m
     block (r, c) of M is the block-r part of A applied to block c, so:
 
     * A permutes the blocks iff every block row and every block column of
@@ -258,12 +273,12 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
     except Singular:
         raise WitnessCheckFailed("blocks do not span") from None
     elems = g.elements(cap)
-    table = elems.table
-    change = table.sandwich_map(to_blocks, basis)
-    ell, diag, blocks = space.field.ell, np.arange(n), np.arange(h)
+    ctx = space.field.ctx
+    change = sandwich_map(space.field, to_blocks, basis)
+    ell, diag, blocks = ctx.ell, np.arange(n), np.arange(h)
     stab, action = [], []
     for pos, entries in elems.entry_chunks():
-        a = table.digits(entries)
+        a = ctx.digit_array(entries)
         c = len(pos)
         mm = (a.reshape(c, -1) @ change % ell).reshape(a.shape)
         nonzero = mm.reshape(c, h, m, h, m, -1).any(axis=(2, 4, 5))
@@ -276,7 +291,7 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
             raise WitnessCheckFailed("induced character mismatch")
         keep = nonzero[:, 0, 0]
         stab.append(pos[keep])
-        action.append(mm[keep, :m, :m] @ table.powers)
+        action.append(ctx.index_array(mm[keep, :m, :m]))
     stab = np.concatenate(stab)
     if len(stab) * verdict.block_count != len(elems):
         raise WitnessCheckFailed("stabilizer index does not equal block count")

@@ -6,6 +6,14 @@ polynomial, constant term first.  The index encoding is also the wire
 encoding used by the matrix-group kernel, so everything downstream is
 bit-exact.
 
+The digit layer of `_Fq` is the one home of this encoding for array code:
+multiplication is F_ell-bilinear on digits, given by `mul_tensor` (the
+digits of x^a·x^b, built from the modulus alone), and `digit_array`,
+`index_array`, `mul_matrix` and `product_digits` serve the closure kernel,
+the transvection harvest, extract_induction and the power table.  Scalar
+`mul` and `inv` go through the exp/log tables, which are built from the
+digit layer by doubling.
+
 The modulus of a field is canonical: the lexicographically least monic
 irreducible polynomial of the right degree, coefficient tuples compared
 constant-term first.  Two calls to :func:`field_make` with the same
@@ -16,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     FieldTooLarge,
@@ -293,15 +303,31 @@ def field_make(ell: int, degree: int) -> FieldSpec:
     raise WitnessCheckFailed(f"no monic irreducible of degree {degree} over F_{ell}")
 
 
+def _mul_tensor(ell: int, mod: Sequence[int]) -> np.ndarray:
+    """(r, r, r) array: [a, b] holds the digits of x^a·x^b mod the monic
+    modulus, from x^0, ..., x^(2r-2), each x^(k+1) being x^k shifted up one
+    digit with its top digit times the modulus subtracted."""
+    r = len(mod) - 1
+    power = [1] + [0] * (r - 1)
+    powers = []
+    for _ in range(2 * r - 1):
+        powers.append(power)
+        top = power[-1]
+        power = [(c - top * m) % ell for c, m in zip([0] + power[:-1], mod)]
+    return np.array([[powers[a + b] for b in range(r)] for a in range(r)], dtype=np.int64)
+
+
 class _Fq:
-    """Arithmetic context for one field spec; scalars are integer indices."""
+    """Arithmetic context for one field spec: scalars are integer indices,
+    arrays go through the digit layer (see the module docstring)."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.ell = spec.ell
         self.r = spec.degree
         self.q = spec.order
-        self.mod = list(spec.modulus)
+        self.powers = spec.ell ** np.arange(spec.degree, dtype=np.int64)
+        self.mul_tensor = _mul_tensor(spec.ell, spec.modulus)
         self._gen: int | None = None
         self._tables = None
         self._exp = None
@@ -321,6 +347,28 @@ class _Fq:
         for c in reversed(list(coeffs)):
             a = a * self.ell + (c % self.ell)
         return a
+
+    # -- the digit layer on arrays --
+
+    def digit_array(self, x) -> np.ndarray:
+        """Digits of encoded elements, on a new last axis."""
+        return np.asarray(x, dtype=np.int64)[..., None] // self.powers % self.ell
+
+    def index_array(self, d: np.ndarray) -> np.ndarray:
+        """Encoded elements of digit arrays (last axis), digits in [0, ell)."""
+        return d @ self.powers
+
+    def mul_matrix(self, c) -> np.ndarray:
+        """(..., r, r) digit matrices of multiplication by the encoded c:
+        row k holds the digits of c·x^k, so digits(c·y) = digits(y) @ it."""
+        return np.tensordot(self.digit_array(c), self.mul_tensor, axes=1) % self.ell
+
+    def product_digits(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Digits of the products of digit arrays x and y (last axis),
+        broadcast over the other axes."""
+        outer = x[..., :, None] * y[..., None, :]
+        outer = outer.reshape(outer.shape[:-2] + (self.r * self.r,))
+        return outer @ self.mul_tensor.reshape(self.r * self.r, self.r) % self.ell
 
     # -- scalar arithmetic on indices --
 
@@ -375,13 +423,8 @@ class _Fq:
         return self.pow(a, self.ell) if a else 0
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """Polynomial multiplication, used before exp/log tables exist."""
-        pa = _poly_trim(list(self.digits(a)))
-        pb = _poly_trim(list(self.digits(b)))
-        if not pa or not pb:
-            return 0
-        prime = field_make(self.ell, 1).ctx
-        return self.encode(_poly_mulmod(pa, pb, self.mod, prime) + [0] * self.r)
+        """One digit product, used before exp/log tables exist."""
+        return int(self.index_array(self.product_digits(self.digit_array(a), self.digit_array(b))))
 
     # -- generator and logarithm tables --
 
@@ -420,54 +463,44 @@ class _Fq:
             yield self.encode(coeffs)
 
     def exp_log(self):
-        """Power and logarithm tables for the canonical generator."""
-        if self._exp is None:
-            import numpy as np
+        """Power and logarithm tables for the canonical generator.
 
+        Built by doubling: with g^0, ..., g^(k-1) known, the next k powers
+        are those times g^k, one digit-matrix product.
+        """
+        if self._exp is None:
             g = self.generator()
-            # multiplying by g is F_ell-linear on the digits: row k is g·x^k
-            times_g = [self.digits(self._raw_mul(g, self.ell ** k)) for k in range(self.r)]
-            exp = np.zeros(self.q - 1, dtype=np.int64)
-            log = np.full(self.q, -1, dtype=np.int64)
-            acc = 1
-            for i in range(self.q - 1):
-                exp[i] = acc
-                log[acc] = i
-                out = [0] * self.r
-                for d, row in zip(self.digits(acc), times_g):
-                    if d:
-                        out = [x + d * c for x, c in zip(out, row)]
-                acc = self.encode(out)
-            if acc != 1:
+            n = self.q - 1
+            exp = np.ones(1, dtype=np.int64)
+            while len(exp) < n:
+                step = self.mul_matrix(self._raw_mul(int(exp[-1]), g))
+                more = self.index_array(self.digit_array(exp[:n - len(exp)]) @ step % self.ell)
+                exp = np.concatenate((exp, more))
+            if self._raw_mul(int(exp[-1]), g) != 1:
                 raise WitnessCheckFailed("generator order mismatch")
+            if not np.array_equal(np.sort(exp), np.arange(1, self.q)):
+                raise WitnessCheckFailed("generator powers repeat")
+            log = np.full(self.q, -1, dtype=np.int64)
+            log[exp] = np.arange(n)
             self._exp, self._log = exp, log
         return self._exp, self._log
 
     def tables(self):
-        """Dense (q,q) add/mul tables plus neg/inv arrays for the kernel."""
+        """Dense (q,q) add/mul tables plus neg/inv arrays."""
         if self._tables is None:
-            import numpy as np
-
             if self.q > _TABLE_LIMIT:
                 raise FieldTooLarge(
                     f"dense tables unavailable for q={self.q} > {_TABLE_LIMIT}")
-            q, ell, r = self.q, self.ell, self.r
-            idx = np.arange(q, dtype=np.int64)
-            digs = np.zeros((q, r), dtype=np.int64)
-            t = idx.copy()
-            for j in range(r):
-                digs[:, j] = t % ell
-                t //= ell
-            powers = ell ** np.arange(r, dtype=np.int64)
-            add = ((digs[:, None, :] + digs[None, :, :]) % ell) @ powers
-            neg = ((-digs) % ell) @ powers
+            q = self.q
+            digs = self.digit_array(np.arange(q))
+            add = self.index_array((digs[:, None] + digs[None, :]) % self.ell)
+            neg = self.index_array(-digs % self.ell)
             exp, log = self.exp_log()
             mul = np.zeros((q, q), dtype=np.int64)
-            nz = idx[1:]
-            mul[1:, 1:] = exp[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
+            mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
             inv = np.zeros(q, dtype=np.int64)
-            inv[1:] = exp[(-log[nz]) % (q - 1)]
-            self._tables = (add.astype(np.int64), mul, neg.astype(np.int64), inv)
+            inv[1:] = exp[-log[1:] % (q - 1)]
+            self._tables = (add, mul, neg, inv)
         return self._tables
 
 
@@ -624,15 +657,19 @@ class Embedding:
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.spec != self.small:
             raise SpecMismatch("element not in the embedding's source field")
-        big = self.big.ctx
-        t = self.image_of_x.index
-        acc = 0
-        power = 1
-        for c in x.coeffs:
-            if c:
-                acc = big.add(acc, big.mul(c % big.ell, power))
-            power = big.mul(power, t)
-        return FieldElement(self.big, acc)
+        return FieldElement(self.big, _evaluate(self.big.ctx, x.coeffs, self.image_of_x.index))
+
+
+def _evaluate(ctx: _Fq, coeffs, t: int) -> int:
+    """The polynomial with prime-field coefficients (constant term first)
+    at the element t."""
+    acc = 0
+    power = 1
+    for c in coeffs:
+        if c:
+            acc = ctx.add(acc, ctx.mul(c, power))
+        power = ctx.mul(power, t)
+    return acc
 
 
 def subfield_embed(spec_small: FieldSpec, spec_big: FieldSpec) -> Embedding:
@@ -643,25 +680,12 @@ def subfield_embed(spec_small: FieldSpec, spec_big: FieldSpec) -> Embedding:
         raise NoEmbedding(
             f"{spec_small.degree} does not divide {spec_big.degree}")
     big = spec_big.ctx
-    # the canonical root: scan elements whose order divides ell^d - 1 in a
-    # deterministic order and take the first root of the small modulus
-    d = spec_small.degree
-    sub_order = spec_small.order - 1
-    mod = spec_small.modulus
-    candidates: list[int]
-    if sub_order == 0:
-        candidates = [0]
-    else:
-        g = big.generator()
-        step = (big.q - 1) // sub_order
-        candidates = [0] + [big.pow(g, step * k) for k in range(sub_order)]
-    for t in sorted(set(candidates)):
-        acc = 0
-        power = 1
-        for c in mod:
-            if c:
-                acc = big.add(acc, big.mul(c % big.ell, power))
-            power = big.mul(power, t)
-        if acc == 0:
+    # the canonical root: the least of 0 and the elements whose order
+    # divides ell^d - 1 that is a root of the small modulus
+    g = big.generator()
+    step = (big.q - 1) // (spec_small.order - 1)
+    candidates = {0} | {big.pow(g, step * k) for k in range(spec_small.order - 1)}
+    for t in sorted(candidates):
+        if _evaluate(big, spec_small.modulus, t) == 0:
             return Embedding(spec_small, spec_big, FieldElement(spec_big, t))
     raise WitnessCheckFailed("the small modulus has no root in the extension")

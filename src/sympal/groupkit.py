@@ -8,7 +8,10 @@ search over keys (`_reach`) runs twice:
 
 * over rows: a row vector is its n entries, and row·g is an F_ell-linear
   map of the entries' base-ell digits, one integer matrix product per
-  generator, so no field needs multiplication tables.  Sorted row keys
+  generator, so no field needs multiplication tables.  The digit
+  arithmetic is the field context's (`ffield._Fq.digit_array`,
+  `mul_matrix`, ...); the row table holds rows, keys and images, and no
+  field arithmetic of its own.  Sorted row keys
   number the rows reached from the identity's rows in increasing
   reversed-coordinate order, and each generator gets a table from a row's
   number to the number of row·g;
@@ -145,16 +148,21 @@ def _reach(start: np.ndarray, steps: Sequence[Callable[[np.ndarray], np.ndarray]
     return seen
 
 
+def _digit_map(spec: FieldSpec, g: Mat) -> np.ndarray:
+    """row -> row·g on the rows' n·degree entry digits: block (i, j) is the
+    digit matrix of multiplication by g_ij."""
+    n, d = len(g), spec.degree
+    return spec.ctx.mul_matrix(g).transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+
 class _RowTable:
     """The rows of <gens>, numbered, with one row-image table per generator."""
 
     def __init__(self, space: SympSpace, gens: Sequence[Mat], cap: int):
         spec, n = space.field, space.n
-        self.spec, self.n, self.gens = spec, n, list(gens)
-        self.ell = spec.ell
-        self.powers = spec.ell ** np.arange(spec.degree, dtype=np.int64)
+        self.spec, self.gens = spec, list(gens)
         self.row_pack = _Packing(n, max((spec.order - 1).bit_length(), 1))
-        maps = [self._digit_map(g) for g in gens]
+        maps = [_digit_map(spec, g) for g in gens]
         steps = [lambda keys, m=m: self._row_times(keys, m) for m in maps]
         ident = linalg.identity(spec, n)
         self.row_keys = _reach(np.sort(self.row_pack.from_slots(ident)), steps, n * cap)
@@ -162,55 +170,12 @@ class _RowTable:
         self.pack = _Packing(n, max((len(self.row_keys) - 1).bit_length(), 1))
         self.images = [np.searchsorted(self.row_keys, step(self.row_keys)) for step in steps]
         self.identity = self.key_of(ident)
-        # row a·degree + b: the digits of x^a·x^b
-        self.mul_digits = np.array([spec.ctx.digits(spec.ctx.mul(self.ell ** a, self.ell ** b))
-                                    for a in range(spec.degree) for b in range(spec.degree)],
-                                   dtype=np.int64).reshape(spec.degree ** 2, spec.degree)
-
-    def digits(self, x: np.ndarray) -> np.ndarray:
-        """Base-ell digits of encoded field elements, on a new last axis."""
-        return x[..., None] // self.powers % self.ell
-
-    def _digit_map(self, g: Mat) -> np.ndarray:
-        """row -> row·g on the rows' n·degree entry digits."""
-        ctx, d = self.spec.ctx, self.spec.degree
-        m = np.zeros((self.n * d, self.n * d), dtype=np.int64)
-        for i, grow in enumerate(g):
-            for k in range(d):
-                m[i * d + k] = [x for gij in grow for x in ctx.digits(ctx.mul(gij, self.ell ** k))]
-        return m
-
-    def sandwich_map(self, left: Mat, right: Mat) -> np.ndarray:
-        """x -> left·x·right on the n·n·degree entry digits of an n x n matrix x.
-
-        The map is F_q-linear in x, so F_ell-linear on its digits: digit k
-        of entry (i, j) stands for x^k·E_ij, sent to x^k·(column i of
-        left)·(row j of right).
-        """
-        ctx, d, n = self.spec.ctx, self.spec.degree, self.n
-        m = np.zeros((n * n * d, n * n * d), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                for k in range(d):
-                    m[(i * n + j) * d + k] = [
-                        x for a in range(n) for b in range(n)
-                        for x in ctx.digits(ctx.mul(self.ell ** k, ctx.mul(left[a][i], right[j][b])))]
-        return m
-
-    def product_digits(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Digits of the field products of digit arrays x and y (last axis).
-
-        Multiplication is F_ell-bilinear on digits; for degree 1 this is the
-        integer product mod ell.
-        """
-        d = self.spec.degree
-        outer = (x[..., :, None] * y[..., None, :]).reshape(*x.shape[:-1], d * d) % self.ell
-        return outer @ self.mul_digits % self.ell
 
     def _row_times(self, keys: np.ndarray, m: np.ndarray) -> np.ndarray:
-        x = self.digits(np.stack(self.row_pack.decode(keys), axis=1).astype(np.int64))
-        y = x.reshape(len(keys), -1) @ m % self.ell
-        return self.row_pack.encode(list((y.reshape(x.shape) @ self.powers).T))
+        ctx = self.spec.ctx
+        x = ctx.digit_array(np.stack(self.row_pack.decode(keys), axis=1))
+        y = x.reshape(len(keys), -1) @ m % ctx.ell
+        return self.row_pack.encode(list(ctx.index_array(y.reshape(x.shape)).T))
 
     def times(self, cols: Sequence[np.ndarray], image: np.ndarray) -> np.ndarray:
         """Keys of the decoded elements times the generator with this row-image table."""
@@ -291,10 +256,6 @@ class ElementSet(Sequence):
             for m in self._table.mats(self._keys[lo:lo + ARRAY_CHUNK]):
                 yield SqMatrix(self.space, m)
 
-    @property
-    def table(self) -> _RowTable:
-        return self._table
-
     def at(self, positions: np.ndarray) -> list[SqMatrix]:
         """The elements at the positions, decoded in one call."""
         return [SqMatrix(self.space, m) for m in self._table.mats(self._keys[positions])]
@@ -322,10 +283,11 @@ class ElementSet(Sequence):
         trace digits are sums of per-row diagonal digits.
         """
         table = self._table
+        ctx = table.spec.ctx
         acc = 0
         for i, col in enumerate(table.pack.slots(self._keys)):
-            acc = acc + table.digits(table.entries[:, i])[col]
-        hit = np.all(acc % table.ell == table.digits(np.int64(t)), axis=1)
+            acc = acc + ctx.digit_array(table.entries[:, i])[col]
+        hit = np.all(acc % ctx.ell == ctx.digit_array(t), axis=1)
         return np.nonzero(hit)[0]
 
 
@@ -437,18 +399,18 @@ def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
     order follows the deterministic element ordering.
     """
     elems = g.elements(cap)
-    table = elems.table
+    ctx = g.space.field.ctx
     n = g.space.n
-    ident = table.digits(np.eye(n, dtype=np.int64))
+    ident = ctx.digit_array(np.eye(n, dtype=np.int64))
     # the minor on rows i < k and columns j < l is a_ij·a_kl - a_il·a_kj
     i, k = np.triu_indices(n, 1)
     i, k, j, l = i[:, None], k[:, None], i[None, :], k[None, :]
     survivors = []
-    for pos, entries in elems.entry_chunks(elems.indices_with_trace(n % table.ell)):
-        a = (table.digits(entries) - ident) % table.ell
+    for pos, entries in elems.entry_chunks(elems.indices_with_trace(n % ctx.ell)):
+        a = (ctx.digit_array(entries) - ident) % ctx.ell
         rank_one = np.any(a, axis=(1, 2, 3)) & np.all(
-            table.product_digits(a[:, i, j], a[:, k, l])
-            == table.product_digits(a[:, i, l], a[:, k, j]), axis=(1, 2, 3))
+            ctx.product_digits(a[:, i, j], a[:, k, l])
+            == ctx.product_digits(a[:, i, l], a[:, k, j]), axis=(1, 2, 3))
         survivors.append(pos[rank_one])
     out = []
     if survivors:
@@ -591,6 +553,8 @@ def to_fixture(g: MatrixGroup) -> dict:
 
 
 def from_fixture(doc: dict) -> MatrixGroup:
+    """The group of a fixture document.  Every generator and Gram entry
+    must be a list of at most `degree` ints in [0, ell), else ValueError."""
     from .ffield import field_make
 
     f = doc["field"]
@@ -598,14 +562,19 @@ def from_fixture(doc: dict) -> MatrixGroup:
     if "modulus" in f and tuple(f["modulus"]) != spec.modulus:
         raise ValueError("non-canonical field modulus in fixture")
     n = int(doc["n"])
-    ctx = spec.ctx
+
+    def entry(x) -> int:
+        if not (isinstance(x, list) and len(x) <= spec.degree
+                and all(type(c) is int and 0 <= c < spec.ell for c in x)):
+            raise ValueError(f"fixture entry {x!r} is not a list of at most "
+                             f"{spec.degree} ints in [0, {spec.ell})")
+        return spec.ctx.encode(x)
+
+    def grid(rows) -> Mat:
+        return tuple(tuple(entry(x) for x in row) for row in rows)
+
     if doc["gram"] == "standard":
         space = SympSpace.standard(spec, n)
     else:
-        gram = tuple(tuple(ctx.encode(x) for x in row) for row in doc["gram"])
-        space = SympSpace(spec, n, gram)
-    gens = []
-    for grid in doc["generators"]:
-        rows = tuple(tuple(ctx.encode(x) for x in row) for row in grid)
-        gens.append(SqMatrix(space, rows))
-    return MatrixGroup(space, tuple(gens))
+        space = SympSpace(spec, n, grid(doc["gram"]))
+    return MatrixGroup(space, tuple(SqMatrix(space, grid(g)) for g in doc["generators"]))

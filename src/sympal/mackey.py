@@ -232,14 +232,6 @@ def semidirect_cyclic(p: int, n: int) -> FiniteGroup:
     return group_from_elements([(1, 0), (0, 1)], op, (0, 0))[0]
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    pairs = [(a, b) for a in range(g.order) for b in range(h.order)]
-    index = {x: i for i, x in enumerate(pairs)}
-    table = [[index[(g.mul(a, c), h.mul(b, d))] for (c, d) in pairs]
-             for (a, b) in pairs]
-    return FiniteGroup(table)
-
-
 # ---------------------------------------------------------------------------
 # subgroups
 # ---------------------------------------------------------------------------
@@ -456,14 +448,7 @@ def restrict(g: FiniteGroup, h: Subgroup, phi: ClassFunction) -> ClassFunction:
 
 def coset_reps(g: FiniteGroup, h: Subgroup) -> list[int]:
     """Least-index representatives of the left cosets rH."""
-    covered = [False] * g.order
-    reps = []
-    for r in range(g.order):
-        if not covered[r]:
-            reps.append(r)
-            for a in h.elements:
-                covered[g.mul(r, a)] = True
-    return reps
+    return double_cosets(g, trivial_subgroup(g), h)
 
 
 def double_cosets(g: FiniteGroup, h: Subgroup, n: Subgroup) -> list[int]:
@@ -717,15 +702,10 @@ def split_p_part(chi: ClassFunction, p: int) -> tuple[ClassFunction, ClassFuncti
 
 def distinct_conjugates(g: FiniteGroup, n: Subgroup, chi1: ClassFunction) -> bool:
     """Are the (G:N) conjugates of chi1 (a character of N) pairwise distinct?"""
-    reps = coset_reps(g, n)
     seen = []
-    for gamma in reps:
+    for gamma in coset_reps(g, n):
         # N normal: gamma N gamma^-1 = N, so chi^gamma lives on N again
-        vals = []
-        for cls in n.group.classes:
-            x = n.elements[cls[0]]
-            vals.append(chi1.at(n.index_of[g.conj(g.inv[gamma], x)]))
-        cf = ClassFunction(n.group, chi1.cyc_order, tuple(vals))
+        cf = conjugate_classfunction(g, n, chi1, gamma, target=n)
         if any(cf == prev for prev in seen):
             return False
         seen.append(cf)

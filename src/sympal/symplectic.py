@@ -171,9 +171,6 @@ class TransvectionData:
     direction: Vec
     parameter: int   # element index, nonzero
 
-    def to_matrix(self, space: SympSpace) -> SqMatrix:
-        return make_transvection(space, self.direction, self.parameter)
-
 
 def make_transvection(space: SympSpace, v: Vec, lam) -> SqMatrix:
     """Matrix of the transvection u -> u + lam <u, v> v."""
@@ -269,19 +266,12 @@ class Subspace:
     def contains(self, v: Vec) -> bool:
         return linalg.in_rowspace(self.space.field, self.basis, v)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def transform(self, a: SqMatrix) -> "Subspace":
         return Subspace.from_vectors(self.space, [a.apply(v) for v in self.basis])
 
     def serialize(self) -> list[list[list[int]]]:
         ctx = self.space.field.ctx
         return [[list(ctx.digits(x)) for x in row] for row in self.basis]
-
-
-def zero_subspace(space: SympSpace) -> Subspace:
-    return Subspace(space, ())
 
 
 def full_subspace(space: SympSpace) -> Subspace:

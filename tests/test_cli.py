@@ -40,6 +40,24 @@ def test_classify_malformed(tmp_path):
     assert main(["classify", "--input", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("degree, entry", [(1, [1, 1]), (2, [1, 0, 1]), (1, [5]),
+                                           (1, [-1]), (1, 3), (1, [True])])
+def test_classify_rejects_malformed_entries(tmp_path, capsys, degree, entry):
+    s = SympSpace.standard(field_make(5, degree), 2)
+    doc = to_fixture(group(s, [make_transvection(s, (1, 0), 1),
+                               make_transvection(s, (0, 1), 1)]))
+    doc["generators"][0][0][0] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--input", str(path)]) == 1
+    assert "malformed fixture: fixture entry" in capsys.readouterr().err
+    doc["generators"][0][0][0] = [1]
+    doc["gram"] = [[[0], [1]], [[4], entry]]
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--input", str(path)]) == 1
+    assert "malformed fixture: fixture entry" in capsys.readouterr().err
+
+
 def test_classify_char_too_small(tmp_path):
     f3 = field_make(3, 1)
     s = SympSpace.standard(f3, 2)
