@@ -44,7 +44,8 @@ class NotSimilitude(SympalError):
 # --- group enumeration ---
 
 class CapExceeded(SympalError):
-    """Closure enumeration hit the element cap before closing."""
+    """A group's order, or the rows reached while finding it, is past the
+    enumeration cap; `count` is that order or row count."""
 
     def __init__(self, count: int):
         super().__init__(f"enumeration cap exceeded after {count} elements")

@@ -1,26 +1,29 @@
-"""Finitely generated matrix groups: closure enumeration, transvection
-harvesting, normal closures, spinning, and irreducibility.
+"""Finitely generated matrix groups: closure enumeration, orders,
+transvection harvesting, normal closures, spinning, and irreducibility.
 
 One closure kernel serves every field and size.  Its unit is a key: a
 fixed number of small non-negative integers (slots) packed into 64-bit
-words, sorted by the last slot first (`_Packing`).  One breadth-first
-search over keys (`_reach`) runs twice:
+words, sorted by the last slot first (`_Packing`).
 
-* over rows: a row vector is its n entries, and row·g is an F_ell-linear
-  map of the entries' base-ell digits, one integer matrix product per
-  generator, so no field needs multiplication tables.  The digit
-  arithmetic is the field context's (`ffield._Fq.digit_array`,
-  `mul_matrix`, ...); the row table holds rows, keys and images, and no
-  field arithmetic of its own.  Sorted row keys
-  number the rows reached from the identity's rows in increasing
-  reversed-coordinate order, and each generator gets a table from a row's
-  number to the number of row·g;
-* over elements: an element is its n row numbers, so a product with a
-  generator is n gathers.
-
-Sorted element keys list the elements in increasing reversed-entry-tuple
-order.  More than n·cap rows raise CapExceeded before any element is
-built, since every row is row i of some element.
+* Rows: a breadth-first search over row keys (`_reach`) collects the rows
+  reached from the identity's rows.  A row vector is its n entries, and
+  row·g is an F_ell-linear map of the entries' base-ell digits, one
+  integer matrix product per generator, so no field needs multiplication
+  tables.  The digit arithmetic is the field context's
+  (`ffield._Fq.digit_array`, `mul_matrix`, ...); the row table holds
+  rows, keys and images, and no field arithmetic of its own.  Sorted row
+  keys number the rows in increasing reversed-coordinate order, and each
+  generator gets a table from a row's number to the number of row·g.
+  More than n·cap rows raise CapExceeded, since every row is row i of
+  some element.
+* Elements: an element is its n row numbers, the images of the
+  identity's rows.  Those rows are the base of a stabilizer chain built by
+  deterministic Schreier-Sims on the row action (`_StabilizerChain`;
+  Sims 1970, Seress 2003 ch. 4-5): only the identity fixes them all, so
+  |G| is the product of the basic orbit lengths, known before any element
+  is built, and past the cap CapExceeded carries it.  Within the cap each
+  element is built exactly once, as a product of transversal elements,
+  and one sort lists the keys in increasing reversed-entry-tuple order.
 
 Irreducibility of the natural module needs no enumeration at all: Norton's
 test (`is_irreducible`) spins a few vectors chosen from the kernels of
@@ -31,10 +34,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import zipfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -57,8 +62,6 @@ from .symplectic import (
 DEFAULT_CAP = 2 * 10**7
 # hashed into cache file names, so files of another key encoding never load
 _KEY_ENCODING = "row-index-v1"
-# cached elements whose products with each generator on the left are checked
-_LEFT_SAMPLE = 64
 _WORD = (1 << 64) - 1
 # elements per chunk of the array passes (element iteration, harvest,
 # extract_induction), so their working memory does not grow with the group
@@ -67,6 +70,11 @@ ARRAY_CHUNK = 4096
 # with probability bounded below by a constant (Holt and Rees), and the test
 # corpus never needed more than 4, so reaching this bound means a bug.
 NORTON_ROUNDS = 256
+# Shortcut tree labels tried per orbit extension of a stabilizer chain level
+_SHORTCUTS = 16
+# Schreier generators sifted per batch: a batch with a nontrivial residue
+# is the only one sifted again once the residue has joined the chain
+_SIFT_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +168,7 @@ class _RowTable:
 
     def __init__(self, space: SympSpace, gens: Sequence[Mat], cap: int):
         spec, n = space.field, space.n
-        self.spec, self.gens = spec, list(gens)
+        self.spec = spec
         self.row_pack = _Packing(n, max((spec.order - 1).bit_length(), 1))
         maps = [_digit_map(spec, g) for g in gens]
         steps = [lambda keys, m=m: self._row_times(keys, m) for m in maps]
@@ -168,7 +176,7 @@ class _RowTable:
         self.row_keys = _reach(np.sort(self.row_pack.from_slots(ident)), steps, n * cap)
         self.entries = np.stack(self.row_pack.decode(self.row_keys), axis=1).astype(np.int64)
         self.pack = _Packing(n, max((len(self.row_keys) - 1).bit_length(), 1))
-        self.images = [np.searchsorted(self.row_keys, step(self.row_keys)) for step in steps]
+        self.images = [self._image(m) for m in maps]
         self.identity = self.key_of(ident)
 
     def _row_times(self, keys: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -176,6 +184,24 @@ class _RowTable:
         x = ctx.digit_array(np.stack(self.row_pack.decode(keys), axis=1))
         y = x.reshape(len(keys), -1) @ m % ctx.ell
         return self.row_pack.encode(list(ctx.index_array(y.reshape(x.shape)).T))
+
+    def _image(self, m: np.ndarray) -> np.ndarray:
+        """The row-image table of the element with digit map m, which must
+        map every row of the table to a row of the table."""
+        keys = self._row_times(self.row_keys, m)
+        image = np.searchsorted(self.row_keys, keys)
+        if not np.array_equal(self.row_keys[np.minimum(image, len(keys) - 1)], keys):
+            raise WitnessCheckFailed("an element maps a reached row out of the row table")
+        return image
+
+    def image_of_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The row-image table of the element whose rows have these numbers."""
+        m = tuple(map(tuple, self.entries[rows].tolist()))
+        return self._image(_digit_map(self.spec, m))
+
+    @cached_property
+    def chain(self) -> "_StabilizerChain":
+        return _StabilizerChain(self)
 
     def times(self, cols: Sequence[np.ndarray], image: np.ndarray) -> np.ndarray:
         """Keys of the decoded elements times the generator with this row-image table."""
@@ -198,14 +224,14 @@ class _RowTable:
         return [tuple(map(tuple, m)) for m in self.entry_array(keys).tolist()]
 
     def is_closure(self, keys) -> bool:
-        """Whether a key array read from disk is a closure over this table:
-        of this table's key dtype, 1-D, strictly increasing, every key
-        canonical, holding the identity, closed under one step by each
-        generator, and, on up to _LEFT_SAMPLE evenly spaced keys x, holding
-        g·x for each generator g.  A well-formed superset closed on both
-        sides at the sampled keys is not caught."""
+        """Whether a key array read from disk is the closure over this
+        table: of this table's key dtype, 1-D, strictly increasing, every
+        key canonical, holding the identity and closed under one step by
+        each generator.  Such an array holds every product of generators,
+        so it contains G; its length must also be |G| from the stabilizer
+        chain, and then it is G."""
         if not (isinstance(keys, np.ndarray) and keys.dtype == self.pack.dtype
-                and keys.ndim == 1 and len(keys)):
+                and keys.ndim == 1 and len(keys) == self.chain.order):
             return False
         if not (np.array_equal(np.sort(keys), keys) and np.all(keys[1:] != keys[:-1])):
             return False
@@ -213,23 +239,266 @@ class _RowTable:
         if any(np.any(col >= len(self.row_keys)) for col in cols) \
                 or not np.array_equal(self.pack.encode(cols), keys):
             return False
-        if not (_in_sorted(keys, self.identity)[0] and all(
-                np.all(_in_sorted(keys, self.times(cols, image))) for image in self.images)):
-            return False
-        sample = np.linspace(0, len(keys) - 1, min(len(keys), _LEFT_SAMPLE)).astype(np.intp)
-        for x in self.mats(keys[sample]):
-            for g in self.gens:
-                key = self.key_of(linalg.mat_mul(self.spec, g, x))
-                if key is None or not _in_sorted(keys, key)[0]:
-                    return False
-        return True
+        return bool(_in_sorted(keys, self.identity)[0]) and all(
+            np.all(_in_sorted(keys, self.times(cols, image))) for image in self.images)
+
+
+class _Level:
+    """One level of a stabilizer chain: the strong generators that fix the
+    base points before `point`, and the orbit of `point` under them with
+    its Schreier tree.  Orbit points come after their parents."""
+
+    def __init__(self, point: int, base: np.ndarray, degree: int):
+        self.point = point
+        self.gens: list[int] = []        # ids in the chain's table
+        self.shortcuts: list[int] = []   # ids of extra tree labels
+        self.closed = 0                  # gens[:closed] have grown the orbit
+        self.where = np.full(degree, -1, dtype=np.intp)   # row -> orbit index, or -1
+        self.where[point] = 0
+        self.orbit = np.array([point], dtype=base.dtype)
+        self.parent = np.zeros(1, dtype=np.intp)   # orbit index of the parent
+        self.label = np.zeros(1, dtype=np.intp)    # id s with parent·s = point
+        self.depth = np.zeros(1, dtype=np.intp)
+        self.rows = base[None, :]                  # t_o as row numbers
+        self.tested = np.zeros((1, 0), dtype=bool)   # Schreier generators (o, s) sifted
+
+
+class _StabilizerChain:
+    """A base and strong generating set of <gens> acting on the row numbers
+    of a _RowTable, by deterministic Schreier-Sims.
+
+    The base is the identity's rows e_0..e_{n-1}, so an element is its
+    rows: the images of the base points.  Level i holds the strong
+    generators fixing e_0..e_{i-1} and the orbit of e_i under them.  Every
+    Schreier generator t_o·s·t_{o·s}^-1 is sifted through the levels below;
+    of the nontrivial residues, the one of least key becomes a strong
+    generator.  Strong generators, tree shortcuts and their inverses are
+    rows of one table (`perms`; the inverse of id k is k ^ 1), so a batch
+    of elements is stripped by gathers; a new row of it is the only field
+    arithmetic (`_RowTable.image_of_rows`).
+    """
+
+    def __init__(self, table: _RowTable):
+        self.table = table
+        degree = len(table.row_keys)
+        # row numbers as int32 halve the memory traffic of the gathers
+        rowtype = np.int32 if degree < 2**31 else np.int64
+        self.base = np.concatenate(table.pack.decode(table.identity)).astype(rowtype)
+        self.perms = np.empty((8, degree), dtype=rowtype)
+        self._count = 0
+        self.levels = [_Level(b, self.base, degree) for b in self.base]
+        for image in table.images:
+            self._add_generator(image, 0)
+        for lev in self.levels:
+            self._grow(lev)
+        self._schreier_sims()
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(lev.orbit) for lev in self.levels)
+
+    def _store(self, perm: np.ndarray) -> int:
+        """Add perm and its inverse to the table; the id of perm."""
+        if self._count + 2 > len(self.perms):
+            self.perms = np.concatenate([self.perms, np.empty_like(self.perms)])
+        k = self._count
+        self.perms[k] = perm
+        self.perms[k + 1][perm] = np.arange(len(perm))
+        self._count += 2
+        return k
+
+    def _add_generator(self, perm: np.ndarray, lo: int) -> int:
+        """Add perm to the generators of the levels from lo to the first
+        whose point it moves, and return that level (n for the identity,
+        which is not added).  The caller grows those levels' orbits."""
+        moved = np.nonzero(perm[self.base] != self.base)[0]
+        if not len(moved):
+            return len(self.base)
+        k = self._store(perm)
+        for lev in self.levels[lo:moved[0] + 1]:
+            lev.gens.append(k)
+        return int(moved[0])
+
+    def _grow(self, lev: _Level) -> None:
+        """Close the orbit under the level's generators.  Points already in
+        the orbit keep their tree edges, so the Schreier generators already
+        sifted stay valid.  While the new points lie deeper than twice
+        log2 of the orbit length, the transversal element of the deepest
+        one becomes one more tree label (a shortcut, not a strong
+        generator), and the new points are placed again; a sift strips one
+        edge per step, so this bounds its steps."""
+        old = len(lev.orbit)
+        # the old points are closed under the labels the orbit was grown by
+        fresh = [s for g in lev.gens[lev.closed:] for s in (g, g ^ 1)]
+        lev.closed = len(lev.gens)
+        self._extend(lev, fresh)
+        for _ in range(_SHORTCUTS):
+            if len(lev.orbit) == old:
+                break
+            deepest = old + int(np.argmax(lev.depth[old:]))
+            if lev.depth[deepest] <= 2 * len(lev.orbit).bit_length():
+                break
+            k = self._store(self.table.image_of_rows(lev.rows[deepest]))
+            lev.shortcuts.append(k)
+            fresh += [k, k ^ 1]
+            lev.where[lev.orbit[old:]] = -1
+            for name in ("orbit", "parent", "label", "depth", "rows"):
+                setattr(lev, name, getattr(lev, name)[:old])
+            self._extend(lev, fresh)
+        tested = np.zeros((len(lev.orbit), len(lev.gens)), dtype=bool)
+        tested[:lev.tested.shape[0], :lev.tested.shape[1]] = lev.tested
+        # a tree edge o -s-> p gives the trivial Schreier generator (o, s),
+        # and o -s^-1-> p the trivial (p, s); generator ids are even
+        column = np.full(self._count, -1)
+        column[lev.gens] = np.arange(len(lev.gens))
+        new = np.arange(old, len(lev.orbit))
+        ahead, back = column[lev.label[new]], column[lev.label[new] ^ 1]
+        tested[lev.parent[new][ahead >= 0], ahead[ahead >= 0]] = True
+        tested[new[back >= 0], back[back >= 0]] = True
+        lev.tested = tested
+
+    def _extend(self, lev: _Level, fresh: list[int]) -> None:
+        """Breadth-first search: the orbit's points by the fresh labels, then
+        each wave of new points by every generator, shortcut and inverse.
+        A point reached twice in a wave takes the first label, then the
+        first source; new points follow their parents."""
+        labels = np.array([s for g in lev.gens + lev.shortcuts for s in (g, g ^ 1)])
+        current = np.array(fresh, dtype=labels.dtype)
+        count = len(lev.orbit)
+        index, points, depth, rows = np.arange(count), lev.orbit, lev.depth, lev.rows
+        found = []
+        while len(index) and len(current):
+            image = self.perms[current[:, None], points].ravel()
+            hits = np.nonzero(lev.where[image] < 0)[0]
+            new, first = np.unique(image[hits], return_index=True)
+            s, src = np.divmod(hits[first], len(points))
+            s = current[s]
+            lev.where[new] = count + np.arange(len(new))
+            count += len(new)
+            depth, rows = depth[src] + 1, self.perms[s[:, None], rows[src]]
+            found.append((new, index[src], s, depth, rows))
+            points, index, current = new, np.arange(count - len(new), count), labels
+        for name, parts in zip(("orbit", "parent", "label", "depth", "rows"), zip(*found)):
+            setattr(lev, name, np.concatenate((getattr(lev, name),) + parts))
+
+    def _sift(self, x: np.ndarray, start: int) -> np.ndarray:
+        """Strip the elements x (rows, modified in place) through the levels
+        from start on; the level each one drops out at, n if it sifts to 1.
+        At level i an element walks its point up the Schreier tree, each
+        step one gather by an inverse label on the rows from i on (the
+        labels fix the base points before i).  Sorted deepest first, the
+        elements still walking are a prefix."""
+        n = len(self.levels)
+        drop = np.full(len(x), n)
+        live = np.arange(len(x))
+        for i in range(start, n):
+            lev = self.levels[i]
+            at = lev.where[x[live, i]]
+            drop[live[at < 0]] = i
+            live, at = live[at >= 0], at[at >= 0]
+            order = np.argsort(-lev.depth[at], kind="stable")
+            live, at = live[order], at[order]
+            y = x[live, i:]
+            steps = np.bincount(lev.depth[at], minlength=1)[::-1].cumsum()[::-1]
+            for c in steps[1:]:
+                back = lev.label[at[:c]] ^ 1
+                y[:c] = self.perms[back[:, None], y[:c]]
+                at[:c] = lev.parent[at[:c]]
+            x[live, i:] = y
+        return drop
+
+    def _schreier_sims(self) -> None:
+        """Sift Schreier generators deepest level first until every one
+        sifts to 1; once level i is done, the levels from i on are a base
+        and strong generating set of the group its generators make (Holt,
+        Eick and O'Brien 2005, ch. 4)."""
+        n = len(self.levels)
+        i = n - 1
+        while i >= 0:
+            lev = self.levels[i]
+            o, s = np.nonzero(~lev.tested)
+            if not len(o):
+                i -= 1
+                continue
+            o, s = o[:_SIFT_CHUNK], s[:_SIFT_CHUNK]
+            x = self.perms[np.array(lev.gens)[s][:, None], lev.rows[o]]
+            drop = self._sift(x, i)
+            passed = drop == n
+            lev.tested[o[passed], s[passed]] = True
+            if passed.all():
+                continue
+            residues = x[~passed]
+            least = residues[np.lexsort(residues.T)[0]]
+            j = self._add_generator(self.table.image_of_rows(least), i + 1)
+            if j == n:
+                raise WitnessCheckFailed("a sifting residue fixes every base point")
+            for grown in self.levels[i + 1:j + 1]:
+                self._grow(grown)
+            i = j
+        # the order is exact only if every orbit is closed under its level's
+        # generators and every Schreier generator of each level has sifted
+        for lev in self.levels:
+            images = self.perms[np.array(lev.gens, dtype=np.intp)[:, None], lev.orbit]
+            if lev.tested.shape != (len(lev.orbit), len(lev.gens)) or not lev.tested.all() \
+                    or np.any(lev.where[images] < 0):
+                raise WitnessCheckFailed("the stabilizer chain is not closed")
+
+    def _transversal_action(self, lev: _Level, rows: np.ndarray) -> np.ndarray:
+        """(len(orbit), len(rows)): the images of the rows under each t_o,
+        pushed down the Schreier tree one depth at a time."""
+        out = np.empty((len(lev.orbit), len(rows)), dtype=self.perms.dtype)
+        out[0] = rows
+        for d in range(1, int(lev.depth.max()) + 1):
+            at = np.nonzero(lev.depth == d)[0]
+            out[at] = self.perms[lev.label[at][:, None], out[lev.parent[at]]]
+        return out
+
+    def _cosets(self, i: int, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For the elements `below` of G^(i+1), as row numbers at positions
+        i+1..n-1: the action of level i's transversal on the rows they use
+        at positions i..n-1, and those positions as indices into it.  So
+        act[:, at] lists G^(i) as the union of the cosets G^(i+1)·t_o."""
+        lev = self.levels[i]
+        sub = np.column_stack([np.full(len(below), lev.point, dtype=below.dtype), below])
+        used = np.zeros(len(lev.where), dtype=bool)
+        used[sub] = True
+        return self._transversal_action(lev, np.nonzero(used)[0]), (np.cumsum(used) - 1)[sub]
+
+    def keys(self) -> np.ndarray:
+        """Sorted keys of the group, each element built once as a product
+        h·t_o of h in G^(i+1) and a transversal element t_o of level i.
+        The top level is written into one key array 2^18 elements at a
+        time; WitnessCheckFailed unless its keys are distinct."""
+        n = len(self.levels)
+        top = next((i for i, lev in enumerate(self.levels) if len(lev.orbit) > 1), n)
+        if top == n:
+            return self.table.identity.copy()
+        below = np.zeros((1, 0), dtype=self.perms.dtype)
+        for i in range(n - 1, top, -1):
+            act, at = self._cosets(i, below)
+            below = act[:, at].reshape(-1, n - i)
+        act, at = self._cosets(top, below)
+        keys = np.empty(self.order, dtype=self.table.pack.dtype)
+        step = max(1, (1 << 18) // len(at))
+        for lo in range(0, len(act), step):
+            part = act[lo:lo + step][:, at]
+            size = part.shape[0] * part.shape[1]
+            cols = [np.full(size, b) for b in self.base[:top]]
+            cols += [part[..., j].ravel() for j in range(n - top)]
+            keys[lo * len(at):lo * len(at) + size] = self.table.pack.encode(cols)
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):
+            raise WitnessCheckFailed("two products of transversal elements are equal")
+        return keys
 
 
 def _closure_keys(table: _RowTable, cap: int) -> np.ndarray:
-    """Sorted keys of the closure of the generators (with identity)."""
-    steps = [lambda keys, image=image: table.times(table.pack.decode(keys), image)
-             for image in table.images]
-    return _reach(table.identity, steps, cap)
+    """Sorted keys of the closure of the generators (with identity);
+    CapExceeded with the exact order, before any element is built, if it
+    is past the cap."""
+    if table.chain.order > cap:
+        raise CapExceeded(table.chain.order)
+    return table.chain.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +571,7 @@ class MatrixGroup:
     space: SympSpace
     generators: tuple[SqMatrix, ...]
     cache: Optional[ElementSet] = field(default=None, compare=False)
+    _order: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -317,6 +587,15 @@ class MatrixGroup:
             return self.cache
         self.cache = closure_enumerate(self, cap)
         return self.cache
+
+    def order(self, cap: int = DEFAULT_CAP) -> int:
+        """|G| from a stabilizer chain, with no element built.  Only the
+        row search is bounded: more than n·cap rows raise CapExceeded."""
+        if self.cache is not None:
+            return len(self.cache)
+        if self._order is None:
+            self._order = _RowTable(self.space, [m.rows for m in self.generators], cap).chain.order
+        return self._order
 
 
 def group(space: SympSpace, generators) -> MatrixGroup:
@@ -351,10 +630,10 @@ def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     """Full element set of <generators> if its order is at most `cap`.
 
     Deterministic: elements are listed in increasing reversed-entry-tuple
-    order.  Raises CapExceeded past the cap, with the count of elements
-    reached, or of rows when more than n·cap rows are reached first.  A
-    cache file that fails `_RowTable.is_closure` is recomputed and
-    overwritten.
+    order.  Raises CapExceeded past the cap, with the group's order from
+    the stabilizer chain, or with the count of rows when more than n·cap
+    rows are reached first.  A cache file that fails
+    `_RowTable.is_closure` is recomputed and overwritten.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -553,15 +832,21 @@ def to_fixture(g: MatrixGroup) -> dict:
 
 
 def from_fixture(doc: dict) -> MatrixGroup:
-    """The group of a fixture document.  Every generator and Gram entry
-    must be a list of at most `degree` ints in [0, ell), else ValueError."""
+    """The group of a fixture document.  `ell`, `degree` and `n` must be
+    ints (not bools), and every generator and Gram entry a list of at most
+    `degree` ints in [0, ell), else ValueError."""
     from .ffield import field_make
 
+    def header(x, name: str) -> int:
+        if type(x) is not int:
+            raise ValueError(f"fixture {name} {x!r} is not an int")
+        return x
+
     f = doc["field"]
-    spec = field_make(int(f["ell"]), int(f["degree"]))
+    spec = field_make(header(f["ell"], "ell"), header(f["degree"], "degree"))
     if "modulus" in f and tuple(f["modulus"]) != spec.modulus:
         raise ValueError("non-canonical field modulus in fixture")
-    n = int(doc["n"])
+    n = header(doc["n"], "n")
 
     def entry(x) -> int:
         if not (isinstance(x, list) and len(x) <= spec.degree

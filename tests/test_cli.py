@@ -58,6 +58,21 @@ def test_classify_rejects_malformed_entries(tmp_path, capsys, degree, entry):
     assert "malformed fixture: fixture entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("ell", 5.9), ("degree", 1.2), ("n", 2.7),
+                                        ("ell", True), ("n", "2")])
+def test_classify_rejects_non_int_header(tmp_path, capsys, key, value):
+    s = SympSpace.standard(field_make(5, 1), 2)
+    doc = to_fixture(group(s, [make_transvection(s, (1, 0), 1)]))
+    if key == "n":
+        doc["n"] = value
+    else:
+        doc["field"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--input", str(path)]) == 1
+    assert f"malformed fixture: fixture {key}" in capsys.readouterr().err
+
+
 def test_classify_char_too_small(tmp_path):
     f3 = field_make(3, 1)
     s = SympSpace.standard(f3, 2)

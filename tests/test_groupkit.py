@@ -286,7 +286,7 @@ def test_sp4_f17_element_search_with_two_word_keys_hits_cap():
     g = group(s, [make_transvection(s, v, 1) for v in
                   [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                    (0, 0, 0, 1), (1, 1, 0, 0)]])
-    # 83,520 rows, under 4 * cap, so the refusal comes from the element search
+    # 83,520 rows, under 4 * cap, so the refusal comes from the chain's order
     with pytest.raises(CapExceeded) as exc:
         closure_enumerate(g, 10**5)
     assert exc.value.count > 10**5
@@ -297,7 +297,7 @@ def test_large_field_refusal_is_quick():
     g = group(s, [make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)])
     start = time.perf_counter()
     with pytest.raises(CapExceeded):
-        closure_enumerate(g, 10**6)   # 249,000 rows, then elements past the cap
+        closure_enumerate(g, 10**6)   # 249,000 rows, then an order past the cap
     assert time.perf_counter() - start < 20
 
 
@@ -308,7 +308,7 @@ def test_cache_superset_with_extra_cosets_is_recomputed(tmp_path, monkeypatch):
     (path,) = tmp_path.glob("closure-*.npy")
     keys = np.load(path)
     # x·G for a singular x with reached rows is closed under the generators
-    # on the right, so only the products on the left expose it
+    # on the right, so only its length, 144 and not |G|, exposes it
     x = SqMatrix(g.space, ((1, 0), (1, 0)))
     extra = np.concatenate([elems._table.key_of((x * m).rows) for m in elems])
     np.save(path, np.union1d(keys, extra))
