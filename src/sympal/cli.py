@@ -72,7 +72,7 @@ def run_classify(args) -> int:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CapExceeded as exc:
-        print(f"cap exceeded: enumeration reached {exc.count}", file=sys.stderr)
+        print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     out = serialize_verdict(verdict)
     _emit(out if args.json else {"case": out["case"]}, args.json)
@@ -111,7 +111,7 @@ def run_np_group(args) -> int:
                   file=sys.stderr)
             return EXIT_PRECONDITION
         except CapExceeded as exc:
-            print(f"cap exceeded: {exc.count}", file=sys.stderr)
+            print(f"cap exceeded: {exc}", file=sys.stderr)
             return EXIT_CAP
     return EXIT_OK
 

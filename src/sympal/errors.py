@@ -45,10 +45,11 @@ class NotSimilitude(SympalError):
 
 class CapExceeded(SympalError):
     """A group's order, or the rows reached while finding it, is past the
-    enumeration cap; `count` is that order or row count."""
+    enumeration cap; `count` is that order or row count, and the message
+    says which."""
 
-    def __init__(self, count: int):
-        super().__init__(f"enumeration cap exceeded after {count} elements")
+    def __init__(self, count: int, message: str):
+        super().__init__(message)
         self.count = count
 
 

@@ -11,8 +11,8 @@ multiplication is F_ell-bilinear on digits, given by `mul_tensor` (the
 digits of x^a·x^b, built from the modulus alone), and `digit_array`,
 `index_array`, `mul_matrix` and `product_digits` serve the closure kernel,
 the transvection harvest, extract_induction and the power table.  Scalar
-`mul` and `inv` go through the exp/log tables, which are built from the
-digit layer by doubling.
+`mul`, `inv` and `pow`, and `discrete_log`, go through the exp/log tables,
+which are built from the digit layer by doubling.
 
 The modulus of a field is canonical: the lexicographically least monic
 irreducible polynomial of the right degree, coefficient tuples compared
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -73,23 +74,15 @@ def factorize(n: int) -> dict[int, int]:
 
 def multiplicative_order(a: int, modulus: int) -> int:
     """Order of a modulo `modulus`; a must be coprime to the modulus."""
-    from math import gcd
-
     if gcd(a, modulus) != 1:
         raise ValueError(f"{a} not invertible mod {modulus}")
-    group = modulus - 1 if is_prime(modulus) else _euler_phi(modulus)
-    order = group
-    for p in factorize(group):
+    order = modulus             # becomes phi(modulus), a multiple of the order
+    for p in factorize(modulus):
+        order -= order // p
+    for p in factorize(order):
         while order % p == 0 and pow(a, order // p, modulus) == 1:
             order //= p
     return order
-
-
-def _euler_phi(n: int) -> int:
-    out = n
-    for p in factorize(n):
-        out -= out // p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +402,10 @@ class _Fq:
             if e < 0:
                 raise ZeroDivisionError("zero to a negative power")
             return 0
-        e %= self.q - 1
-        result = 1
-        acc = a
-        while e:
-            if e & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return result
-
-    def frob(self, a: int) -> int:
-        return self.pow(a, self.ell) if a else 0
+        if self.r == 1:
+            return pow(a, e, self.ell)
+        exp, log = self.exp_log()
+        return int(exp[int(log[a]) * e % (self.q - 1)])
 
     def _raw_mul(self, a: int, b: int) -> int:
         """One digit product, used before exp/log tables exist."""
@@ -431,16 +416,9 @@ class _Fq:
     def generator(self) -> int:
         """Least element in coefficient-lex order with full order q-1."""
         if self._gen is None:
-            fac = factorize(self.q - 1) if self.q > 2 else {}
-            for cand in self._elements_lex():
-                if cand == 0:
-                    continue
-                if self.q == 2:
-                    self._gen = cand
-                    break
-                if all(self._raw_pow(cand, (self.q - 1) // p) != 1 for p in fac):
-                    self._gen = cand
-                    break
+            fac = factorize(self.q - 1)
+            self._gen = next(c for c in self._elements_lex() if c and all(
+                self._raw_pow(c, (self.q - 1) // p) != 1 for p in fac))
         return self._gen
 
     def _raw_pow(self, a: int, e: int) -> int:
@@ -456,9 +434,6 @@ class _Fq:
     def _elements_lex(self) -> Iterator[int]:
         from itertools import product
 
-        if self.r == 1:
-            yield from range(self.ell)
-            return
         for coeffs in product(range(self.ell), repeat=self.r):
             yield self.encode(coeffs)
 
@@ -597,48 +572,26 @@ def mult_generator(spec: FieldSpec) -> FieldElement:
     return FieldElement(spec, spec.ctx.generator())
 
 
-def _order_of(ctx: _Fq, a: int) -> int:
-    if a == 0:
-        raise ZeroArgument("zero has no multiplicative order")
-    order = ctx.q - 1
-    for p in factorize(order):
-        while order % p == 0 and ctx.pow(a, order // p) == 1:
-            order //= p
-    return order
-
-
 def discrete_log(x: FieldElement, g: FieldElement) -> int:
-    """k with g^k = x, by baby-step giant-step; g must be a generator."""
+    """k with g^k = x, read off the logarithm table: log x / log g mod q-1,
+    where g is a generator exactly when log g is a unit mod q-1."""
     x._chk(g)
     ctx = x.spec.ctx
     if ctx.q > FIELD_LIMIT:
         raise FieldTooLarge(f"field of size {ctx.q} beyond the dlog limit")
-    if x.index == 0:
-        raise ZeroArgument("discrete log of zero")
-    if _order_of(ctx, g.index) != ctx.q - 1:
-        raise NotGenerator(f"{g.coeffs} does not generate the unit group")
+    if x.index == 0 or g.index == 0:
+        raise ZeroArgument("discrete log of zero or to base zero")
     n = ctx.q - 1
-    import math
-
-    m = math.isqrt(n - 1) + 1
-    baby: dict[int, int] = {}
-    acc = 1
-    for j in range(m):
-        baby.setdefault(acc, j)
-        acc = ctx.mul(acc, g.index)
-    giant_step = ctx.inv(ctx.pow(g.index, m))
-    gamma = x.index
-    for i in range(m + 1):
-        j = baby.get(gamma)
-        if j is not None:
-            return (i * m + j) % n
-        gamma = ctx.mul(gamma, giant_step)
-    raise WitnessCheckFailed("BSGS found no logarithm for a generator")
+    _, log = ctx.exp_log()
+    lg = int(log[g.index])
+    if gcd(lg, n) != 1:
+        raise NotGenerator(f"{g.coeffs} does not generate the unit group")
+    return int(log[x.index]) * pow(lg, -1, n) % n
 
 
 def frobenius(x: FieldElement) -> FieldElement:
     """x^ell, the arithmetic Frobenius."""
-    return FieldElement(x.spec, x.spec.ctx.frob(x.index))
+    return x ** x.spec.ell
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,8 @@ def _in_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
 def _reach(start: np.ndarray, steps: Sequence[Callable[[np.ndarray], np.ndarray]],
            limit: int) -> np.ndarray:
     """Sorted keys reached from the sorted distinct start keys by the steps,
-    a level at a time; CapExceeded once more than `limit` are reached."""
+    a level at a time; CapExceeded once more than `limit` (the rows' bound
+    n·cap) are reached."""
     seen = frontier = start
     while len(frontier):
         keys = np.concatenate([step(frontier) for step in steps])
@@ -152,7 +153,8 @@ def _reach(start: np.ndarray, steps: Sequence[Callable[[np.ndarray], np.ndarray]
         frontier = keys[fresh]
         seen = np.insert(seen, pos[fresh], frontier)
         if len(seen) > limit:
-            raise CapExceeded(len(seen))
+            raise CapExceeded(len(seen), f"{len(seen)} rows reached, more than n·cap = "
+                                         f"{limit}, so the group order is past the cap")
     return seen
 
 
@@ -492,12 +494,16 @@ class _StabilizerChain:
         return keys
 
 
+def _order_past_cap(order: int, cap: int) -> str:
+    return f"the group order {order} is past the enumeration cap {cap}"
+
+
 def _closure_keys(table: _RowTable, cap: int) -> np.ndarray:
     """Sorted keys of the closure of the generators (with identity);
     CapExceeded with the exact order, before any element is built, if it
     is past the cap."""
     if table.chain.order > cap:
-        raise CapExceeded(table.chain.order)
+        raise CapExceeded(table.chain.order, _order_past_cap(table.chain.order, cap))
     return table.chain.keys()
 
 
@@ -648,7 +654,7 @@ def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
             np.save(tmp, keys)
             os.replace(tmp, path)
     elif len(keys) > cap:
-        raise CapExceeded(len(keys))
+        raise CapExceeded(len(keys), _order_past_cap(len(keys), cap))
     return ElementSet(g.space, table, keys)
 
 

@@ -2,7 +2,8 @@
 
 Vectors are tuples of element indices, matrices are tuples of row tuples.
 Everything is pure and hashable; sizes are desk scale (n <= 8), so the
-algorithms are plain Gaussian elimination.
+algorithms are plain Gaussian elimination, and the determinant is read off
+the characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -169,29 +170,9 @@ def rank(spec: FieldSpec, rows) -> int:
 
 
 def det(spec: FieldSpec, a: Mat) -> int:
-    ctx = spec.ctx
-    n = len(a)
-    work = [list(r) for r in a]
-    d = 1
-    for col in range(n):
-        pr = None
-        for i in range(col, n):
-            if work[i][col]:
-                pr = i
-                break
-        if pr is None:
-            return 0
-        if pr != col:
-            work[col], work[pr] = work[pr], work[col]
-            d = ctx.neg(d)
-        d = ctx.mul(d, work[col][col])
-        inv = ctx.inv(work[col][col])
-        for i in range(col + 1, n):
-            if work[i][col]:
-                c = ctx.mul(work[i][col], inv)
-                work[i] = [ctx.sub(x, ctx.mul(c, y))
-                           for x, y in zip(work[i], work[col])]
-    return d
+    """det(a) = (-1)^n charpoly(a)(0)."""
+    c = charpoly(spec, a)[0]
+    return spec.ctx.neg(c) if len(a) % 2 else c
 
 
 def inverse(spec: FieldSpec, a: Mat) -> Mat:

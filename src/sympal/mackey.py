@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 from . import linalg
 from .cyclotomic import Cyc, rational, root, zero
 from .errors import HypothesisFailed, InvalidParams, NotSubgroup, WitnessCheckFailed
-from .ffield import field_make, is_prime, poly_factors
+from .ffield import field_make, is_prime, multiplicative_order, poly_factors
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +207,14 @@ def sl2_3() -> FiniteGroup:
 def semidirect_cyclic(p: int, n: int) -> FiniteGroup:
     """C_p : C_n with a faithful action (needs n | p - 1).
 
-    Elements (a, b) with (a, b)(c, d) = (a + t^b c, b + d), where t has
-    order exactly n mod p.
+    Elements (a, b) with (a, b)(c, d) = (a + t^b c, b + d), where t >= 2
+    is the least unit of order exactly n mod the prime p.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if (p - 1) % n:
         raise ValueError(f"need n | p - 1, got ({p}, {n})")
-    t = None
-    for cand in range(2, p):
-        o, x = 1, cand
-        while x != 1:
-            x = x * cand % p
-            o += 1
-        if o == n:
-            t = cand
-            break
+    t = next((c for c in range(2, p) if multiplicative_order(c, p) == n), None)
     if t is None:
         raise ValueError("no element of the right order")
 
@@ -502,17 +496,14 @@ def mackey_check(g: FiniteGroup, h: Subgroup, n: Subgroup,
     lhs = restrict(g, h, induce(g, n, chi))
     acc = None
     for gamma in double_cosets(g, h, n):
-        ng = conjugate_subgroup(g, n, gamma)
-        chig = conjugate_classfunction(g, n, chi, gamma, target=ng)
-        meet = intersect(g, h, ng)
-        # restrict chi^gamma to the intersection, then induce up to H
-        meet_in_ng = subgroup_of(g, ng, meet)
-        res = restrict(ng.group, meet_in_ng, chig)
-        meet_in_h = subgroup_of(g, h, meet)
-        # the two copies of `meet` have identical element order, so the
-        # class function transports index-by-index
-        transported = ClassFunction(meet_in_h.group, res.cyc_order, res.values)
-        term = induce(h.group, meet_in_h, transported)
+        # H cap gamma N gamma^-1 as a subgroup of H: index in H -> gamma^-1 x gamma
+        pulled = {i: y for i, x in enumerate(h.elements)
+                  if n.contains(y := g.conj(g.inv[gamma], x))}
+        meet = _interned(h.group, pulled.keys())
+        # chi^gamma(x) = chi(gamma^-1 x gamma) on the meet
+        vals = tuple(chi.at(n.index_of[pulled[meet.elements[cls[0]]]])
+                     for cls in meet.group.classes)
+        term = induce(h.group, meet, ClassFunction(meet.group, chi.cyc_order, vals))
         acc = term if acc is None else acc + term
     return acc == lhs
 
@@ -685,13 +676,9 @@ class PropReport:
 def split_p_part(chi: ClassFunction, p: int) -> tuple[ClassFunction, ClassFunction]:
     """chi = chi1 * chi2 with chi1 of p-power order, chi2 of order prime to p."""
     m = character_order(chi)
-    s = 0
-    while m % p == 0:
-        m //= p
-        s += 1
-    ps = p ** s
-    t = m
-    # u = 1 mod p^s, 0 mod t
+    ps = p ** _p_val(m, p)
+    t = m // ps
+    # u = 1 mod ps, 0 mod t
     if t == 1:
         return chi, trivial_character(chi.group, chi.cyc_order)
     u = (t * pow(t, -1, ps)) % (ps * t)

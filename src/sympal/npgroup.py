@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import InvalidParams, NoInvariantForm, NotIrreducible
-from .ffield import FieldSpec, field_make, is_prime, mult_generator, multiplicative_order
+from .ffield import (
+    FieldSpec,
+    factorize,
+    field_make,
+    is_prime,
+    mult_generator,
+    multiplicative_order,
+)
 from .groupkit import MatrixGroup, is_irreducible
 from .linalg import Mat
 from .symplectic import SqMatrix, SympSpace
@@ -73,23 +80,9 @@ def find_np_primes(n: int, q_max: int) -> list[tuple[int, int]]:
     for q in range(n + 1, q_max + 1):
         if not is_prime(q):
             continue
-        # p | q^n - 1 with ord_p(q) = n exactly, so p divides the quotient
-        # by every proper-divisor part; just scan prime divisors of q^n - 1
-        rem = q ** n - 1
-        d = 2
-        divs = set()
-        while d * d <= rem:
-            while rem % d == 0:
-                divs.add(d)
-                rem //= d
-            d += 1
-        if rem > 1:
-            divs.add(rem)
-        for p in sorted(divs):
-            if (p > n and p % n == 1
-                    and (q ** (n // 2) - 1) % p != 0
-                    and multiplicative_order(q, p) == n):
-                out.append((q, p))
+        # ord_p(q) = n gives p = 1 mod n, so p > n, and p not dividing q^(n/2) - 1
+        out += [(q, p) for p in sorted(factorize(q ** n - 1))
+                if multiplicative_order(q, p) == n]
     return out
 
 

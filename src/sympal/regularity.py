@@ -46,7 +46,6 @@ def validate_profile(p: WeightProfile) -> Optional[str]:
         return "profile needs at least one part"
     total = 0
     union = set()
-    count = 0
     for r, ws in p.parts:
         if r < 1:
             return f"niveau {r} is not positive"
@@ -58,7 +57,6 @@ def validate_profile(p: WeightProfile) -> Optional[str]:
         if len(set(ws)) != r:
             return "weights within a part are not distinct"
         total += r
-        count += len(ws)
         union.update(ws)
     if total != p.n:
         return f"niveaus sum to {total}, not n = {p.n}"
@@ -90,20 +88,27 @@ def diag_characters(p: WeightProfile) -> list[NiveauCharacter]:
         mod = p.ell ** r - 1
         b = part_exponent(p.ell, ws)
         for j in range(r):
-            out.append(NiveauCharacter(r, (b * p.ell ** j) % mod if mod > 1 else 0))
+            out.append(NiveauCharacter(r, b * p.ell ** j % mod))
     return out
 
 
-def characters_equal(c1: NiveauCharacter, c2: NiveauCharacter, ell: int) -> bool:
-    """Equality after lifting both to niveau r1*r2.
+def _lifted_difference(c1: NiveauCharacter, c2: NiveauCharacter,
+                       ell: int) -> tuple[int, int]:
+    """(big, e1 - e2 mod big) with big = ell^{r1 r2} - 1, after lifting both
+    to niveau r1*r2.
 
-    psi_{r} = psi_{r1 r2}^{(ell^{r1 r2}-1)/(ell^{r}-1)}, so scale each
-    exponent by its lifting factor and compare mod ell^{r1 r2} - 1.
+    psi_{r} = psi_{r1 r2}^{(ell^{r1 r2}-1)/(ell^{r}-1)}, so each exponent is
+    scaled by its lifting factor.
     """
     big = ell ** (c1.niveau * c2.niveau) - 1
     e1 = c1.exponent * (big // (ell ** c1.niveau - 1))
     e2 = c2.exponent * (big // (ell ** c2.niveau - 1))
-    return (e1 - e2) % big == 0
+    return big, (e1 - e2) % big
+
+
+def characters_equal(c1: NiveauCharacter, c2: NiveauCharacter, ell: int) -> bool:
+    """Equality after lifting both to niveau r1*r2."""
+    return _lifted_difference(c1, c2, ell)[1] == 0
 
 
 @dataclass(frozen=True)
@@ -130,21 +135,16 @@ def check_npower_distinct(p: WeightProfile,
 
     chars = diag_characters(p)
     nfact = math.factorial(p.n)
-    powered = [NiveauCharacter(c.niveau, (c.exponent * nfact) % (p.ell ** c.niveau - 1)
-                               if p.ell ** c.niveau > 2 else 0)
+    powered = [NiveauCharacter(c.niveau, c.exponent * nfact % (p.ell ** c.niveau - 1))
                for c in chars]
     certs = []
     for i in range(len(powered)):
         for j in range(i + 1, len(powered)):
-            ci, cj = powered[i], powered[j]
-            if characters_equal(ci, cj, p.ell):
+            big, c0 = _lifted_difference(powered[i], powered[j], p.ell)
+            if c0 == 0:
                 return DistinctnessReport(False, (i, j), (chars[i], chars[j]))
             if with_certificates:
-                big = p.ell ** (ci.niveau * cj.niveau) - 1
-                e1 = ci.exponent * (big // (p.ell ** ci.niveau - 1))
-                e2 = cj.exponent * (big // (p.ell ** cj.niveau - 1))
-                c0 = (e1 - e2) % big
-                certs.append(Certificate((i, j), min(c0, big - c0) or c0, big))
+                certs.append(Certificate((i, j), min(c0, big - c0), big))
     return DistinctnessReport(True, certificates=tuple(certs))
 
 
@@ -204,6 +204,14 @@ def profile_to_doc(p: WeightProfile) -> dict:
 
 
 def profile_from_doc(doc: dict) -> WeightProfile:
-    return profile(int(doc["ell"]), int(doc["n"]),
-                   [(int(part["niveau"]), [int(w) for w in part["weights"]])
+    """The profile of a document.  `ell`, `n`, every `niveau` and every
+    weight must be ints (not bools), else ValueError."""
+
+    def num(x, name: str) -> int:
+        if type(x) is not int:
+            raise ValueError(f"profile {name} {x!r} is not an int")
+        return x
+
+    return profile(num(doc["ell"], "ell"), num(doc["n"], "n"),
+                   [(num(part["niveau"], "niveau"), [num(w, "weight") for w in part["weights"]])
                     for part in doc["parts"]])

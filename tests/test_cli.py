@@ -73,6 +73,23 @@ def test_classify_rejects_non_int_header(tmp_path, capsys, key, value):
     assert f"malformed fixture: fixture {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("ell", 7.9), ("n", 2.5), ("ell", True), ("n", "2"),
+                                        ("niveau", 1.0), ("niveau", True), ("weight", 3.7)])
+def test_regularity_rejects_non_int_numbers(tmp_path, capsys, key, value):
+    doc = {"ell": 7, "n": 2, "parts": [{"niveau": 1, "weights": [1]},
+                                       {"niveau": 1, "weights": [3]}]}
+    if key == "niveau":
+        doc["parts"][0]["niveau"] = value
+    elif key == "weight":
+        doc["parts"][1]["weights"][0] = value
+    else:
+        doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["regularity", "--input", str(bad)]) == 1
+    assert f"malformed profile: profile {key}" in capsys.readouterr().err
+
+
 def test_classify_char_too_small(tmp_path):
     f3 = field_make(3, 1)
     s = SympSpace.standard(f3, 2)
@@ -84,6 +101,17 @@ def test_classify_char_too_small(tmp_path):
 
 def test_classify_cap_exceeded(huge_fixture_path):
     assert main(["classify", "--input", huge_fixture_path, "--cap", "10"]) == 3
+
+
+@pytest.mark.parametrize("cap, message", [
+    # |Sp2(F5)| = 120 from the stabilizer chain; no element is enumerated
+    (100, "the group order 120 is past the enumeration cap 100"),
+    # the row search stops at 12 rows, past n·cap = 10, before any order
+    (5, "12 rows reached, more than n·cap = 10, so the group order is past the cap"),
+])
+def test_classify_cap_message_says_what_was_counted(huge_fixture_path, capsys, cap, message):
+    assert main(["classify", "--input", huge_fixture_path, "--cap", str(cap)]) == 3
+    assert capsys.readouterr().err == f"cap exceeded: {message}\n"
 
 
 def test_np_group_n8_classify_enumerates_multiword_keys(capsys):
@@ -188,6 +216,15 @@ def test_mackey_sweep(tmp_path, capsys):
     t0 = time.perf_counter()
     assert main(["mackey", "--input", str(bad)]) == 1
     assert time.perf_counter() - t0 < 10
+
+
+def test_mackey_semidirect_refuses_a_composite_modulus(tmp_path, capsys):
+    doc = tmp_path / "c9.json"
+    doc.write_text(json.dumps({"group": {"semidirect": [9, 2]}, "sweep": "mackey"}))
+    t0 = time.perf_counter()
+    assert main(["mackey", "--input", str(doc)]) == 1
+    assert time.perf_counter() - t0 < 10
+    assert "9 is not prime" in capsys.readouterr().err
 
 
 def test_mackey_permutation_group_input(tmp_path, capsys):

@@ -102,6 +102,36 @@ def test_discrete_log_of_zero():
         discrete_log(FieldElement(f7, 0), FieldElement(f7, 3))
 
 
+@pytest.mark.parametrize("ell, degree", [(7, 1), (2, 4), (5, 2), (3, 3)])
+def test_pow_and_discrete_log_against_brute_force_powers(ell, degree):
+    spec = field_make(ell, degree)
+    ctx = spec.ctx
+    q = spec.order
+    # powers of every unit by repeated digit products, independent of exp/log
+    powers = {}
+    for a in range(1, q):
+        row = [1]
+        for _ in range(q - 2):
+            row.append(ctx._raw_mul(row[-1], a))
+        powers[a] = row
+    generators = [g for g in powers if len(set(powers[g])) == q - 1]
+    assert ctx.generator() in generators
+    for a, row in powers.items():
+        for e in range(-2 * q, 2 * q):
+            assert ctx.pow(a, e) == row[e % (q - 1)]
+        x = FieldElement(spec, a)
+        for g in range(q):
+            if g in generators:
+                k = discrete_log(x, FieldElement(spec, g))
+                assert 0 <= k < q - 1 and powers[g][k] == a
+            else:
+                with pytest.raises(ZeroArgument if g == 0 else NotGenerator):
+                    discrete_log(x, FieldElement(spec, g))
+    assert ctx.pow(0, 0) == 1 and ctx.pow(0, 3) == 0
+    with pytest.raises(ZeroDivisionError):
+        ctx.pow(0, -1)
+
+
 def test_frobenius_fixes_prime_subfield():
     f25 = field_make(5, 2)
     for c in range(5):

@@ -56,6 +56,14 @@ def test_group_construction_orders():
     assert semidirect_cyclic(7, 3).order == 21
 
 
+def test_semidirect_cyclic_refuses_a_composite_modulus():
+    # 3 has no multiplicative order mod 9: its powers reach 0, never 1
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="not prime"):
+        semidirect_cyclic(9, 2)
+    assert time.perf_counter() - t0 < 1
+
+
 def test_class_counts():
     # oracle: standard character theory facts
     assert len(S3.classes) == 3

@@ -12,7 +12,7 @@ import sympal
 from sympal import ffield, groupkit, mackey, npgroup
 from sympal.classify import Huge, is_huge
 from sympal.errors import InvalidParams, WitnessCheckFailed
-from sympal.ffield import FieldElement, field_make, one
+from sympal.ffield import field_make, one
 from sympal.groupkit import group
 from sympal.symplectic import SympSpace, make_transvection
 
@@ -39,14 +39,6 @@ def test_field_make_scan_raises_typed_error(monkeypatch):
     monkeypatch.setattr(ffield, "_is_irreducible", lambda mod, ctx: False)
     with pytest.raises(WitnessCheckFailed):
         ffield.field_make.__wrapped__(7, 2)   # past the cache, which holds the real spec
-
-
-def test_discrete_log_search_raises_typed_error(monkeypatch):
-    f = field_make(7, 1)
-    monkeypatch.setattr(ffield, "_order_of", lambda ctx, a: ctx.q - 1)
-    # 2 has order 3 mod 7, so 3 is not a power of it and the search runs out
-    with pytest.raises(WitnessCheckFailed):
-        ffield.discrete_log(FieldElement(f, 3), FieldElement(f, 2))
 
 
 def test_is_huge_rejects_a_transvection_subgroup_below_sp_n(monkeypatch):
