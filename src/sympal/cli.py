@@ -8,6 +8,10 @@ Exit codes are a fixed contract for scripting:
   3  enumeration cap exceeded
   4  regularity collision detected
   5  verification sweep found a counterexample
+
+Every input document is read by `_read`, which exits 1 on anything
+malformed; `main` maps the typed errors a command raises to codes 2-4
+through one table, `_EXITS`.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 
 from .classify import classify, serialize_verdict
 from .errors import (
@@ -24,6 +29,7 @@ from .errors import (
     NoTransvection,
     SympalError,
     TwistBreaksRegularity,
+    exact_int,
 )
 from .groupkit import DEFAULT_CAP, from_fixture, to_fixture
 from .npgroup import build_chi, build_np_group, find_np_primes, np_params
@@ -41,13 +47,29 @@ EXIT_CAP = 3
 EXIT_COLLISION = 4
 EXIT_COUNTEREXAMPLE = 5
 
+# typed error -> (exit code, stderr label); the first match wins
+_EXITS = (
+    (CapExceeded, EXIT_CAP, "cap exceeded"),
+    (TwistBreaksRegularity, EXIT_COLLISION, "collision"),
+    ((NoTransvection, CharTooSmall, InvalidParams), EXIT_PRECONDITION, "precondition failed"),
+    (SympalError, EXIT_PRECONDITION, "error"),
+)
 
-def _load_json(path: str):
+
+def _read(path: str, parse, what: str):
+    """parse(the JSON document at path).  An unreadable or undecodable file,
+    bad JSON or a document that parse rejects exits 1 (by SystemExit, which
+    main returns)."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:   # JSONDecodeError, UnicodeDecodeError
         print(f"error: cannot read input: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, ValueError, IndexError, InvalidParams) as exc:
+        print(f"error: malformed {what}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
 
@@ -60,42 +82,21 @@ def _emit(doc: dict, as_json: bool):
 
 
 def run_classify(args) -> int:
-    doc = _load_json(args.input)
-    try:
-        g = from_fixture(doc)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        print(f"error: malformed fixture: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        verdict = classify(g, args.cap)
-    except (NoTransvection, CharTooSmall) as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    out = serialize_verdict(verdict)
+    g = _read(args.input, from_fixture, "fixture")
+    out = serialize_verdict(classify(g, args.cap))
     _emit(out if args.json else {"case": out["case"]}, args.json)
     return EXIT_OK
 
 
 def run_np_group(args) -> int:
-    try:
-        params = np_params(args.n, args.q, args.p, args.ell)
-        chi = build_chi(params)
-        g, form = build_np_group(chi)
-    except InvalidParams as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    params = np_params(args.n, args.q, args.p, args.ell)
+    g, form = build_np_group(build_chi(params))
     doc = to_fixture(g)
     ctx = g.space.field.ctx
     doc["form"] = [[list(ctx.digits(x)) for x in row] for row in form]
     if args.N1 is not None and args.N2 is not None:
-        from math import gcd
-
         if gcd(args.N1, args.N2) != 1:
-            print("precondition failed: N1 and N2 must be coprime", file=sys.stderr)
-            return EXIT_PRECONDITION
+            raise InvalidParams("N1 and N2 must be coprime")
         doc["metadata"] = {"N1": args.N1, "N2": args.N2}
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -110,18 +111,11 @@ def run_np_group(args) -> int:
             print(f"classify: precondition failed as expected: {exc}",
                   file=sys.stderr)
             return EXIT_PRECONDITION
-        except CapExceeded as exc:
-            print(f"cap exceeded: {exc}", file=sys.stderr)
-            return EXIT_CAP
     return EXIT_OK
 
 
 def run_find_primes(args) -> int:
-    try:
-        pairs = find_np_primes(args.n, args.q_max)
-    except InvalidParams as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    pairs = find_np_primes(args.n, args.q_max)
     if args.json:
         print(json.dumps({"n": args.n, "q_max": args.q_max,
                           "pairs": [list(x) for x in pairs]}))
@@ -132,18 +126,9 @@ def run_find_primes(args) -> int:
 
 
 def run_regularity(args) -> int:
-    doc = _load_json(args.input)
-    try:
-        prof = profile_from_doc(doc)
-    except (KeyError, TypeError, ValueError, InvalidParams) as exc:
-        print(f"error: malformed profile: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    prof = _read(args.input, profile_from_doc, "profile")
     if args.twist:
-        try:
-            prof = twist_by_cyclotomic(prof, args.twist)
-        except TwistBreaksRegularity as exc:
-            print(f"collision: {exc}", file=sys.stderr)
-            return EXIT_COLLISION
+        prof = twist_by_cyclotomic(prof, args.twist)
     report = check_npower_distinct(prof)
     if report.distinct:
         _emit({"verdict": "Distinct", "profile": profile_to_doc(prof)}
@@ -156,31 +141,36 @@ def run_regularity(args) -> int:
     return EXIT_COLLISION
 
 
-def _mackey_group(doc: dict):
+def _sweep_doc(doc: dict):
+    """(group, sweep, p, bound) of a sweep document: ints, p unless the sweep
+    is mackey, and bound >= 0 (0, the default, means (G:N))."""
     from . import mackey as mk
 
     spec = doc["group"]
     if "semidirect" in spec:
         p, n = spec["semidirect"]
-        return mk.semidirect_cyclic(int(p), int(n))
-    if "permutations" in spec:
-        return mk.from_permutations([tuple(g) for g in spec["permutations"]])
-    if "table" in spec:
-        return mk.FiniteGroup(spec["table"])
-    raise KeyError("group document needs 'semidirect', 'permutations' or 'table'")
+        g = mk.semidirect_cyclic(exact_int(p, "semidirect p"), exact_int(n, "semidirect n"))
+    elif "permutations" in spec:
+        g = mk.from_permutations([tuple(x) for x in spec["permutations"]])
+    elif "table" in spec:
+        g = mk.FiniteGroup(spec["table"])
+    else:
+        raise KeyError("group document needs 'semidirect', 'permutations' or 'table'")
+    sweep = doc["sweep"]
+    if sweep not in ("mackey", "prop-nh", "res-nontrivial"):
+        raise ValueError(f"unknown sweep '{sweep}'")
+    p = None if sweep == "mackey" else exact_int(doc["p"], "sweep p")
+    bound = exact_int(doc.get("bound", 0), "sweep bound")
+    if bound < 0:
+        raise ValueError(f"sweep bound {bound} is negative")
+    return g, sweep, p, bound
 
 
 def run_mackey(args) -> int:
     from . import mackey as mk
     from .errors import HypothesisFailed
 
-    doc = _load_json(args.input)
-    try:
-        g = _mackey_group(doc)
-        sweep = doc["sweep"]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        print(f"error: malformed sweep document: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    g, sweep, p, bound = _read(args.input, _sweep_doc, "sweep document")
 
     dixon: dict = {}    # multiplication table -> its character table
     tables: dict = {}   # subgroup -> its character table
@@ -211,7 +201,6 @@ def run_mackey(args) -> int:
                     if not mk.mackey_check(g, h, n, chi):
                         counterexamples += 1
     elif sweep == "prop-nh":
-        p = int(doc["p"])
         norms = [s for s in subs if mk.is_normal(g, s) and 0 < s.order < g.order]
         for n in norms:
             for chi in linear(n):
@@ -228,12 +217,10 @@ def run_mackey(args) -> int:
                         checks += 1
                         if not rep.holds:
                             counterexamples += 1
-    elif sweep == "res-nontrivial":
-        p = int(doc["p"])
-        bound = int(doc.get("bound", 0)) or None
+    else:   # res-nontrivial
         norms = [s for s in subs if mk.is_normal(g, s) and 0 < s.order < g.order]
         for n in norms:
-            b = bound if bound is not None else n.index
+            b = bound or n.index
             chars = linear(n)
             for h in subs:
                 for chi in chars:
@@ -245,9 +232,6 @@ def run_mackey(args) -> int:
                     checks += 1
                     if not ok:
                         counterexamples += 1
-    else:
-        print(f"error: unknown sweep '{sweep}'", file=sys.stderr)
-        return EXIT_PARSE
 
     _emit({"sweep": sweep, "checks": checks, "skipped": skipped,
            "counterexamples": counterexamples}, args.json)
@@ -303,8 +287,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     except SympalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        code, label = next((code, label) for kind, code, label in _EXITS
+                           if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

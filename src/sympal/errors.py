@@ -1,4 +1,12 @@
-"""Exception hierarchy shared by all sympal modules."""
+"""Exception hierarchy shared by all sympal modules (the CLI maps them to
+exit codes by one table, `cli._EXITS`), and `exact_int` for document numbers."""
+
+
+def exact_int(x, what: str) -> int:
+    """x if it is an int and not a bool, else ValueError naming `what`."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an int")
+    return x
 
 
 class SympalError(Exception):

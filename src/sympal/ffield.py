@@ -417,7 +417,8 @@ class _Fq:
         """Least element in coefficient-lex order with full order q-1."""
         if self._gen is None:
             fac = factorize(self.q - 1)
-            self._gen = next(c for c in self._elements_lex() if c and all(
+            lex = (self.encode(f[:-1]) for f in _monic_polys_lex(self.ell, self.r))
+            self._gen = next(c for c in lex if c and all(
                 self._raw_pow(c, (self.q - 1) // p) != 1 for p in fac))
         return self._gen
 
@@ -430,12 +431,6 @@ class _Fq:
             acc = self._raw_mul(acc, acc)
             e >>= 1
         return result
-
-    def _elements_lex(self) -> Iterator[int]:
-        from itertools import product
-
-        for coeffs in product(range(self.ell), repeat=self.r):
-            yield self.encode(coeffs)
 
     def exp_log(self):
         """Power and logarithm tables for the canonical generator.

@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import CapExceeded, WitnessCheckFailed
+from .errors import CapExceeded, WitnessCheckFailed, exact_int
 from .ffield import FieldSpec, poly_factors
 from .linalg import Mat, Vec
 from .symplectic import (
@@ -62,7 +62,6 @@ from .symplectic import (
 DEFAULT_CAP = 2 * 10**7
 # hashed into cache file names, so files of another key encoding never load
 _KEY_ENCODING = "row-index-v1"
-_WORD = (1 << 64) - 1
 # elements per chunk of the array passes (element iteration, harvest,
 # extract_induction), so their working memory does not grow with the group
 ARRAY_CHUNK = 4096
@@ -95,7 +94,6 @@ class _Packing:
         self.words = -(-slots // per)
         self.dtype = np.dtype(np.uint64) if self.words == 1 else np.dtype(f"V{8 * self.words}")
         self.place = [(i // per, np.uint64(i % per * bits)) for i in range(slots)]
-        self.offsets = [i // per * 64 + i % per * bits for i in range(slots)]
         self.mask = np.uint64((1 << bits) - 1)
 
     def _keys(self, words: np.ndarray) -> np.ndarray:
@@ -126,10 +124,7 @@ class _Packing:
 
     def from_slots(self, slot_lists) -> np.ndarray:
         """Keys of Python integer sequences, one per key."""
-        ints = [sum(s << off for s, off in zip(slots, self.offsets)) for slots in slot_lists]
-        words = np.array([[k >> (64 * j) & _WORD for j in range(self.words)] for k in ints],
-                         dtype=np.uint64).reshape(len(ints), self.words)
-        return self._keys(words)
+        return self.encode(list(np.array(slot_lists, dtype=np.uint64).T))
 
 
 def _in_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -174,7 +169,7 @@ class _RowTable:
         self.row_pack = _Packing(n, max((spec.order - 1).bit_length(), 1))
         maps = [_digit_map(spec, g) for g in gens]
         steps = [lambda keys, m=m: self._row_times(keys, m) for m in maps]
-        ident = linalg.identity(spec, n)
+        ident = linalg.identity(n)
         self.row_keys = _reach(np.sort(self.row_pack.from_slots(ident)), steps, n * cap)
         self.entries = np.stack(self.row_pack.decode(self.row_keys), axis=1).astype(np.int64)
         self.pack = _Packing(n, max((len(self.row_keys) - 1).bit_length(), 1))
@@ -576,7 +571,7 @@ class MatrixGroup:
 
     space: SympSpace
     generators: tuple[SqMatrix, ...]
-    cache: Optional[ElementSet] = field(default=None, compare=False)
+    cache: Optional[ElementSet] = field(default=None, init=False, compare=False)
     _order: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -843,16 +838,11 @@ def from_fixture(doc: dict) -> MatrixGroup:
     `degree` ints in [0, ell), else ValueError."""
     from .ffield import field_make
 
-    def header(x, name: str) -> int:
-        if type(x) is not int:
-            raise ValueError(f"fixture {name} {x!r} is not an int")
-        return x
-
     f = doc["field"]
-    spec = field_make(header(f["ell"], "ell"), header(f["degree"], "degree"))
+    spec = field_make(exact_int(f["ell"], "fixture ell"), exact_int(f["degree"], "fixture degree"))
     if "modulus" in f and tuple(f["modulus"]) != spec.modulus:
         raise ValueError("non-canonical field modulus in fixture")
-    n = header(doc["n"], "n")
+    n = exact_int(doc["n"], "fixture n")
 
     def entry(x) -> int:
         if not (isinstance(x, list) and len(x) <= spec.degree

@@ -15,7 +15,7 @@ Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
 
-def identity(spec: FieldSpec, n: int) -> Mat:
+def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
@@ -64,7 +64,7 @@ def vec_dot(spec: FieldSpec, u: Vec, v: Vec) -> int:
     return acc
 
 
-def scalar_mat(spec: FieldSpec, n: int, c: int) -> Mat:
+def scalar_mat(n: int, c: int) -> Mat:
     return tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
 
 
@@ -133,7 +133,7 @@ def mat_poly(spec: FieldSpec, f, a: Mat) -> Mat:
     n = len(a)
     out = zero_mat(n, n)
     for c in reversed(f):
-        out = mat_add(spec, mat_mul(spec, out, a), scalar_mat(spec, n, c))
+        out = mat_add(spec, mat_mul(spec, out, a), scalar_mat(n, c))
     return out
 
 

@@ -125,21 +125,27 @@ class FiniteGroup:
         return tuple(out)
 
 
-def group_from_elements(gens, op: Callable, ident) -> tuple[FiniteGroup, list]:
-    """Closure of abstract hashable elements; returns (group, element list)."""
-    elems = [ident]
-    index = {ident: 0}
-    frontier = [ident]
+def _closure(gens, op: Callable, ident) -> list:
+    """The elements of <gens> in the order reached breadth-first from ident
+    by right multiplication."""
+    elems, seen, frontier = [ident], {ident}, [ident]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
                 y = op(x, g)
-                if y not in index:
-                    index[y] = len(elems)
-                    elems.append(y)
+                if y not in seen:
+                    seen.add(y)
                     new.append(y)
+        elems += new
         frontier = new
+    return elems
+
+
+def group_from_elements(gens, op: Callable, ident) -> tuple[FiniteGroup, list]:
+    """Closure of abstract hashable elements; returns (group, element list)."""
+    elems = _closure(gens, op, ident)
+    index = {x: i for i, x in enumerate(elems)}
     table = [[index[op(a, b)] for b in elems] for a in elems]
     return FiniteGroup(table), elems
 
@@ -207,16 +213,14 @@ def sl2_3() -> FiniteGroup:
 def semidirect_cyclic(p: int, n: int) -> FiniteGroup:
     """C_p : C_n with a faithful action (needs n | p - 1).
 
-    Elements (a, b) with (a, b)(c, d) = (a + t^b c, b + d), where t >= 2
-    is the least unit of order exactly n mod the prime p.
+    Elements (a, b) with (a, b)(c, d) = (a + t^b c, b + d), where t is the
+    least unit of order exactly n mod the prime p (so C_p : C_1 = C_p).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if (p - 1) % n:
-        raise ValueError(f"need n | p - 1, got ({p}, {n})")
-    t = next((c for c in range(2, p) if multiplicative_order(c, p) == n), None)
-    if t is None:
-        raise ValueError("no element of the right order")
+    if n < 1 or (p - 1) % n:
+        raise ValueError(f"need n >= 1 and n | p - 1, got ({p}, {n})")
+    t = next(c for c in range(1, p) if multiplicative_order(c, p) == n)
 
     def op(u, v):
         a, b = u
@@ -274,18 +278,7 @@ class Subgroup:
 
 def _generated(parent: FiniteGroup, gens) -> frozenset:
     """The element set of <gens>."""
-    elems = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = parent.mul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(elems)
+    return frozenset(_closure(gens, parent.mul, 0))
 
 
 def _interned(parent: FiniteGroup, elements) -> Subgroup:
@@ -305,14 +298,18 @@ def trivial_subgroup(g: FiniteGroup) -> Subgroup:
     return _interned(g, [0])
 
 
+def _check_parent(g: FiniteGroup, h: Subgroup):
+    """NotSubgroup unless g is the parent whose table h indexes."""
+    if h.parent is not g:
+        raise NotSubgroup("subgroup of another group object")
+
+
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    """Is h normal in g?  Remembered on h when g is its parent."""
-    if h.normal is not None and h.parent is g:
-        return h.normal
-    normal = all(h.contains(g.conj(x, a)) for a in h.elements for x in range(g.order))
-    if h.parent is g:
-        h.normal = normal
-    return normal
+    """Is h normal in g?  Remembered on h."""
+    _check_parent(g, h)
+    if h.normal is None:
+        h.normal = all(h.contains(g.conj(x, a)) for a in h.elements for x in range(g.order))
+    return h.normal
 
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
@@ -414,30 +411,35 @@ def induce(g: FiniteGroup, h: Subgroup, chi: ClassFunction) -> ClassFunction:
 def _induction_terms(g: FiniteGroup, h: Subgroup) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each class of g with representative x: the pairs (c, k), k the
     number of left coset representatives r with r^-1 x r in the class c
-    of h.group.  Remembered on h when g is its parent."""
-    if h.induction is not None and h.parent is g:
-        return h.induction
-    reps = coset_reps(g, h)
-    out = []
-    for cls in g.classes:
-        x = cls[0]
-        counts: dict[int, int] = {}
-        for r in reps:
-            y = g.mul(g.mul(g.inv[r], x), r)
-            if h.contains(y):
-                c = h.group.class_of[h.index_of[y]]
-                counts[c] = counts.get(c, 0) + 1
-        out.append(tuple(counts.items()))
-    if h.parent is g:
+    of h.group.  Remembered on h."""
+    _check_parent(g, h)
+    if h.induction is None:
+        reps = coset_reps(g, h)
+        out = []
+        for cls in g.classes:
+            x = cls[0]
+            counts: dict[int, int] = {}
+            for r in reps:
+                y = g.mul(g.mul(g.inv[r], x), r)
+                if h.contains(y):
+                    c = h.group.class_of[h.index_of[y]]
+                    counts[c] = counts.get(c, 0) + 1
+            out.append(tuple(counts.items()))
         h.induction = tuple(out)
-    return tuple(out)
+    return h.induction
+
+
+def _pullback(chi: ClassFunction, k: Subgroup, f: Callable[[int], int]) -> ClassFunction:
+    """x -> chi(f(x)) on k, f taking k's elements (in k's parent) to chi's
+    group; read at one representative per class of k."""
+    return ClassFunction(k.group, chi.cyc_order,
+                         tuple(chi.at(f(k.elements[cls[0]])) for cls in k.group.classes))
 
 
 def restrict(g: FiniteGroup, h: Subgroup, phi: ClassFunction) -> ClassFunction:
     if phi.group is not g:
         raise NotSubgroup("class function is not on the parent group")
-    vals = tuple(phi.at(h.elements[cls[0]]) for cls in h.group.classes)
-    return ClassFunction(h.group, phi.cyc_order, vals)
+    return _pullback(phi, h, lambda x: x)
 
 
 def coset_reps(g: FiniteGroup, h: Subgroup) -> list[int]:
@@ -464,21 +466,9 @@ def conjugate_subgroup(g: FiniteGroup, n: Subgroup, gamma: int) -> Subgroup:
 
 
 def conjugate_classfunction(g: FiniteGroup, n: Subgroup, chi: ClassFunction,
-                            gamma: int,
-                            target: Optional[Subgroup] = None) -> ClassFunction:
-    """chi^gamma on gamma N gamma^-1: x -> chi(gamma^-1 x gamma).
-
-    Pass the conjugate subgroup as `target` to attach the result to an
-    existing object (class functions are tied to group identity).
-    """
-    if target is None:
-        target = conjugate_subgroup(g, n, gamma)
-    vals = []
-    for cls in target.group.classes:
-        x = target.elements[cls[0]]
-        y = g.conj(g.inv[gamma], x)
-        vals.append(chi.at(n.index_of[y]))
-    return ClassFunction(target.group, chi.cyc_order, tuple(vals))
+                            gamma: int, target: Subgroup) -> ClassFunction:
+    """chi^gamma on target = gamma N gamma^-1: x -> chi(gamma^-1 x gamma)."""
+    return _pullback(chi, target, lambda x: n.index_of[g.conj(g.inv[gamma], x)])
 
 
 def intersect(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
@@ -487,6 +477,8 @@ def intersect(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
 
 def subgroup_of(g: FiniteGroup, big: Subgroup, small: Subgroup) -> Subgroup:
     """small (a subgroup of g inside big) re-expressed as a subgroup of big.group."""
+    _check_parent(g, big)
+    _check_parent(g, small)
     return _interned(big.group, [big.index_of[x] for x in small.elements])
 
 
@@ -501,9 +493,7 @@ def mackey_check(g: FiniteGroup, h: Subgroup, n: Subgroup,
                   if n.contains(y := g.conj(g.inv[gamma], x))}
         meet = _interned(h.group, pulled.keys())
         # chi^gamma(x) = chi(gamma^-1 x gamma) on the meet
-        vals = tuple(chi.at(n.index_of[pulled[meet.elements[cls[0]]]])
-                     for cls in meet.group.classes)
-        term = induce(h.group, meet, ClassFunction(meet.group, chi.cyc_order, vals))
+        term = induce(h.group, meet, _pullback(chi, meet, lambda i: n.index_of[pulled[i]]))
         acc = term if acc is None else acc + term
     return acc == lhs
 
@@ -551,7 +541,7 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
     # simultaneous eigenvectors over F_P; subspaces kept as row bases V,
     # split by the eigenvalues of each A_i restricted to V: the roots of
     # its characteristic polynomial
-    spaces = [linalg.identity(fp, k)]
+    spaces = [linalg.identity(k)]
     for a in mats[1:]:
         new_spaces = []
         for v in spaces:
@@ -567,7 +557,7 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
                 if len(f) > 2:
                     raise WitnessCheckFailed("a class matrix does not split over F_P")
                 lam = fp.ctx.neg(f[0])
-                shifted = linalg.mat_sub(fp, r, linalg.scalar_mat(fp, d, lam))
+                shifted = linalg.mat_sub(fp, r, linalg.scalar_mat(d, lam))
                 new_spaces.append(linalg.mat_mul(fp, linalg.nullspace(fp, shifted, d), v))
         spaces = new_spaces
     if len(spaces) != k or any(len(v) != 1 for v in spaces):

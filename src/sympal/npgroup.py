@@ -54,14 +54,12 @@ def _validate(params: NpParams):
         raise InvalidParams("n must be even and >= 2")
     if not (is_prime(q) and is_prime(p) and is_prime(ell)):
         raise InvalidParams("q, p, ell must all be prime")
-    if q <= n or p <= n:
+    if q <= n:
         raise InvalidParams("need p, q > n")
-    if p % n != 1:
-        raise InvalidParams("need p = 1 mod n")
-    if (q ** n - 1) % p != 0 or (q ** (n // 2) - 1) % p == 0:
-        raise InvalidParams("need p | q^n - 1 and p not dividing q^(n/2) - 1")
-    if multiplicative_order(q, p) != n:
-        raise InvalidParams("order of q mod p must equal n")
+    # ord_p(q) = n implies p | q^n - 1 but not q^(n/2) - 1, and n | p - 1,
+    # so p = 1 mod n and p > n; q has no order mod p = q
+    if p == q or multiplicative_order(q, p) != n:
+        raise InvalidParams("need p != q and the order of q mod p equal to n")
     if ell in (p, q) or ell == 2:
         raise InvalidParams("ell must be an odd prime different from p and q")
     if params.ext_degree != multiplicative_order(ell, p):

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParams, TwistBreaksRegularity
+from .errors import InvalidParams, TwistBreaksRegularity, exact_int
 from .ffield import is_prime
 
 
@@ -206,12 +206,7 @@ def profile_to_doc(p: WeightProfile) -> dict:
 def profile_from_doc(doc: dict) -> WeightProfile:
     """The profile of a document.  `ell`, `n`, every `niveau` and every
     weight must be ints (not bools), else ValueError."""
-
-    def num(x, name: str) -> int:
-        if type(x) is not int:
-            raise ValueError(f"profile {name} {x!r} is not an int")
-        return x
-
-    return profile(num(doc["ell"], "ell"), num(doc["n"], "n"),
-                   [(num(part["niveau"], "niveau"), [num(w, "weight") for w in part["weights"]])
+    return profile(exact_int(doc["ell"], "profile ell"), exact_int(doc["n"], "profile n"),
+                   [(exact_int(part["niveau"], "profile niveau"),
+                     [exact_int(w, "profile weight") for w in part["weights"]])
                     for part in doc["parts"]])

@@ -91,7 +91,7 @@ class SqMatrix:
         return acc
 
     def is_identity(self) -> bool:
-        return self.rows == linalg.identity(self.space.field, self.space.n)
+        return self.rows == linalg.identity(self.space.n)
 
     def elements(self) -> tuple[tuple[FieldElement, ...], ...]:
         """The entries as FieldElement objects (the public grid view)."""
@@ -122,7 +122,7 @@ def mat(space: SympSpace, rows) -> SqMatrix:
 
 
 def identity_mat(space: SympSpace) -> SqMatrix:
-    return SqMatrix(space, linalg.identity(space.field, space.n))
+    return SqMatrix(space, linalg.identity(space.n))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def detect_transvection(a: SqMatrix) -> TransvectionVerdict:
     spec = a.space.field
     ctx = spec.ctx
     n = a.space.n
-    ident = linalg.identity(spec, n)
+    ident = linalg.identity(n)
     if a.rows == ident:
         return TransvectionVerdict(TransvectionKind.TRIVIAL)
     d = linalg.mat_sub(spec, a.rows, ident)
@@ -275,7 +275,7 @@ class Subspace:
 
 
 def full_subspace(space: SympSpace) -> Subspace:
-    return Subspace(space, linalg.identity(space.field, space.n))
+    return Subspace(space, linalg.identity(space.n))
 
 
 def perp(u: Subspace) -> Subspace:
@@ -313,11 +313,11 @@ def restricts_to_identity(a: SqMatrix, u: Subspace) -> bool:
 # random similitudes (seeded; used by conjugation sweeps and demos)
 # ---------------------------------------------------------------------------
 
-def random_vector(space: SympSpace, rng, nonzero=True) -> Vec:
+def random_vector(space: SympSpace, rng) -> Vec:
     q = space.field.order
     while True:
         v = tuple(rng.randrange(q) for _ in range(space.n))
-        if any(v) or not nonzero:
+        if any(v):
             return v
 
 
@@ -341,7 +341,7 @@ def scaling_similitude(space: SympSpace, c: int) -> SqMatrix:
             rows[i][i] = 1
             rows[m + i][m + i] = c
         return SqMatrix(space, tuple(tuple(r) for r in rows))
-    return SqMatrix(space, linalg.scalar_mat(space.field, space.n, c))
+    return SqMatrix(space, linalg.scalar_mat(space.n, c))
 
 
 def random_similitude(space: SympSpace, rng, words: int = 6) -> SqMatrix:

@@ -269,7 +269,7 @@ def test_criterion_5_np_group():
     # F^2 = -I
     from sympal.linalg import scalar_mat
 
-    assert (f * f).rows == scalar_mat(g.space.field, 2, g.space.field.ctx.neg(1))
+    assert (f * f).rows == scalar_mat(2, g.space.field.ctx.neg(1))
     # irreducibility survives every unramified twist
     for alpha in range(1, 7):
         twist_unramified(g, alpha)   # raises NotIrreducible on failure

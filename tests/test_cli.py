@@ -9,7 +9,7 @@ from sympal import mackey
 from sympal.cli import main
 from sympal.ffield import field_make
 from sympal.groupkit import from_fixture, group, to_fixture
-from sympal.symplectic import SympSpace, make_transvection
+from sympal.symplectic import SqMatrix, SympSpace, make_transvection
 
 
 @pytest.fixture
@@ -254,3 +254,117 @@ def test_mackey_sweep_runs_dixon_once_per_subgroup_table(tmp_path, capsys, monke
     assert main(["mackey", "--input", str(doc), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["counterexamples"] == 0
     assert len(seen) == len(set(seen)) == tables
+
+
+def _write_docs(tmp_path) -> dict:
+    f5 = field_make(5, 1)
+    s = SympSpace.standard(f5, 2)
+    huge = to_fixture(group(s, [make_transvection(s, (1, 0), 1),
+                                make_transvection(s, (0, 1), 1)]))
+    f3 = SympSpace.standard(field_make(3, 1), 2)
+    docs = {
+        "huge": huge,
+        "f3": to_fixture(group(f3, [make_transvection(f3, (1, 0), 1)])),
+        # -I: a group of order 2 with no transvection
+        "minus": to_fixture(group(s, [SqMatrix(s, ((4, 0), (0, 4)))])),
+        "ell4": {**huge, "field": {"ell": 4, "degree": 1}},
+        "header": {**huge, "n": 2.5},
+        "ok": {"ell": 7, "n": 2, "parts": [{"niveau": 2, "weights": [0, 1]}]},
+        "edge": {"ell": 7, "n": 2, "parts": [{"niveau": 2, "weights": [0, 6]}]},
+        "short": {"ell": 4},
+        "ell4profile": {"ell": 4, "n": 1, "parts": [{"niveau": 1, "weights": [0]}]},
+        "c9": {"group": {"semidirect": [9, 2]}, "sweep": "mackey"},
+        "nogroup": {"group": {}, "sweep": "mackey"},
+        "nonsense": {"group": {"semidirect": [7, 3]}, "sweep": "nonsense"},
+    }
+    paths = {}
+    for key, doc in docs.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        paths[key] = str(path)
+    (tmp_path / "garbled.json").write_text("{")
+    paths["garbled"] = str(tmp_path / "garbled.json")
+    paths["missing"] = str(tmp_path / "missing.json")
+    return paths
+
+
+NP = ["np-group", "--n", "2", "--q", "5", "--p", "3", "--ell", "7"]
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["classify", "--input", "huge"], 0, ""),
+    # CapExceeded
+    (["classify", "--input", "huge", "--cap", "100"], 3, "cap exceeded: "),
+    (NP + ["--classify", "--cap", "10"], 3, "cap exceeded: "),
+    # TwistBreaksRegularity
+    (["regularity", "--input", "edge", "--twist", "1"], 4, "collision: "),
+    # NoTransvection, CharTooSmall, InvalidParams
+    (["classify", "--input", "minus"], 2, "precondition failed: no nontrivial transvection"),
+    (["classify", "--input", "f3"], 2, "precondition failed: characteristic 3"),
+    (["np-group", "--n", "3", "--q", "5", "--p", "3", "--ell", "7"], 2, "precondition failed: "),
+    (NP + ["--N1", "4", "--N2", "6"], 2, "precondition failed: N1 and N2 must be coprime"),
+    (["find-primes", "--n", "3", "--q-max", "10"], 2, "precondition failed: "),
+    (NP + ["--classify"], 2, "classify: precondition failed as expected: "),
+    # any other SympalError
+    (["classify", "--input", "ell4"], 2, "error: 4 is not prime"),
+    # parse errors
+    (["classify", "--input", "missing"], 1, "error: cannot read input: "),
+    (["regularity", "--input", "garbled"], 1, "error: cannot read input: "),
+    (["classify", "--input", "header"], 1, "error: malformed fixture: fixture n 2.5"),
+    (["regularity", "--input", "short"], 1, "error: malformed profile: 'n'"),
+    (["regularity", "--input", "ell4profile"], 1, "error: malformed profile: 4 is not prime"),
+    (["mackey", "--input", "c9"], 1, "error: malformed sweep document: 9 is not prime"),
+    (["mackey", "--input", "nogroup"], 1, "error: malformed sweep document: "),
+    (["mackey", "--input", "nonsense"], 1, "error: "),
+])
+def test_exit_code_table(tmp_path, capsys, argv, code, prefix):
+    paths = _write_docs(tmp_path)
+    argv = [paths.get(a, a) if i and argv[i - 1] == "--input" else a for i, a in enumerate(argv)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and (err == "") == (prefix == "")
+
+
+@pytest.mark.parametrize("command", ["classify", "regularity", "mackey"])
+def test_undecodable_input_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    assert main([command, "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read input: ")
+
+
+@pytest.mark.parametrize("doc", [
+    {"group": {"semidirect": [7.9, 3.2]}, "sweep": "prop-nh", "p": 7.5},
+    {"group": {"semidirect": [7, 3]}, "sweep": "prop-nh", "p": 7.5},
+    {"group": {"semidirect": [7, 3]}, "sweep": "prop-nh"},
+    {"group": {"semidirect": [7, 3]}, "sweep": "res-nontrivial"},
+    {"group": {"semidirect": [7, 3]}, "sweep": "prop-nh", "p": "x"},
+    {"group": {"semidirect": [7, 3]}, "sweep": "prop-nh", "p": True},
+    {"group": {"semidirect": [7, 0]}, "sweep": "mackey"},
+    {"group": {"semidirect": [7, -2]}, "sweep": "mackey"},
+    {"group": {"semidirect": [7]}, "sweep": "mackey"},
+    {"group": {"semidirect": [7, 3]}, "sweep": "res-nontrivial", "p": 7, "bound": -1},
+    {"group": {"semidirect": [7, 3]}, "sweep": "res-nontrivial", "p": 7, "bound": 2.0},
+    {"group": {"semidirect": [7, 3]}, "sweep": "nonsense"},
+    {"group": {"semidirect": [7, 3]}},
+])
+def test_mackey_rejects_malformed_sweep_documents(tmp_path, capsys, doc):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mackey", "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed sweep document: ")
+
+
+@pytest.mark.parametrize("doc, checks", [
+    ({"sweep": "mackey"}, 16),
+    ({"sweep": "prop-nh", "p": 7}, 0),
+    ({"sweep": "res-nontrivial", "p": 7}, 0),
+    ({"sweep": "res-nontrivial", "p": 7, "bound": 0}, 0),
+])
+def test_mackey_sweeps_the_cyclic_group_as_a_semidirect_product(tmp_path, capsys, doc, checks):
+    # C_7 : C_1 = C_7 (its only proper normal subgroup is trivial)
+    path = tmp_path / "c7.json"
+    path.write_text(json.dumps({"group": {"semidirect": [7, 1]}, **doc}))
+    assert main(["mackey", "--input", str(path), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["counterexamples"] == 0 and out["checks"] == checks

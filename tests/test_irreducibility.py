@@ -145,7 +145,7 @@ def _singer_cycle(s2):
     matrix is a similitude of a 2-dimensional symplectic space."""
     ctx = s2.field.ctx
     q = s2.field.order
-    ident = linalg.identity(s2.field, 2)
+    ident = linalg.identity(2)
     primes = [p for p in range(2, q * q) if (q * q - 1) % p == 0
               and all(p % d for d in range(2, p))]
     for b, c in product(range(q), range(1, q)):
@@ -193,7 +193,7 @@ def _corpus():
         s = SympSpace.standard(spec, n)
         out.append(("transvection", group(s, [random_transvection(s, rng)])))
         c = rng.randrange(1, spec.order)
-        out.append(("scalar", group(s, [SqMatrix(s, linalg.scalar_mat(spec, n, c))])))
+        out.append(("scalar", group(s, [SqMatrix(s, linalg.scalar_mat(n, c))])))
     # transvections with directions in a proper subspace W: W is invariant
     for spec, n in [(F5, 4), (F4, 4), (F9, 4), (F5, 2), (field_make(3, 1), 6),
                     (field_make(2, 1), 6)] * 8:

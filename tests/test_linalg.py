@@ -72,5 +72,5 @@ def test_mat_poly_horner():
     a = ((1, 2), (3, 4))
     a2 = linalg.mat_mul(spec, a, a)
     want = linalg.mat_add(spec, linalg.mat_add(spec, a2, linalg.mat_scalar(spec, a, 3)),
-                          linalg.scalar_mat(spec, 2, 2))
+                          linalg.scalar_mat(2, 2))
     assert linalg.mat_poly(spec, [2, 3, 1], a) == want

@@ -64,6 +64,14 @@ def test_semidirect_cyclic_refuses_a_composite_modulus():
     assert time.perf_counter() - t0 < 1
 
 
+def test_semidirect_cyclic_by_the_trivial_group_is_cyclic():
+    assert semidirect_cyclic(7, 1).table == cyclic_group(7).table
+    assert semidirect_cyclic(2, 1).table == cyclic_group(2).table
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            semidirect_cyclic(7, n)
+
+
 def test_class_counts():
     # oracle: standard character theory facts
     assert len(S3.classes) == 3
@@ -165,6 +173,24 @@ def test_subgroups_are_interned_per_element_set():
         want = all(h.contains(g.conj(x, a)) for a in h.elements for x in range(g.order))
         assert is_normal(g, h) == want and h.normal == want
     assert sorted(s.order for s in subs if s.normal) == [1, 4, 12, 24]
+
+
+def test_subgroups_of_another_group_object_are_refused():
+    # the same table, another object: h's indices and remembered normality
+    # and induction data refer to the other object, so each call refuses
+    g = symmetric_group(4)
+    other = FiniteGroup(g.table)
+    h = next(s for s in all_subgroups(other) if s.order == 3)
+    k = next(s for s in all_subgroups(g) if s.order == 12)
+    with pytest.raises(NotSubgroup):
+        is_normal(g, h)
+    with pytest.raises(NotSubgroup):
+        induce(g, h, trivial_character(h.group, 3))
+    with pytest.raises(NotSubgroup):
+        mackey.subgroup_of(g, k, mackey.intersect(other, h, h))
+    with pytest.raises(NotSubgroup):
+        mackey.subgroup_of(other, k, h)
+    assert h.normal is None and h.induction is None
 
 
 def test_subgroup_rejects_non_closed():

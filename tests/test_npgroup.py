@@ -108,7 +108,7 @@ def test_f_power_n_is_minus_identity():
     g, _ = build_np_group(fixture_2357())
     spec = g.space.field
     f = g.generators[1]
-    assert (f * f).rows == scalar_mat(spec, 2, spec.ctx.neg(1))
+    assert (f * f).rows == scalar_mat(2, spec.ctx.neg(1))
 
 
 def test_criterion():
@@ -140,7 +140,7 @@ def test_n4_case():
     d, f = g.generators
     f4 = f * f * f * f
     spec = g.space.field
-    assert f4.rows == scalar_mat(spec, 4, spec.ctx.neg(1))
+    assert f4.rows == scalar_mat(4, spec.ctx.neg(1))
     # diagonal entries pairwise distinct
     assert len({d.rows[i][i] for i in range(4)}) == 4
 

@@ -205,7 +205,7 @@ def test_harvest_decides_only_rank_one_candidates(monkeypatch):
     candidates = g.elements().indices_with_trace(g.space.n % g.space.field.ell)
     assert len(hits) <= len(calls) < len(candidates)
     assert all(linalg.rank(g.space.field, linalg.mat_sub(
-        g.space.field, m.rows, linalg.identity(g.space.field, g.space.n))) == 1 for m in calls)
+        g.space.field, m.rows, linalg.identity(g.space.n))) == 1 for m in calls)
 
 
 def test_blocks_not_permuted_by_g_are_refused():

@@ -1,4 +1,5 @@
-"""Verdict checks raise typed errors, never `assert` (stripped by -O)."""
+"""Verdict checks raise typed errors, never `assert` (stripped by -O), and
+no function in sympal keeps a parameter it never reads."""
 
 import ast
 import importlib
@@ -33,6 +34,37 @@ def test_no_assert_statements(name):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)]
     assert lines == [], f"raise AssertionError in sympal/{name}.py at lines {lines}"
+
+
+def _unread_parameters(tree) -> list[str]:
+    """`function(parameter):line` for each parameter of a def that its body
+    never reads; dunder protocol methods take what the protocol passes, so
+    they are exempt."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x]
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{node.name}({p}):{node.lineno}" for p in params if p not in read]
+    return out
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_no_unread_parameters(name):
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"sympal.{name}")))
+    unread = _unread_parameters(tree)
+    assert unread == [], f"parameters never read in sympal/{name}.py: {unread}"
+
+
+def test_unread_parameter_check_sees_a_dead_parameter():
+    tree = ast.parse("def f(spec, n):\n    return [n]\n"
+                     "def g(a, *rest, **kw):\n    return lambda: (a, rest, kw)\n"
+                     "class C:\n    def __eq__(self, other):\n        return True\n")
+    assert _unread_parameters(tree) == ["f(spec):1"]
 
 
 def test_field_make_scan_raises_typed_error(monkeypatch):
