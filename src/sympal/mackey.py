@@ -14,6 +14,21 @@ class functions on it stay tied to the one group object.  Induction is
 the left-coset representative formula; which coset conjugates land in
 which class of the subgroup is counted once per subgroup.
 
+Mackey's formula is checked through two transport matrices per (N, H),
+built once and remembered on N.  Both sides are linear in chi: Res_H
+Ind_N^G chi is L chi and the double-coset sum is R chi, where L and R
+take a vector of values on the classes of N to one on the classes of H.
+Their entries are counts of coset representatives, so they are
+nonnegative integers.  L reads N's induction terms at each class of H.
+R adds, for each gamma in H\\G/N, the induction terms of the meet
+H cap gamma N gamma^-1 inside H, sent to N's class of gamma^-1 x gamma.
+Integer matrices commute with the coordinates of the power basis of
+Q(zeta_n).  So a side's values are the matrix times chi's array of
+coefficients, one row per class.  The array holds Python ints (Fractions
+for a fractional value) in numpy object arrays, which cannot overflow.
+L chi = R chi is therefore exact equality of the Cyc values, and no Cyc
+is built.
+
 Character tables come from Dixon's method: split the simultaneous
 eigenvectors of the class-sum matrices over a prime field F_P with
 P = 1 mod exponent, read the degrees off the orthogonality relation,
@@ -33,6 +48,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from . import linalg
 from .cyclotomic import Cyc, rational, root, zero
@@ -259,6 +276,7 @@ class Subgroup:
         self.group.inv = tuple(pos[parent.inv[x]] for x in elems)
         self.normal: Optional[bool] = None   # remembered by is_normal
         self.induction: Optional[tuple] = None   # by _induction_terms
+        self.transport: dict[Subgroup, tuple] = {}   # by _transport
 
     @property
     def order(self) -> int:
@@ -437,6 +455,7 @@ def _pullback(chi: ClassFunction, k: Subgroup, f: Callable[[int], int]) -> Class
 
 
 def restrict(g: FiniteGroup, h: Subgroup, phi: ClassFunction) -> ClassFunction:
+    _check_parent(g, h)
     if phi.group is not g:
         raise NotSubgroup("class function is not on the parent group")
     return _pullback(phi, h, lambda x: x)
@@ -449,6 +468,8 @@ def coset_reps(g: FiniteGroup, h: Subgroup) -> list[int]:
 
 def double_cosets(g: FiniteGroup, h: Subgroup, n: Subgroup) -> list[int]:
     """Least-index representatives of H\\G/N."""
+    _check_parent(g, h)
+    _check_parent(g, n)
     covered = [False] * g.order
     reps = []
     for r in range(g.order):
@@ -462,16 +483,23 @@ def double_cosets(g: FiniteGroup, h: Subgroup, n: Subgroup) -> list[int]:
 
 
 def conjugate_subgroup(g: FiniteGroup, n: Subgroup, gamma: int) -> Subgroup:
+    _check_parent(g, n)
     return _interned(g, [g.conj(gamma, x) for x in n.elements])
 
 
 def conjugate_classfunction(g: FiniteGroup, n: Subgroup, chi: ClassFunction,
                             gamma: int, target: Subgroup) -> ClassFunction:
     """chi^gamma on target = gamma N gamma^-1: x -> chi(gamma^-1 x gamma)."""
+    _check_parent(g, n)
+    _check_parent(g, target)
+    if chi.group is not n.group:
+        raise NotSubgroup("character is not on the given subgroup")
     return _pullback(chi, target, lambda x: n.index_of[g.conj(g.inv[gamma], x)])
 
 
 def intersect(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
+    _check_parent(g, a)
+    _check_parent(g, b)
     return _interned(g, [x for x in a.elements if b.contains(x)])
 
 
@@ -484,18 +512,46 @@ def subgroup_of(g: FiniteGroup, big: Subgroup, small: Subgroup) -> Subgroup:
 
 def mackey_check(g: FiniteGroup, h: Subgroup, n: Subgroup,
                  chi: ClassFunction) -> bool:
-    """Res_H Ind_N^G chi = sum over H\\G/N of Ind_{H cap gNg^-1}^H Res chi^g."""
-    lhs = restrict(g, h, induce(g, n, chi))
-    acc = None
-    for gamma in double_cosets(g, h, n):
-        # H cap gamma N gamma^-1 as a subgroup of H: index in H -> gamma^-1 x gamma
-        pulled = {i: y for i, x in enumerate(h.elements)
-                  if n.contains(y := g.conj(g.inv[gamma], x))}
-        meet = _interned(h.group, pulled.keys())
-        # chi^gamma(x) = chi(gamma^-1 x gamma) on the meet
-        term = induce(h.group, meet, _pullback(chi, meet, lambda i: n.index_of[pulled[i]]))
-        acc = term if acc is None else acc + term
-    return acc == lhs
+    """Res_H Ind_N^G chi = sum over H\\G/N of Ind_{H cap gNg^-1}^H Res chi^g.
+
+    Both sides are _transport's integer matrices applied to chi's values."""
+    _check_parent(g, h)
+    _check_parent(g, n)
+    if chi.group is not n.group:
+        raise NotSubgroup("character is not on the given subgroup")
+    if any(x.n != chi.cyc_order for x in chi.values):
+        raise InvalidParams("class function values outside Q(zeta_cyc_order)")
+    left, right = _transport(g, h, n)
+    v = np.array([x.reduced() for x in chi.values], dtype=object)
+    return np.array_equal(left.dot(v), right.dot(v))
+
+
+def _transport(g: FiniteGroup, h: Subgroup, n: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """(L, R): integer matrices from the classes of n.group to those of
+    h.group, with Res_H Ind_N^G chi = L chi and the Mackey sum = R chi on
+    chi's class values.  Remembered on n, keyed by h."""
+    pair = n.transport.get(h)
+    if pair is None:
+        kh, kn = len(h.group.classes), len(n.group.classes)
+        left = [[0] * kn for _ in range(kh)]
+        right = [[0] * kn for _ in range(kh)]
+        ind = _induction_terms(g, n)
+        for c, cls in enumerate(h.group.classes):
+            for j, k in ind[g.class_of[h.elements[cls[0]]]]:
+                left[c][j] = k
+        for gamma in double_cosets(g, h, n):
+            # H cap gamma N gamma^-1 as a subgroup of H: index in H -> gamma^-1 x gamma
+            pulled = {i: y for i, x in enumerate(h.elements)
+                      if n.contains(y := g.conj(g.inv[gamma], x))}
+            meet = _interned(h.group, pulled.keys())
+            # chi^gamma at a class of the meet is chi at the class of gamma^-1 x gamma
+            to_n = [n.group.class_of[n.index_of[pulled[meet.elements[cls[0]]]]]
+                    for cls in meet.group.classes]
+            for c, terms in enumerate(_induction_terms(h.group, meet)):
+                for j, k in terms:
+                    right[c][to_n[j]] += k
+        pair = n.transport[h] = (np.array(left, dtype=object), np.array(right, dtype=object))
+    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Exact character theory: tables, induction, Mackey, the propositions."""
 
+import json
+import random
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sympal import mackey
+from sympal.cli import main
 from sympal.cyclotomic import rational
 from sympal.errors import FieldTooLarge, HypothesisFailed, InvalidParams, NotSubgroup
 from sympal.mackey import (
@@ -16,6 +21,8 @@ from sympal.mackey import (
     character_order,
     character_table,
     check_res_nontrivial,
+    conjugate_classfunction,
+    conjugate_subgroup,
     coset_reps,
     cyclic_group,
     dihedral_group,
@@ -23,6 +30,7 @@ from sympal.mackey import (
     from_permutations,
     induce,
     inner_product,
+    intersect,
     is_normal,
     linear_characters,
     mackey_check,
@@ -32,6 +40,7 @@ from sympal.mackey import (
     semidirect_cyclic,
     sl2_3,
     split_p_part,
+    subgroup_of,
     symmetric_group,
     trivial_character,
     trivial_subgroup,
@@ -270,13 +279,145 @@ def test_double_coset_count_for_normal_n():
                 assert len(double_cosets(g, h, n)) == g.order // len(hn)
 
 
-def test_mackey_exhaustive_small():
-    for g in (S3, quaternion_group()):
-        subs = all_subgroups(g)
-        for n in subs:
-            for chi in character_table(n.group, g.exponent):
-                for h in subs:
-                    assert mackey_check(g, h, n, chi)
+def _relabelled(g: FiniteGroup, seed: int) -> FiniteGroup:
+    """g under a seeded relabelling that keeps the identity at 0."""
+    rest = list(range(1, g.order))
+    random.Random(seed).shuffle(rest)
+    pi = [0] + rest
+    table = [[0] * g.order for _ in range(g.order)]
+    for a, row in enumerate(g.table):
+        for b, c in enumerate(row):
+            table[pi[a]][pi[b]] = pi[c]
+    return FiniteGroup(table)
+
+
+def _mackey_sides(g, h, n, chi) -> tuple[ClassFunction, ClassFunction]:
+    """Both sides of Mackey's formula on H, through the public induce and
+    restrict: Res_H Ind_N^G chi, and the sum over H\\G/N of
+    Ind_{H cap gamma N gamma^-1}^H chi^gamma."""
+    lhs = restrict(g, h, induce(g, n, chi))
+    rhs = None
+    for gamma in double_cosets(g, h, n):
+        meet = intersect(g, h, conjugate_subgroup(g, n, gamma))
+        conj = conjugate_classfunction(g, n, chi, gamma, target=meet)
+        # the meet inside h.group lists the same elements in the same order
+        # (h.elements is sorted), so its table and classes are meet's
+        meet_in_h = subgroup_of(g, h, meet)
+        assert meet_in_h.group.table == meet.group.table
+        term = induce(h.group, meet_in_h,
+                      ClassFunction(meet_in_h.group, conj.cyc_order, conj.values))
+        rhs = term if rhs is None else rhs + term
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("build", [
+    lambda: symmetric_group(3), lambda: symmetric_group(4), lambda: dihedral_group(4),
+    quaternion_group, sl2_3, lambda: semidirect_cyclic(7, 3),
+    lambda: _relabelled(symmetric_group(4), 3),
+], ids=["S3", "S4", "D4", "Q8", "SL2(3)", "7:3", "S4-relabelled"])
+def test_mackey_check_agrees_with_the_induce_oracle(build):
+    g = build()
+    subs = all_subgroups(g)
+    for n in subs:
+        for chi in character_table(n.group, g.exponent):
+            v = np.array([x.reduced() for x in chi.values], dtype=object)
+            for h in subs:
+                lhs, rhs = _mackey_sides(g, h, n, chi)
+                assert mackey_check(g, h, n, chi) == (lhs == rhs) is True
+                left, right = mackey._transport(g, h, n)
+                assert left.dot(v).tolist() == [list(x.reduced()) for x in lhs.values]
+                assert right.dot(v).tolist() == [list(x.reduced()) for x in rhs.values]
+
+
+def test_mackey_check_is_exact_on_rational_values():
+    # a class function with a fractional value: the transport matrices act
+    # on Fractions as exactly as on ints
+    g = symmetric_group(3)
+    subs = all_subgroups(g)
+    n = next(s for s in subs if s.order == 3)
+    half = ClassFunction(n.group, 6, tuple(rational(6, Fraction(c, 2)) for c in (1, 3, 5)))
+    for h in subs:
+        lhs, rhs = _mackey_sides(g, h, n, half)
+        assert mackey_check(g, h, n, half) == (lhs == rhs) is True
+
+
+def _drop_last_double_coset(monkeypatch):
+    """Corrupt R: Mackey's sum loses its last double coset.  coset_reps
+    passes the trivial subgroup as H, and is left whole, so the induction
+    data behind L stay right; with H trivial nothing is dropped."""
+    real = mackey.double_cosets
+    monkeypatch.setattr(mackey, "double_cosets",
+                        lambda g, h, n: real(g, h, n)[:-1] if h.order > 1 else real(g, h, n))
+
+
+def test_mackey_check_fails_without_its_last_double_coset(monkeypatch):
+    g = symmetric_group(3)   # a fresh group: R is remembered on its subgroups
+    _drop_last_double_coset(monkeypatch)
+    subs = all_subgroups(g)
+    for n in subs:
+        for chi in character_table(n.group, g.exponent):
+            # the dropped term has degree (H : meet) chi(1) > 0
+            assert [mackey_check(g, h, n, chi) for h in subs] == [h.order == 1 for h in subs]
+
+
+def test_mackey_sweep_reports_the_dropped_double_coset(monkeypatch, tmp_path, capsys):
+    _drop_last_double_coset(monkeypatch)
+    doc = tmp_path / "s3.json"
+    doc.write_text(json.dumps({"group": {"permutations": [[1, 0, 2], [1, 2, 0]]},
+                               "sweep": "mackey"}))
+    assert main(["mackey", "--input", str(doc), "--json"]) == 5
+    out = json.loads(capsys.readouterr().out)
+    # 78 checks, 13 of them (one per character of a subgroup) with H trivial
+    assert (out["checks"], out["counterexamples"]) == (78, 65)
+
+
+def test_restrict_refuses_a_subgroup_of_a_relabelled_copy():
+    # before the parent check this read h's indices in S4's table and
+    # returned (3, -1, 1, 0) for the degree-3 character
+    g = symmetric_group(4)
+    h = next(s for s in all_subgroups(_relabelled(g, 1)) if s.elements == (0, 5, 9, 21))
+    phi = next(c for c in character_table(g) if c.degree == 3)
+    with pytest.raises(NotSubgroup):
+        restrict(g, h, phi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, k, x: restrict(g, x, trivial_character(g, 12)),
+    lambda g, k, x: intersect(g, k, x),
+    lambda g, k, x: intersect(g, x, k),
+    lambda g, k, x: coset_reps(g, x),
+    lambda g, k, x: double_cosets(g, k, x),
+    lambda g, k, x: double_cosets(g, x, k),
+    lambda g, k, x: conjugate_subgroup(g, x, 1),
+    lambda g, k, x: conjugate_classfunction(g, x, trivial_character(x.group, 12), 1, target=k),
+    lambda g, k, x: conjugate_classfunction(g, k, trivial_character(k.group, 12), 1, target=x),
+    lambda g, k, x: mackey_check(g, k, x, trivial_character(x.group, 12)),
+    lambda g, k, x: mackey_check(g, x, k, trivial_character(k.group, 12)),
+], ids=["restrict", "intersect-a", "intersect-b", "coset_reps", "double_cosets-h",
+        "double_cosets-n", "conjugate_subgroup", "conjugate_classfunction-n",
+        "conjugate_classfunction-target", "mackey_check-n", "mackey_check-h"])
+def test_subgroup_of_another_group_object_is_refused(call):
+    # x has the same table and elements as k, but another parent object
+    g = symmetric_group(4)
+    k = next(s for s in all_subgroups(g) if s.order == 4)
+    x = next(s for s in all_subgroups(FiniteGroup(g.table)) if s.elements == k.elements)
+    with pytest.raises(NotSubgroup):
+        call(g, k, x)
+
+
+def test_mackey_check_refuses_a_character_off_n():
+    g = symmetric_group(4)
+    subs = all_subgroups(g)
+    n = next(s for s in subs if s.order == 12)
+    h = next(s for s in subs if s.order == 8)
+    for chi in (trivial_character(h.group, 12), trivial_character(g, 12),
+                trivial_character(FiniteGroup(n.group.table), 12)):
+        with pytest.raises(NotSubgroup):
+            mackey_check(g, h, n, chi)
+    mixed = ClassFunction(n.group, 12, (rational(12, 1), rational(6, 1))
+                          + tuple(rational(12, 1) for _ in n.group.classes[2:]))
+    with pytest.raises(InvalidParams):
+        mackey_check(g, h, n, mixed)
 
 
 def test_coset_reps_cover():
