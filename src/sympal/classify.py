@@ -16,7 +16,10 @@ permutes the blocks iff M is block-monomial (one nonzero m x m block per
 block row and column), the fixed blocks' diagonal traces must sum to
 trace(A), and the stabilizer of the first block is where M's (0, 0)
 block is nonzero.  This replaces transforming every block by every
-element, one subspace echelon form and linear solve at a time.
+element, one subspace echelon form and linear solve at a time.  The
+result is two views over arrays, the stabilizer's keys and its (0, 0)
+blocks, so its memory grows with those arrays and a stabilizer element
+or block matrix costs a decode only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from .errors import (
 from .ffield import FieldSpec
 from .groupkit import (
     DEFAULT_CAP,
+    ElementSet,
     MatrixGroup,
+    MatSequence,
     group_order,   # unused here; perfbench/tracing.py patches this namespace
     harvest_transvections,
     is_irreducible,
@@ -223,9 +228,19 @@ def is_huge(g: MatrixGroup, cap: int = DEFAULT_CAP) -> bool:
 
 @dataclass(frozen=True)
 class InducedExtraction:
-    stabilizer: tuple[SqMatrix, ...]          # all elements of the block-1 stabilizer
+    """The stabilizer of the first block S_1, its index (the block count),
+    and each stabilizer element's m x m matrix on S_1 in S_1's basis.
+
+    Both sequences are views over arrays, in element order:
+    `stabilizer` over the stabilizer's sorted keys, `block_action` over a
+    (|stabilizer|, m, m) index array.  Their memory is those arrays, and
+    an element or matrix is decoded only when it is read; length and `in`
+    decode nothing.  Each view equals the tuple of its items.
+    """
+
+    stabilizer: ElementSet
     index: int
-    block_action: tuple[Mat, ...]             # m x m matrices of stabilizer elements on S_1
+    block_action: MatSequence
 
 
 def sandwich_map(spec: FieldSpec, left: Mat, right: Mat) -> np.ndarray:
@@ -261,7 +276,9 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
     * A stabilizes the first block iff M's (0, 0) block is nonzero, and
       that block is A's matrix on it in the block's basis.
 
-    Finally the stabilizer's index must equal the block count.
+    Finally the stabilizer's index must equal the block count.  The
+    result holds the stabilizer's keys and the (0, 0) blocks as arrays
+    (see InducedExtraction); no element or matrix object is built.
     """
     space = g.space
     n, m, h = space.n, verdict.block_dim, len(verdict.blocks)
@@ -295,8 +312,8 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
     stab = np.concatenate(stab)
     if len(stab) * verdict.block_count != len(elems):
         raise WitnessCheckFailed("stabilizer index does not equal block count")
-    block_action = tuple(tuple(map(tuple, x)) for x in np.concatenate(action).tolist())
-    return InducedExtraction(tuple(elems.at(stab)), verdict.block_count, block_action)
+    return InducedExtraction(elems.subset(stab), verdict.block_count,
+                             MatSequence(np.concatenate(action)))
 
 
 def serialize_verdict(v: Classification) -> dict:

@@ -10,9 +10,21 @@ The digit layer of `_Fq` is the one home of this encoding for array code:
 multiplication is F_ell-bilinear on digits, given by `mul_tensor` (the
 digits of x^a·x^b, built from the modulus alone), and `digit_array`,
 `index_array`, `mul_matrix` and `product_digits` serve the closure kernel,
-the transvection harvest, extract_induction and the power table.  Scalar
-`mul`, `inv` and `pow`, and `discrete_log`, go through the exp/log tables,
-which are built from the digit layer by doubling.
+the transvection harvest, extract_induction and the power table.
+
+Scalar arithmetic in an extension field is table lookups on logarithms,
+with no digit tuple in sight.  `exp_log` builds, from the digit layer,
+exp[k] = g^k (by doubling), log = its inverse, and the Zech logarithms
+Z[k] = log(1 + g^k), with -1 where 1 + g^k = 0.  Then
+
+    a·b = g^(log a + log b),   a + b = g^(log a + Z[log b - log a]),
+
+-a = g^(log a + (q-1)/2) in odd characteristic and -a = a in
+characteristic 2, and a - b = a + (-b); `mul`, `inv`, `pow` and
+`discrete_log` read the same tables.  They are `array('q')` words, so a
+scalar lookup returns a Python int without boxing a numpy scalar; array
+code takes zero-copy numpy views of them.  Prime fields use Python's
+integer arithmetic mod ell.
 
 The modulus of a field is canonical: the lexicographically least monic
 irreducible polynomial of the right degree, coefficient tuples compared
@@ -22,6 +34,7 @@ arguments therefore return the identical spec object.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -323,8 +336,8 @@ class _Fq:
         self.mul_tensor = _mul_tensor(spec.ell, spec.modulus)
         self._gen: int | None = None
         self._tables = None
-        self._exp = None
-        self._log = None
+        self._exp_log = None
+        self._zech = None
 
     # -- digit <-> index --
 
@@ -364,17 +377,31 @@ class _Fq:
         return outer @ self.mul_tensor.reshape(self.r * self.r, self.r) % self.ell
 
     # -- scalar arithmetic on indices --
+    #
+    # In an extension field every operand is a log in [0, q-1), so a sum
+    # or difference of two logs lies in (-(q-1), 2(q-1)), and an array of
+    # length q-1 indexed at it (or at it minus q-1) wraps negative indices
+    # once: the reduction mod q-1 costs nothing.
 
     def add(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a + b) % self.ell
-        da, db = self.digits(a), self.digits(b)
-        return self.encode((x + y) % self.ell for x, y in zip(da, db))
+        if not a:
+            return b
+        if not b:
+            return a
+        exp, log = self.exp_log()
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return exp[la + z - len(exp)] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.r == 1:
             return (-a) % self.ell
-        return self.encode((-x) % self.ell for x in self.digits(a))
+        if not a or self.ell == 2:
+            return a
+        exp, log = self.exp_log()
+        return exp[log[a] - len(exp) // 2]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -385,7 +412,7 @@ class _Fq:
         if a == 0 or b == 0:
             return 0
         exp, log = self.exp_log()
-        return int(exp[(int(log[a]) + int(log[b])) % (self.q - 1)])
+        return exp[log[a] + log[b] - len(exp)]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -393,7 +420,7 @@ class _Fq:
         if self.r == 1:
             return pow(a, -1, self.ell)
         exp, log = self.exp_log()
-        return int(exp[(-int(log[a])) % (self.q - 1)])
+        return exp[-log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -405,7 +432,7 @@ class _Fq:
         if self.r == 1:
             return pow(a, e, self.ell)
         exp, log = self.exp_log()
-        return int(exp[int(log[a]) * e % (self.q - 1)])
+        return exp[log[a] * e % len(exp)]
 
     def _raw_mul(self, a: int, b: int) -> int:
         """One digit product, used before exp/log tables exist."""
@@ -433,12 +460,18 @@ class _Fq:
         return result
 
     def exp_log(self):
-        """Power and logarithm tables for the canonical generator.
+        """Power and logarithm tables for the canonical generator g, as
+        `array('q')` words: exp[k] = g^k for k < q-1, log[exp[k]] = k and
+        log[0] = -1.  The first call also builds the Zech table `_zech`.
 
-        Built by doubling: with g^0, ..., g^(k-1) known, the next k powers
-        are those times g^k, one digit-matrix product.
+        Powers are built by doubling: with g^0, ..., g^(k-1) known, the
+        next k powers are those times g^k, one digit-matrix product.  1 + x
+        differs from x only in the constant digit, so Z = log[1 + exp] is
+        one pass over exp.  Each table is checked exactly: exp must be a
+        permutation of 1..q-1 with g^(q-1) = 1, and the entries of Z other
+        than the one -1 (the k with g^k = -1) a permutation of 1..q-2.
         """
-        if self._exp is None:
+        if self._exp_log is None:
             g = self.generator()
             n = self.q - 1
             exp = np.ones(1, dtype=np.int64)
@@ -452,8 +485,12 @@ class _Fq:
                 raise WitnessCheckFailed("generator powers repeat")
             log = np.full(self.q, -1, dtype=np.int64)
             log[exp] = np.arange(n)
-            self._exp, self._log = exp, log
-        return self._exp, self._log
+            zech = log[exp - exp % self.ell + (exp + 1) % self.ell]
+            if not np.array_equal(np.sort(zech), np.concatenate(([-1], np.arange(1, n)))):
+                raise WitnessCheckFailed("Zech logarithms are not a permutation")
+            self._zech = array("q", zech.tobytes())
+            self._exp_log = array("q", exp.tobytes()), array("q", log.tobytes())
+        return self._exp_log
 
     def tables(self):
         """Dense (q,q) add/mul tables plus neg/inv arrays."""
@@ -465,7 +502,7 @@ class _Fq:
             digs = self.digit_array(np.arange(q))
             add = self.index_array((digs[:, None] + digs[None, :]) % self.ell)
             neg = self.index_array(-digs % self.ell)
-            exp, log = self.exp_log()
+            exp, log = (np.frombuffer(t, dtype=np.int64) for t in self.exp_log())
             mul = np.zeros((q, q), dtype=np.int64)
             mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
             inv = np.zeros(q, dtype=np.int64)

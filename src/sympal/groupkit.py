@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import random
 import zipfile
@@ -506,8 +507,21 @@ def _closure_keys(table: _RowTable, cap: int) -> np.ndarray:
 # element sets
 # ---------------------------------------------------------------------------
 
+def _same_items(seq: Sequence, other) -> bool:
+    """Sequence equality of a view with any non-string sequence: the same
+    length and equal items in the same order."""
+    if not isinstance(other, Sequence) or isinstance(other, str):
+        return NotImplemented
+    return len(seq) == len(other) and all(x == y for x, y in zip(seq, other))
+
+
 class ElementSet(Sequence):
-    """The enumerated elements of a group, decoded lazily from sorted keys."""
+    """The enumerated elements of a group, decoded lazily from sorted keys.
+
+    Length and `in` read the keys alone; indexing and iteration decode
+    (iteration ARRAY_CHUNK keys at a time).  A view equals any sequence
+    with the same elements in the same order, like a tuple of them.
+    """
 
     def __init__(self, space: SympSpace, table: _RowTable, keys: np.ndarray):
         self.space = space
@@ -526,9 +540,16 @@ class ElementSet(Sequence):
             for m in self._table.mats(self._keys[lo:lo + ARRAY_CHUNK]):
                 yield SqMatrix(self.space, m)
 
-    def at(self, positions: np.ndarray) -> list[SqMatrix]:
-        """The elements at the positions, decoded in one call."""
-        return [SqMatrix(self.space, m) for m in self._table.mats(self._keys[positions])]
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ElementSet) and other._table is self._table:
+            return np.array_equal(self._keys, other._keys)
+        return _same_items(self, other)
+
+    __hash__ = None
+
+    def subset(self, positions: np.ndarray) -> "ElementSet":
+        """The elements at the increasing positions, as a view over their keys."""
+        return ElementSet(self.space, self._table, self._keys[positions])
 
     def entry_chunks(self, positions: Optional[np.ndarray] = None
                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -559,6 +580,42 @@ class ElementSet(Sequence):
             acc = acc + ctx.digit_array(table.entries[:, i])[col]
         hit = np.all(acc % ctx.ell == ctx.digit_array(t), axis=1)
         return np.nonzero(hit)[0]
+
+
+class MatSequence(Sequence):
+    """A read-only sequence of m x m `Mat`s over a (C, m, m) array of field
+    element indices; each matrix is decoded when it is read.  `in` compares
+    against the array without decoding.  Like ElementSet, it equals any
+    sequence with the same matrices in the same order."""
+
+    def __init__(self, mats: np.ndarray):
+        self._mats = mats
+
+    def __len__(self) -> int:
+        return len(self._mats)
+
+    def __getitem__(self, i: int) -> Mat:
+        return tuple(map(tuple, self._mats[operator.index(i)].tolist()))
+
+    def __iter__(self) -> Iterator[Mat]:
+        for lo in range(0, len(self), ARRAY_CHUNK):
+            for m in self._mats[lo:lo + ARRAY_CHUNK].tolist():
+                yield tuple(map(tuple, m))
+
+    def __contains__(self, m) -> bool:
+        try:
+            probe = np.array(m, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return (probe.shape == self._mats.shape[1:]
+                and bool(np.any(np.all(self._mats == probe, axis=(1, 2)))))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MatSequence):
+            return np.array_equal(self._mats, other._mats)
+        return _same_items(self, other)
+
+    __hash__ = None
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +751,7 @@ def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
         survivors.append(pos[rank_one])
     out = []
     if survivors:
-        for m in elems.at(np.concatenate(survivors)):
+        for m in elems.subset(np.concatenate(survivors)):
             verdict = detect_transvection(m)
             if verdict.kind is TransvectionKind.NONTRIVIAL:
                 out.append((m, verdict.data))

@@ -356,11 +356,21 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """Values (one Cyc per conjugacy class) on a FiniteGroup."""
+    """Values (one Cyc per conjugacy class) on a FiniteGroup.
+
+    InvalidParams unless there is one value per class and each is a Cyc
+    of order cyc_order, so every function on class functions can line up
+    their values and coefficients."""
 
     group: FiniteGroup
     cyc_order: int
     values: tuple[Cyc, ...]
+
+    def __post_init__(self):
+        if len(self.values) != len(self.group.classes):
+            raise InvalidParams(f"{len(self.values)} values for {len(self.group.classes)} classes")
+        if not all(isinstance(x, Cyc) and x.n == self.cyc_order for x in self.values):
+            raise InvalidParams("class function values outside Q(zeta_cyc_order)")
 
     def at(self, element: int) -> Cyc:
         return self.values[self.group.class_of[element]]
@@ -519,8 +529,6 @@ def mackey_check(g: FiniteGroup, h: Subgroup, n: Subgroup,
     _check_parent(g, n)
     if chi.group is not n.group:
         raise NotSubgroup("character is not on the given subgroup")
-    if any(x.n != chi.cyc_order for x in chi.values):
-        raise InvalidParams("class function values outside Q(zeta_cyc_order)")
     left, right = _transport(g, h, n)
     v = np.array([x.reduced() for x in chi.values], dtype=object)
     return np.array_equal(left.dot(v), right.dot(v))

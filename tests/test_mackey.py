@@ -414,10 +414,38 @@ def test_mackey_check_refuses_a_character_off_n():
                 trivial_character(FiniteGroup(n.group.table), 12)):
         with pytest.raises(NotSubgroup):
             mackey_check(g, h, n, chi)
-    mixed = ClassFunction(n.group, 12, (rational(12, 1), rational(6, 1))
-                          + tuple(rational(12, 1) for _ in n.group.classes[2:]))
     with pytest.raises(InvalidParams):
+        mixed = ClassFunction(n.group, 12, (rational(12, 1), rational(6, 1))
+                              + tuple(rational(12, 1) for _ in n.group.classes[2:]))
         mackey_check(g, h, n, mixed)
+
+
+# A class function with the wrong number of values, or with a value outside
+# Q(zeta_cyc_order), is refused where it is made, so induce and restrict
+# never index past its values or add Cyc numbers of different orders.
+
+def test_induce_refuses_malformed_class_functions():
+    a3 = a3_of_s3()
+    with pytest.raises(InvalidParams):
+        induce(S3, a3, ClassFunction(a3.group, 6, (rational(6, 1), rational(3, 1), rational(6, 1))))
+    with pytest.raises(InvalidParams):
+        induce(S3, a3, ClassFunction(a3.group, 6, (rational(6, 1),)))
+
+
+def test_restrict_refuses_malformed_class_functions():
+    with pytest.raises(InvalidParams):
+        restrict(S3, a3_of_s3(), ClassFunction(S3, 6, (rational(6, 1),)))
+    with pytest.raises(InvalidParams):
+        restrict(S3, a3_of_s3(), ClassFunction(S3, 6, (1, 1, 1)))
+
+
+def test_mackey_check_refuses_a_class_function_of_the_wrong_length():
+    g = symmetric_group(4)
+    subs = all_subgroups(g)
+    n = next(s for s in subs if s.order == 12)
+    h = next(s for s in subs if s.order == 8)
+    with pytest.raises(InvalidParams):
+        mackey_check(g, h, n, ClassFunction(n.group, 12, (rational(12, 1),) * (len(n.group.classes) + 1)))
 
 
 def test_coset_reps_cover():

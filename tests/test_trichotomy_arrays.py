@@ -11,13 +11,14 @@ import random
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
 import pytest
 
 from sympal import groupkit, linalg
 from sympal.classify import Induced, InducedExtraction, classify, extract_induction
 from sympal.errors import WitnessCheckFailed
 from sympal.ffield import FieldElement, field_make, mult_generator, subfield_embed
-from sympal.groupkit import DEFAULT_CAP, group, harvest_transvections
+from sympal.groupkit import DEFAULT_CAP, MatSequence, group, harvest_transvections
 from sympal.linalg import Mat
 from sympal.symplectic import (
     SqMatrix,
@@ -232,3 +233,51 @@ def test_blocks_that_do_not_span_are_refused():
         extract_induction(g, forged)
     with pytest.raises(WitnessCheckFailed, match="tile"):
         extract_induction(g, dataclasses.replace(v, blocks=v.blocks[:1]))
+
+
+@pytest.mark.parametrize("name", ["induced", "induced-conj-1"])
+def test_extraction_views_read_like_the_reference_tuples(name):
+    g, v = case(name)
+    got, want = extract_induction(g, v), reference_extraction(name)
+    stab, action = got.stabilizer, got.block_action
+    # the same items in the same order, by iteration and by index
+    assert len(stab) == len(want.stabilizer) and len(action) == len(want.block_action)
+    assert tuple(stab) == want.stabilizer and tuple(action) == want.block_action
+    for i in (0, 1, len(stab) // 2, len(stab) - 1):
+        assert stab[i] == want.stabilizer[i] and action[i] == want.block_action[i]
+    for i in (-1, -2, -len(stab)):
+        assert stab[i] == want.stabilizer[i] and action[i] == want.block_action[i]
+    for view in (stab, action):
+        with pytest.raises(IndexError):
+            view[len(view)]
+        with pytest.raises(IndexError):
+            view[-len(view) - 1]
+    assert set(action) == set(want.block_action)
+    # membership: every stabilizer element and block matrix is in, and an
+    # element of G outside the stabilizer, or a matrix that acts on no block, is not
+    members = set(want.stabilizer)
+    outside = next(m for m in g.elements() if m not in members)
+    assert all(m in stab for m in want.stabilizer[::97])
+    assert outside not in stab and outside.rows not in stab
+    assert all(a in action for a in want.block_action[::97])
+    zero_block = tuple((0,) * v.block_dim for _ in range(v.block_dim))
+    assert zero_block not in action and ((1, 2, 3),) not in action and "block" not in action
+
+
+def test_two_extractions_of_one_input_are_equal():
+    g, v = case("induced")
+    first, second = extract_induction(g, v), extract_induction(g, v)
+    assert first == second
+    assert first.stabilizer == second.stabilizer and first.block_action == second.block_action
+    # equal to a view over another enumeration of the same group, item by item
+    other = group(g.space, g.generators)
+    assert extract_induction(other, v) == first
+    # and not to a shorter sequence or a reordered one
+    assert first.stabilizer != tuple(first.stabilizer)[1:]
+    assert first.block_action != tuple(reversed(first.block_action))
+    # views over the same table or array shape with other keys or entries differ
+    elems = g.elements()
+    assert first.stabilizer != elems
+    assert first.stabilizer != elems.subset(np.arange(len(first.stabilizer)))
+    zeros = np.zeros((len(first.block_action), v.block_dim, v.block_dim), dtype=np.int64)
+    assert first.block_action != MatSequence(zeros)
