@@ -152,7 +152,7 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
         return Reducible(w)
 
     h_gens = _dedupe_directions(harvested)
-    h = MatrixGroup(g.space, tuple(h_gens))
+    h = g.subgroup(h_gens, cap)
     h_red = is_irreducible(h)
     if h_red.irreducible:
         d = _match_sp_order(h, cap)

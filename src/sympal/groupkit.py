@@ -1,5 +1,6 @@
 """Finitely generated matrix groups: closure enumeration, orders,
-transvection harvesting, normal closures, spinning, and irreducibility.
+subgroups, transvection harvesting, normal closures, spinning, and
+irreducibility.
 
 One closure kernel serves every field and size.  Its unit is a key: a
 fixed number of small non-negative integers (slots) packed into 64-bit
@@ -24,6 +25,14 @@ words, sorted by the last slot first (`_Packing`).
   is built, and past the cap CapExceeded carries it.  Within the cap each
   element is built exactly once, as a product of transversal elements,
   and one sort lists the keys in increasing reversed-entry-tuple order.
+* Subgroups: every row of an element of a subgroup is a row of the group,
+  so `MatrixGroup.subgroup` builds the subgroup's chain on the group's row
+  table from its generators' row-image tables, with no row search of its
+  own.  `_StabilizerChain.extend` sifts one more element: a residue of 1
+  means it is already a member, and otherwise the residue joins the chain
+  by incremental Schreier-Sims (Seress 2003, ch. 4).  So `normal_closure`
+  composes each conjugate a^-1·s·a from row-image tables and sifts it: no
+  element is built, and a closure past the cap has its exact order.
 
 Irreducibility of the natural module needs no enumeration at all: Norton's
 test (`is_irreducible`) spins a few vectors chosen from the kernels of
@@ -40,13 +49,12 @@ import os
 import random
 import zipfile
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import CapExceeded, WitnessCheckFailed, exact_int
+from .errors import CapExceeded, InvalidParams, WitnessCheckFailed, exact_int
 from .ffield import FieldSpec, poly_factors
 from .linalg import Mat, Vec
 from .symplectic import (
@@ -56,6 +64,7 @@ from .symplectic import (
     TransvectionData,
     TransvectionKind,
     detect_transvection,
+    identity_mat,
     is_similitude,
     standard_gram,
 )
@@ -168,13 +177,12 @@ class _RowTable:
         spec, n = space.field, space.n
         self.spec = spec
         self.row_pack = _Packing(n, max((spec.order - 1).bit_length(), 1))
-        maps = [_digit_map(spec, g) for g in gens]
-        steps = [lambda keys, m=m: self._row_times(keys, m) for m in maps]
+        steps = [lambda keys, m=_digit_map(spec, g): self._row_times(keys, m) for g in gens]
         ident = linalg.identity(n)
         self.row_keys = _reach(np.sort(self.row_pack.from_slots(ident)), steps, n * cap)
         self.entries = np.stack(self.row_pack.decode(self.row_keys), axis=1).astype(np.int64)
         self.pack = _Packing(n, max((len(self.row_keys) - 1).bit_length(), 1))
-        self.images = [self._image(m) for m in maps]
+        self.images = [self.image_of(g) for g in gens]
         self.identity = self.key_of(ident)
 
     def _row_times(self, keys: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -183,23 +191,19 @@ class _RowTable:
         y = x.reshape(len(keys), -1) @ m % ctx.ell
         return self.row_pack.encode(list(ctx.index_array(y.reshape(x.shape)).T))
 
-    def _image(self, m: np.ndarray) -> np.ndarray:
-        """The row-image table of the element with digit map m, which must
-        map every row of the table to a row of the table."""
-        keys = self._row_times(self.row_keys, m)
+    def image_of(self, m: Mat) -> np.ndarray:
+        """The row-image table of the matrix m, which must map every row of
+        the table to a row of the table (as every element of a group whose
+        rows these are does)."""
+        keys = self._row_times(self.row_keys, _digit_map(self.spec, m))
         image = np.searchsorted(self.row_keys, keys)
         if not np.array_equal(self.row_keys[np.minimum(image, len(keys) - 1)], keys):
             raise WitnessCheckFailed("an element maps a reached row out of the row table")
         return image
 
-    def image_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The row-image table of the element whose rows have these numbers."""
-        m = tuple(map(tuple, self.entries[rows].tolist()))
-        return self._image(_digit_map(self.spec, m))
-
-    @cached_property
-    def chain(self) -> "_StabilizerChain":
-        return _StabilizerChain(self)
+    def mat(self, rows: np.ndarray) -> Mat:
+        """The matrix whose rows have these numbers."""
+        return tuple(map(tuple, self.entries[rows].tolist()))
 
     def times(self, cols: Sequence[np.ndarray], image: np.ndarray) -> np.ndarray:
         """Keys of the decoded elements times the generator with this row-image table."""
@@ -221,15 +225,15 @@ class _RowTable:
     def mats(self, keys: np.ndarray) -> list[Mat]:
         return [tuple(map(tuple, m)) for m in self.entry_array(keys).tolist()]
 
-    def is_closure(self, keys) -> bool:
+    def is_closure(self, keys, order: int) -> bool:
         """Whether a key array read from disk is the closure over this
         table: of this table's key dtype, 1-D, strictly increasing, every
         key canonical, holding the identity and closed under one step by
         each generator.  Such an array holds every product of generators,
-        so it contains G; its length must also be |G| from the stabilizer
-        chain, and then it is G."""
+        so it contains G; its length must also be |G| = order, from the
+        stabilizer chain, and then it is G."""
         if not (isinstance(keys, np.ndarray) and keys.dtype == self.pack.dtype
-                and keys.ndim == 1 and len(keys) == self.chain.order):
+                and keys.ndim == 1 and len(keys) == order):
             return False
         if not (np.array_equal(np.sort(keys), keys) and np.all(keys[1:] != keys[:-1])):
             return False
@@ -273,10 +277,11 @@ class _StabilizerChain:
     generator.  Strong generators, tree shortcuts and their inverses are
     rows of one table (`perms`; the inverse of id k is k ^ 1), so a batch
     of elements is stripped by gathers; a new row of it is the only field
-    arithmetic (`_RowTable.image_of_rows`).
+    arithmetic (`_RowTable.image_of`).  The generators come as row-image
+    tables (`images`), so a subgroup's chain lives on its group's table.
     """
 
-    def __init__(self, table: _RowTable):
+    def __init__(self, table: _RowTable, images: Sequence[np.ndarray]):
         self.table = table
         degree = len(table.row_keys)
         # row numbers as int32 halve the memory traffic of the gathers
@@ -285,7 +290,7 @@ class _StabilizerChain:
         self.perms = np.empty((8, degree), dtype=rowtype)
         self._count = 0
         self.levels = [_Level(b, self.base, degree) for b in self.base]
-        for image in table.images:
+        for image in images:
             self._add_generator(image, 0)
         for lev in self.levels:
             self._grow(lev)
@@ -294,6 +299,21 @@ class _StabilizerChain:
     @property
     def order(self) -> int:
         return math.prod(len(lev.orbit) for lev in self.levels)
+
+    def extend(self, perm: np.ndarray) -> bool:
+        """Add the element with row-image table perm to the group; False if
+        it is already in it.  The element is sifted; a nontrivial residue
+        joins the generators of the levels down to the first whose point
+        it moves, those orbits grow, and Schreier-Sims runs again, sifting
+        only the Schreier generators not yet tested (Seress 2003, ch. 4)."""
+        x = perm[self.base][None, :].astype(self.perms.dtype)
+        if self._sift(x, 0)[0] == len(self.levels):
+            return False
+        j = self._add_generator(self.table.image_of(self.table.mat(x[0])), 0)
+        for lev in self.levels[:j + 1]:
+            self._grow(lev)
+        self._schreier_sims()
+        return True
 
     def _store(self, perm: np.ndarray) -> int:
         """Add perm and its inverse to the table; the id of perm."""
@@ -336,7 +356,7 @@ class _StabilizerChain:
             deepest = old + int(np.argmax(lev.depth[old:]))
             if lev.depth[deepest] <= 2 * len(lev.orbit).bit_length():
                 break
-            k = self._store(self.table.image_of_rows(lev.rows[deepest]))
+            k = self._store(self.table.image_of(self.table.mat(lev.rows[deepest])))
             lev.shortcuts.append(k)
             fresh += [k, k ^ 1]
             lev.where[lev.orbit[old:]] = -1
@@ -427,7 +447,7 @@ class _StabilizerChain:
                 continue
             residues = x[~passed]
             least = residues[np.lexsort(residues.T)[0]]
-            j = self._add_generator(self.table.image_of_rows(least), i + 1)
+            j = self._add_generator(self.table.image_of(self.table.mat(least)), i + 1)
             if j == n:
                 raise WitnessCheckFailed("a sifting residue fixes every base point")
             for grown in self.levels[i + 1:j + 1]:
@@ -488,19 +508,6 @@ class _StabilizerChain:
         if np.any(keys[1:] == keys[:-1]):
             raise WitnessCheckFailed("two products of transversal elements are equal")
         return keys
-
-
-def _order_past_cap(order: int, cap: int) -> str:
-    return f"the group order {order} is past the enumeration cap {cap}"
-
-
-def _closure_keys(table: _RowTable, cap: int) -> np.ndarray:
-    """Sorted keys of the closure of the generators (with identity);
-    CapExceeded with the exact order, before any element is built, if it
-    is past the cap."""
-    if table.chain.order > cap:
-        raise CapExceeded(table.chain.order, _order_past_cap(table.chain.order, cap))
-    return table.chain.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +636,9 @@ class MatrixGroup:
     space: SympSpace
     generators: tuple[SqMatrix, ...]
     cache: Optional[ElementSet] = field(default=None, init=False, compare=False)
-    _order: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+    # the row table the chain lives on; a subgroup's is its group's
+    _table: Optional[_RowTable] = field(default=None, init=False, compare=False)
+    _chain: Optional[_StabilizerChain] = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -646,14 +655,32 @@ class MatrixGroup:
         self.cache = closure_enumerate(self, cap)
         return self.cache
 
+    def chain(self, cap: int = DEFAULT_CAP) -> _StabilizerChain:
+        """The group's stabilizer chain, built on first use.  Only a row
+        search is bounded: more than n·cap rows raise CapExceeded.  A cap
+        below 1 raises InvalidParams."""
+        if cap < 1:
+            raise InvalidParams(f"cap must be at least 1, not {cap}")
+        if self._chain is None:
+            if self._table is None:
+                self._table = _RowTable(self.space, [m.rows for m in self.generators], cap)
+                images = self._table.images
+            else:
+                images = [self._table.image_of(m.rows) for m in self.generators]
+            self._chain = _StabilizerChain(self._table, images)
+        return self._chain
+
     def order(self, cap: int = DEFAULT_CAP) -> int:
-        """|G| from a stabilizer chain, with no element built.  Only the
-        row search is bounded: more than n·cap rows raise CapExceeded."""
-        if self.cache is not None:
-            return len(self.cache)
-        if self._order is None:
-            self._order = _RowTable(self.space, [m.rows for m in self.generators], cap).chain.order
-        return self._order
+        """|G| from the stabilizer chain, with no element built."""
+        return self.chain(cap).order
+
+    def subgroup(self, gens: Sequence[SqMatrix], cap: int = DEFAULT_CAP) -> "MatrixGroup":
+        """The subgroup generated by gens, elements of this group.  Its
+        chain, built on first use, lives on this group's row table: no row
+        search of its own."""
+        h = MatrixGroup(self.space, tuple(gens))
+        h._table = self.chain(cap).table
+        return h
 
 
 def group(space: SympSpace, generators) -> MatrixGroup:
@@ -675,13 +702,14 @@ def _cache_path(space: SympSpace, gens) -> Optional[str]:
     return os.path.join(root, f"closure-{digest}.npy")
 
 
-def _load_closure(path: str, table: _RowTable) -> Optional[np.ndarray]:
-    """The cached keys at path, or None if missing, unreadable or not a closure."""
+def _load_closure(path: str, table: _RowTable, order: int) -> Optional[np.ndarray]:
+    """The cached keys at path, or None if missing, unreadable or not a
+    closure of this order."""
     try:
         keys = np.load(path)
     except (OSError, ValueError, EOFError, zipfile.BadZipFile):
         return None
-    return keys if table.is_closure(keys) else None
+    return keys if table.is_closure(keys, order) else None
 
 
 def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
@@ -689,25 +717,24 @@ def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
 
     Deterministic: elements are listed in increasing reversed-entry-tuple
     order.  Raises CapExceeded past the cap, with the group's order from
-    the stabilizer chain, or with the count of rows when more than n·cap
-    rows are reached first.  A cache file that fails
-    `_RowTable.is_closure` is recomputed and overwritten.
+    the stabilizer chain, before any element is built, or with the count
+    of rows when more than n·cap rows are reached first.  A cache file
+    that fails `_RowTable.is_closure` is recomputed and overwritten.
     """
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    table = _RowTable(g.space, [m.rows for m in g.generators], cap)
+    chain = g.chain(cap)
+    if chain.order > cap:
+        raise CapExceeded(chain.order, f"the group order {chain.order} is past "
+                                       f"the enumeration cap {cap}")
     path = _cache_path(g.space, g.generators)
-    keys = _load_closure(path, table) if path else None
+    keys = _load_closure(path, chain.table, chain.order) if path else None
     if keys is None:
-        keys = _closure_keys(table, cap)
+        keys = chain.keys()
         if path:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             tmp = path + f".tmp{os.getpid()}.npy"   # np.save insists on the suffix
             np.save(tmp, keys)
             os.replace(tmp, path)
-    elif len(keys) > cap:
-        raise CapExceeded(len(keys), _order_past_cap(len(keys), cap))
-    return ElementSet(g.space, table, keys)
+    return ElementSet(g.space, chain.table, keys)
 
 
 def group_order(g: MatrixGroup, cap: int = DEFAULT_CAP) -> int:
@@ -760,27 +787,24 @@ def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
 
 def normal_closure(g: MatrixGroup, seeds: Sequence[SqMatrix],
                    cap: int = DEFAULT_CAP) -> MatrixGroup:
-    """Smallest subgroup containing the seeds and stable under conjugation
-    by the generators of g."""
-    gen_list = [s for s in seeds if not s.is_identity()]
-    if not gen_list:
-        from .symplectic import identity_mat
-        triv = MatrixGroup(g.space, (identity_mat(g.space),))
-        triv.elements(cap)
-        return triv
-    conjugators = [(a, a.inv()) for a in g.generators]
-    while True:
-        k = MatrixGroup(g.space, tuple(gen_list))
-        elems = k.elements(cap)
-        grown = False
-        for s in list(gen_list):
-            for a, a_inv in conjugators:
-                c = a * s * a_inv
-                if c not in elems:
-                    gen_list.append(c)
-                    grown = True
-        if not grown:
-            return k
+    """The smallest subgroup of g containing the seeds (elements of g) and
+    stable under conjugation by g's generators.  Each conjugate a^-1·s·a of
+    a generator s is composed from row-image tables and sifted; one that
+    grows the group joins the generators.  No element is built, so only
+    g's row search is bounded by the cap."""
+    k = g.subgroup([s for s in seeds if not s.is_identity()] or [identity_mat(g.space)], cap)
+    chain = k.chain(cap)
+    conjugators = [(a, np.argsort(a)) for a in (chain.table.image_of(a.rows)
+                                                for a in g.generators)]
+    work = [chain.table.image_of(s.rows) for s in k.generators]
+    while work:
+        s = work.pop()
+        for a, a_inv in conjugators:
+            c = a[s[a_inv]]
+            if chain.extend(c):
+                work.append(c)
+                k.generators += (SqMatrix(g.space, chain.table.mat(c[chain.base])),)
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -30,22 +30,27 @@ from .symplectic import SqMatrix, SympSpace
 
 @dataclass(frozen=True)
 class NpParams:
+    """Construction parameters, checked when built (InvalidParams)."""
+
     n: int
     q: int
     p: int
     ell: int
-    ext_degree: int   # multiplicative order of ell mod p
+
+    def __post_init__(self):
+        _validate(self)
+
+    @property
+    def ext_degree(self) -> int:
+        """The multiplicative order of ell mod p, the degree of the field."""
+        return multiplicative_order(self.ell, self.p)
 
     def field(self) -> FieldSpec:
         return field_make(self.ell, self.ext_degree)
 
 
 def np_params(n: int, q: int, p: int, ell: int) -> NpParams:
-    if ell in (p, q) or ell == 2:
-        raise InvalidParams("ell must be an odd prime different from p and q")
-    params = NpParams(n, q, p, ell, multiplicative_order(ell, p))
-    _validate(params)
-    return params
+    return NpParams(n, q, p, ell)
 
 
 def _validate(params: NpParams):
@@ -62,8 +67,6 @@ def _validate(params: NpParams):
         raise InvalidParams("need p != q and the order of q mod p equal to n")
     if ell in (p, q) or ell == 2:
         raise InvalidParams("ell must be an odd prime different from p and q")
-    if params.ext_degree != multiplicative_order(ell, p):
-        raise InvalidParams("ext_degree must be the order of ell mod p")
 
 
 def find_np_primes(n: int, q_max: int) -> list[tuple[int, int]]:
@@ -99,7 +102,6 @@ class ChiQ:
 
 
 def build_chi(params: NpParams) -> ChiQ:
-    _validate(params)
     spec = params.field()
     ctx = spec.ctx
     g = mult_generator(spec).index

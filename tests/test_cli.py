@@ -316,6 +316,11 @@ NP = ["np-group", "--n", "2", "--q", "5", "--p", "3", "--ell", "7"]
     (["mackey", "--input", "c9"], 1, "error: malformed sweep document: 9 is not prime"),
     (["mackey", "--input", "nogroup"], 1, "error: malformed sweep document: "),
     (["mackey", "--input", "nonsense"], 1, "error: "),
+    # InvalidParams: a p that is not prime, a cap below 1
+    (["np-group", "--n", "2", "--q", "5", "--p", "0", "--ell", "7"], 2, "precondition failed: "),
+    (["np-group", "--n", "2", "--q", "5", "--p", "6", "--ell", "3"], 2, "precondition failed: "),
+    (["classify", "--input", "huge", "--cap", "0"], 2, "precondition failed: cap must be"),
+    (NP + ["--classify", "--cap", "0"], 2, "precondition failed: cap must be"),
 ])
 def test_exit_code_table(tmp_path, capsys, argv, code, prefix):
     paths = _write_docs(tmp_path)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sympal import groupkit, linalg
-from sympal.errors import CapExceeded
+from sympal.errors import CapExceeded, InvalidParams
 from sympal.ffield import field_make, mult_generator
 from sympal.npgroup import build_chi, build_np_group, np_params
 from sympal.groupkit import (
@@ -334,8 +334,18 @@ def test_cap_exceeded_from_row_bound(monkeypatch):
     def no_element_bfs(*args):
         raise AssertionError("element BFS ran")
 
-    monkeypatch.setattr(groupkit, "_closure_keys", no_element_bfs)
+    monkeypatch.setattr(groupkit._StabilizerChain, "keys", no_element_bfs)
     _, g = sp2_f5()   # 24 rows reachable: more than 2 * 5
     with pytest.raises(CapExceeded) as exc:
         closure_enumerate(g, 5)
     assert exc.value.count > 5
+
+
+def test_cap_below_one_is_refused():
+    _, g = sp2_f5()
+    for refuse in (g.order, g.elements, lambda cap: closure_enumerate(g, cap)):
+        with pytest.raises(InvalidParams):
+            refuse(0)
+    assert g.order() == 120
+    with pytest.raises(InvalidParams):   # also once the chain is built
+        g.order(0)

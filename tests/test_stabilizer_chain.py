@@ -1,9 +1,12 @@
-"""The stabilizer-chain closure against the element breadth-first search.
+"""The stabilizer-chain closure against the element breadth-first search,
+and normal closures by sifting against the enumerating normal closure.
 
 `reference_keys` is the earlier closure kernel, a breadth-first search over
 element keys, kept here as the oracle: the chain's transversal products
 must give the same sorted key array, and the same CapExceeded verdict at
-the edge of the cap.
+the edge of the cap.  `enumerating_normal_closure` is the earlier normal
+closure, which enumerated its subgroup every round; `normal_closure` must
+give the same group wherever that one fits under the cap.
 """
 
 import random
@@ -16,9 +19,23 @@ from sympal import groupkit
 from sympal.classify import Huge, classify
 from sympal.errors import CapExceeded, WitnessCheckFailed
 from sympal.ffield import FieldElement, field_make, mult_generator, subfield_embed
-from sympal.groupkit import DEFAULT_CAP, closure_enumerate, group, sp_order
+from sympal.groupkit import (
+    DEFAULT_CAP,
+    MatrixGroup,
+    closure_enumerate,
+    group,
+    normal_closure,
+    sp_order,
+)
 from sympal.npgroup import build_chi, build_np_group, np_params
-from sympal.symplectic import SympSpace, SqMatrix, make_transvection, mat, random_similitude
+from sympal.symplectic import (
+    SympSpace,
+    SqMatrix,
+    identity_mat,
+    make_transvection,
+    mat,
+    random_similitude,
+)
 
 F5 = field_make(5, 1)
 F25 = field_make(5, 2)
@@ -33,6 +50,15 @@ def reference_keys(table, cap):
 
 def table_of(g, cap=DEFAULT_CAP):
     return groupkit._RowTable(g.space, [m.rows for m in g.generators], cap)
+
+
+def search_keys(g, cap):
+    return reference_keys(table_of(g, cap), cap)
+
+
+def chain_keys(g, cap):
+    """closure_enumerate's keys, on a fresh group with g's generators."""
+    return closure_enumerate(group(g.space, g.generators), cap)._keys
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +122,12 @@ CASES = ([f"{n}{c}" for n in ("reducible", "induced", "huge-f5", "huge-f25")
 
 @pytest.mark.parametrize("name", CASES)
 def test_chain_keys_equal_the_search(name):
-    table = table_of(build(name))
-    want = reference_keys(table, DEFAULT_CAP)
-    got = groupkit._closure_keys(table, DEFAULT_CAP)
+    g = build(name)
+    got = closure_enumerate(g, DEFAULT_CAP)._keys
+    want = reference_keys(g.chain().table, DEFAULT_CAP)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-    assert table.chain.order == len(want)
+    assert g.chain().order == len(want)
 
 
 def test_chain_keys_equal_the_search_on_the_irreducibility_corpus():
@@ -111,9 +137,9 @@ def test_chain_keys_equal_the_search_on_the_irreducibility_corpus():
     refused = 0
     for name, g in CORPUS:
         verdicts = []
-        for closure in (reference_keys, groupkit._closure_keys):
+        for closure in (search_keys, chain_keys):
             try:
-                verdicts.append(closure(table_of(g, cap), cap))
+                verdicts.append(closure(g, cap))
             except CapExceeded:
                 verdicts.append(None)
         want, got = verdicts
@@ -129,12 +155,12 @@ def test_chain_keys_equal_the_search_on_the_irreducibility_corpus():
                                   "one-transvection"])
 def test_same_cap_verdict_as_the_search(name):
     g = build(name)
-    order = len(reference_keys(table_of(g), DEFAULT_CAP))
+    order = len(search_keys(g, DEFAULT_CAP))
     for cap in (order, order - 1):
         verdicts = []
-        for closure in (reference_keys, groupkit._closure_keys):
+        for closure in (search_keys, chain_keys):
             try:
-                verdicts.append(len(closure(table_of(g, cap), cap)))
+                verdicts.append(len(closure(g, cap)))
             except CapExceeded as exc:
                 assert exc.count > cap
                 verdicts.append("refused")
@@ -160,13 +186,23 @@ def test_order_builds_no_element(monkeypatch):
 
 def test_huge_verdict_enumerates_only_g(monkeypatch):
     calls = []
-    inner = groupkit._closure_keys
-    monkeypatch.setattr(groupkit, "_closure_keys",
-                        lambda table, cap: calls.append(cap) or inner(table, cap))
+    inner = groupkit._StabilizerChain.keys
+    monkeypatch.setattr(groupkit._StabilizerChain, "keys",
+                        lambda chain: calls.append(chain) or inner(chain))
     verdict = classify(build("huge-f25@2"))
     assert isinstance(verdict, Huge)
     assert verdict.transvection_subgroup_order == sp_order(2, 25)
     assert len(calls) == 1
+
+
+def test_huge_verdict_searches_rows_once(monkeypatch):
+    # H's chain lives on G's row table
+    tables = []
+    inner = groupkit._RowTable.__init__
+    monkeypatch.setattr(groupkit._RowTable, "__init__",
+                        lambda table, *args: tables.append(table) or inner(table, *args))
+    assert isinstance(classify(build("huge-f25@1")), Huge)
+    assert len(tables) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +240,125 @@ def test_sp4_f17_refused_on_order(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_forged_orbit_is_refused():
-    table = table_of(build("huge-f5@1"))
-    lev = table.chain.levels[0]
+    g = build("huge-f5@1")
+    lev = g.chain().levels[0]
     # the last orbit point gets the tree edge of another non-root point,
     # so two cosets share a transversal element
     j, k = 1, len(lev.orbit) - 1
     lev.parent[k], lev.label[k], lev.depth[k] = lev.parent[j], lev.label[j], lev.depth[j]
     with pytest.raises(WitnessCheckFailed):
-        groupkit._closure_keys(table, DEFAULT_CAP)
+        closure_enumerate(g, DEFAULT_CAP)
+
+
+# ---------------------------------------------------------------------------
+# normal closures by sifting
+# ---------------------------------------------------------------------------
+
+def enumerating_normal_closure(g, seeds, cap=DEFAULT_CAP):
+    """The earlier normal closure: enumerate the group of the generators so
+    far, add each conjugate a·s·a^-1 that is not an element, and repeat
+    until none is added."""
+    gen_list = [s for s in seeds if not s.is_identity()]
+    if not gen_list:
+        triv = MatrixGroup(g.space, (identity_mat(g.space),))
+        triv.elements(cap)
+        return triv
+    conjugators = [(a, a.inv()) for a in g.generators]
+    while True:
+        k = MatrixGroup(g.space, tuple(gen_list))
+        elems = k.elements(cap)
+        grown = False
+        for s in list(gen_list):
+            for a, a_inv in conjugators:
+                c = a * s * a_inv
+                if c not in elems:
+                    gen_list.append(c)
+                    grown = True
+        if not grown:
+            return k
+
+
+CRITERION_3 = [f"{n}{c}" for n in ("reducible", "induced", "huge-f5", "huge-f25")
+               for c in ("", "@1", "@2", "@3")]
+
+
+@pytest.mark.parametrize("name", CRITERION_3 + ["identity"])
+def test_normal_closure_equals_the_enumerating_one(name):
+    g = build("induced@1" if name == "identity" else name)
+    # every fixture's first generator is a transvection
+    seeds = [identity_mat(g.space)] if name == "identity" else [g.generators[0]]
+    want = enumerating_normal_closure(g, seeds)
+    got = normal_closure(g, seeds)
+    assert got.order() == len(want.elements())
+    assert got.elements() == want.elements()
+
+
+def seeded_transvections(ell, n, count, seed):
+    s = SympSpace.standard(field_make(ell, 1), n)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        v = tuple(rng.randrange(ell) for _ in range(n))
+        if any(v):
+            out.append(make_transvection(s, v, rng.randrange(1, ell)))
+    return out
+
+
+def _sp4_f11():
+    return group(SympSpace.standard(field_make(11, 1), 4), seeded_transvections(11, 4, 6, 1))
+
+
+def _wreath_f101():
+    return group(SympSpace.standard(field_make(101, 1), 4),
+                 _induced_gens(SympSpace.standard(field_make(101, 1), 4)))
+
+
+@pytest.mark.parametrize("build_g, order, closure_order", [
+    (_sp4_f11, sp_order(4, 11), 25_721_308_800),
+    (_wreath_f101, 2 * sp_order(2, 101) ** 2, 1_061_312_040_000),
+], ids=["sp4-f11", "wreath-f101"])
+def test_normal_closure_past_the_cap(monkeypatch, build_g, order, closure_order):
+    def no_elements(self):
+        raise AssertionError("elements were built")
+
+    monkeypatch.setattr(groupkit._StabilizerChain, "keys", no_elements)
+    g = build_g()
+    start = time.perf_counter()
+    k = normal_closure(g, [g.generators[0]])
+    assert time.perf_counter() - start < 5
+    assert g.order() == order
+    assert k.order() == closure_order > DEFAULT_CAP
+    with pytest.raises(CapExceeded) as exc:
+        k.elements()
+    assert exc.value.count == closure_order
+
+
+@pytest.mark.parametrize("name", ["huge-f5@1", "huge-f25@2", "induced@3", "wreath-f25"])
+def test_extending_by_each_generator_gives_the_bulk_chain(name):
+    g = build(name)
+    chain = g.subgroup(g.generators[:1]).chain()
+    for m in g.generators[1:]:
+        chain.extend(chain.table.image_of(m.rows))
+    assert chain.order == g.order()
+    assert np.array_equal(chain.keys(), g.chain().keys())
+
+
+def test_extend_is_a_membership_test():
+    g = build("induced")
+    k = normal_closure(g, [g.generators[0]])
+    chain = k.chain()
+    assert chain.order == sp_order(2, 5) ** 2 == 14_400
+    # every element sifts to 1: the rows of k's elements, in batches
+    keys = k.elements()._keys
+    n = len(chain.levels)
+    for lo in range(0, len(keys), 4096):
+        rows = np.stack(chain.table.pack.decode(keys[lo:lo + 4096]), axis=1)
+        assert np.all(chain._sift(rows.astype(chain.perms.dtype), 0) == n)
+    # and extend refuses them, leaving the order as it was
+    for m in list(k.elements())[::97] + list(k.generators):
+        assert not chain.extend(chain.table.image_of(m.rows))
+    assert chain.order == 14_400
+    swap = g.generators[-1]
+    assert chain.extend(chain.table.image_of(swap.rows))
+    assert chain.order == 28_800 == g.order()
+    assert not chain.extend(chain.table.image_of(swap.rows))
