@@ -171,7 +171,7 @@ def _digit_map(spec: FieldSpec, g: Mat) -> np.ndarray:
 
 
 class _RowTable:
-    """The rows of <gens>, numbered, with one row-image table per generator."""
+    """The rows of <gens>, numbered."""
 
     def __init__(self, space: SympSpace, gens: Sequence[Mat], cap: int):
         spec, n = space.field, space.n
@@ -182,7 +182,6 @@ class _RowTable:
         self.row_keys = _reach(np.sort(self.row_pack.from_slots(ident)), steps, n * cap)
         self.entries = np.stack(self.row_pack.decode(self.row_keys), axis=1).astype(np.int64)
         self.pack = _Packing(n, max((len(self.row_keys) - 1).bit_length(), 1))
-        self.images = [self.image_of(g) for g in gens]
         self.identity = self.key_of(ident)
 
     def _row_times(self, keys: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -225,25 +224,6 @@ class _RowTable:
     def mats(self, keys: np.ndarray) -> list[Mat]:
         return [tuple(map(tuple, m)) for m in self.entry_array(keys).tolist()]
 
-    def is_closure(self, keys, order: int) -> bool:
-        """Whether a key array read from disk is the closure over this
-        table: of this table's key dtype, 1-D, strictly increasing, every
-        key canonical, holding the identity and closed under one step by
-        each generator.  Such an array holds every product of generators,
-        so it contains G; its length must also be |G| = order, from the
-        stabilizer chain, and then it is G."""
-        if not (isinstance(keys, np.ndarray) and keys.dtype == self.pack.dtype
-                and keys.ndim == 1 and len(keys) == order):
-            return False
-        if not (np.array_equal(np.sort(keys), keys) and np.all(keys[1:] != keys[:-1])):
-            return False
-        cols = self.pack.decode(keys)
-        if any(np.any(col >= len(self.row_keys)) for col in cols) \
-                or not np.array_equal(self.pack.encode(cols), keys):
-            return False
-        return bool(_in_sorted(keys, self.identity)[0]) and all(
-            np.all(_in_sorted(keys, self.times(cols, image))) for image in self.images)
-
 
 class _Level:
     """One level of a stabilizer chain: the strong generators that fix the
@@ -278,11 +258,13 @@ class _StabilizerChain:
     rows of one table (`perms`; the inverse of id k is k ^ 1), so a batch
     of elements is stripped by gathers; a new row of it is the only field
     arithmetic (`_RowTable.image_of`).  The generators come as row-image
-    tables (`images`), so a subgroup's chain lives on its group's table.
+    tables (`images`, which `extend` adds to), so a subgroup's chain lives
+    on its group's table.
     """
 
     def __init__(self, table: _RowTable, images: Sequence[np.ndarray]):
         self.table = table
+        self.images = list(images)
         degree = len(table.row_keys)
         # row numbers as int32 halve the memory traffic of the gathers
         rowtype = np.int32 if degree < 2**31 else np.int64
@@ -300,6 +282,26 @@ class _StabilizerChain:
     def order(self) -> int:
         return math.prod(len(lev.orbit) for lev in self.levels)
 
+    def is_closure(self, keys) -> bool:
+        """Whether a key array read from disk is the closure over this
+        chain's table: of the table's key dtype, 1-D, strictly increasing,
+        every key canonical, holding the identity and closed under one step
+        by each of the chain's generators (`images`).  Such an array holds
+        every product of generators, so it contains G; its length must also
+        be |G|, and then it is G."""
+        table = self.table
+        if not (isinstance(keys, np.ndarray) and keys.dtype == table.pack.dtype
+                and keys.ndim == 1 and len(keys) == self.order):
+            return False
+        if not (np.array_equal(np.sort(keys), keys) and np.all(keys[1:] != keys[:-1])):
+            return False
+        cols = table.pack.decode(keys)
+        if any(np.any(col >= len(table.row_keys)) for col in cols) \
+                or not np.array_equal(table.pack.encode(cols), keys):
+            return False
+        return bool(_in_sorted(keys, table.identity)[0]) and all(
+            np.all(_in_sorted(keys, table.times(cols, image))) for image in self.images)
+
     def extend(self, perm: np.ndarray) -> bool:
         """Add the element with row-image table perm to the group; False if
         it is already in it.  The element is sifted; a nontrivial residue
@@ -313,6 +315,7 @@ class _StabilizerChain:
         for lev in self.levels[:j + 1]:
             self._grow(lev)
         self._schreier_sims()
+        self.images.append(perm)
         return True
 
     def _store(self, perm: np.ndarray) -> int:
@@ -664,10 +667,8 @@ class MatrixGroup:
         if self._chain is None:
             if self._table is None:
                 self._table = _RowTable(self.space, [m.rows for m in self.generators], cap)
-                images = self._table.images
-            else:
-                images = [self._table.image_of(m.rows) for m in self.generators]
-            self._chain = _StabilizerChain(self._table, images)
+            self._chain = _StabilizerChain(
+                self._table, [self._table.image_of(m.rows) for m in self.generators])
         return self._chain
 
     def order(self, cap: int = DEFAULT_CAP) -> int:
@@ -687,7 +688,7 @@ def group(space: SympSpace, generators) -> MatrixGroup:
     return MatrixGroup(space, tuple(generators))
 
 
-def _cache_path(space: SympSpace, gens) -> Optional[str]:
+def _cache_path(space: SympSpace, gens, table: _RowTable) -> Optional[str]:
     root = os.environ.get("SYMPAL_CACHE_DIR")
     if not root:
         return None
@@ -697,19 +698,21 @@ def _cache_path(space: SympSpace, gens) -> Optional[str]:
         "n": space.n,
         "gram": [list(r) for r in space.gram],
         "generators": [[list(r) for r in g.rows] for g in gens],
+        # the keys number these rows; a subgroup's are its group's
+        "rows": hashlib.sha256(table.row_keys.tobytes()).hexdigest(),
     }
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     return os.path.join(root, f"closure-{digest}.npy")
 
 
-def _load_closure(path: str, table: _RowTable, order: int) -> Optional[np.ndarray]:
-    """The cached keys at path, or None if missing, unreadable or not a
-    closure of this order."""
+def _load_closure(path: str, chain: _StabilizerChain) -> Optional[np.ndarray]:
+    """The cached keys at path, or None if missing, unreadable or not the
+    chain's group."""
     try:
         keys = np.load(path)
     except (OSError, ValueError, EOFError, zipfile.BadZipFile):
         return None
-    return keys if table.is_closure(keys, order) else None
+    return keys if chain.is_closure(keys) else None
 
 
 def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
@@ -719,14 +722,14 @@ def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     order.  Raises CapExceeded past the cap, with the group's order from
     the stabilizer chain, before any element is built, or with the count
     of rows when more than n·cap rows are reached first.  A cache file
-    that fails `_RowTable.is_closure` is recomputed and overwritten.
+    that fails `_StabilizerChain.is_closure` is recomputed and overwritten.
     """
     chain = g.chain(cap)
     if chain.order > cap:
         raise CapExceeded(chain.order, f"the group order {chain.order} is past "
                                        f"the enumeration cap {cap}")
-    path = _cache_path(g.space, g.generators)
-    keys = _load_closure(path, chain.table, chain.order) if path else None
+    path = _cache_path(g.space, g.generators, chain.table)
+    keys = _load_closure(path, chain) if path else None
     if keys is None:
         keys = chain.keys()
         if path:

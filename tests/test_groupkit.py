@@ -251,7 +251,8 @@ def test_row_images_match_mat_vec(build):
     table = groupkit._RowTable(s, gens, 10**6)
     rows = [tuple(r) for r in table.entries.tolist()]
     assert rows == sorted(rows, key=lambda r: r[::-1])
-    for gen, image in zip(gens, table.images):
+    for gen in gens:
+        image = table.image_of(gen)
         cols = linalg.transpose(gen)   # row·g = g^T row
         assert [rows[i] for i in image] == [linalg.mat_vec(s.field, cols, r) for r in rows]
 
@@ -331,14 +332,14 @@ def test_multiword_cache_round_trip(tmp_path, monkeypatch):
 
 
 def test_cap_exceeded_from_row_bound(monkeypatch):
-    def no_element_bfs(*args):
-        raise AssertionError("element BFS ran")
+    def no_chain(*args):
+        raise AssertionError("a stabilizer chain was built")
 
-    monkeypatch.setattr(groupkit._StabilizerChain, "keys", no_element_bfs)
+    monkeypatch.setattr(groupkit._StabilizerChain, "__init__", no_chain)
     _, g = sp2_f5()   # 24 rows reachable: more than 2 * 5
     with pytest.raises(CapExceeded) as exc:
         closure_enumerate(g, 5)
-    assert exc.value.count > 5
+    assert exc.value.count == 12   # rows reached, not the order 120
 
 
 def test_cap_below_one_is_refused():

@@ -41,19 +41,19 @@ F5 = field_make(5, 1)
 F25 = field_make(5, 2)
 
 
-def reference_keys(table, cap):
-    """Sorted keys of the closure, one breadth-first level at a time."""
+def reference_keys(table, images, cap):
+    """Sorted keys of the closure under the generators with these row-image
+    tables, one breadth-first level at a time."""
     steps = [lambda keys, image=image: table.times(table.pack.decode(keys), image)
-             for image in table.images]
+             for image in images]
     return groupkit._reach(table.identity, steps, cap)
 
 
-def table_of(g, cap=DEFAULT_CAP):
-    return groupkit._RowTable(g.space, [m.rows for m in g.generators], cap)
-
-
 def search_keys(g, cap):
-    return reference_keys(table_of(g, cap), cap)
+    """reference_keys on a fresh row table of g's generators."""
+    gens = [m.rows for m in g.generators]
+    table = groupkit._RowTable(g.space, gens, cap)
+    return reference_keys(table, [table.image_of(m) for m in gens], cap)
 
 
 def chain_keys(g, cap):
@@ -124,7 +124,7 @@ CASES = ([f"{n}{c}" for n in ("reducible", "induced", "huge-f5", "huge-f25")
 def test_chain_keys_equal_the_search(name):
     g = build(name)
     got = closure_enumerate(g, DEFAULT_CAP)._keys
-    want = reference_keys(g.chain().table, DEFAULT_CAP)
+    want = reference_keys(g.chain().table, g.chain().images, DEFAULT_CAP)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert g.chain().order == len(want)
@@ -331,6 +331,58 @@ def test_normal_closure_past_the_cap(monkeypatch, build_g, order, closure_order)
     with pytest.raises(CapExceeded) as exc:
         k.elements()
     assert exc.value.count == closure_order
+
+
+def test_subgroup_cache_files_load(tmp_path, monkeypatch):
+    """A subgroup's keys number the rows of its group's table, which are
+    more than its own: its cache file must load again, and a standalone
+    group with the same generators must keep a file of its own."""
+    monkeypatch.setenv("SYMPAL_CACHE_DIR", str(tmp_path))
+    g = build("huge-f5")
+    t = g.generators[:1]
+
+    def closures():
+        return [closure_enumerate(k) for k in
+                (g.subgroup(t), group(g.space, t), normal_closure(g, t))]
+
+    first = closures()
+    assert [len(e) for e in first] == [5, 5, 120]
+    assert len(list(tmp_path.glob("closure-*.npy"))) == 3
+
+    def no_keys(self):
+        raise AssertionError("a cached closure was recomputed")
+
+    monkeypatch.setattr(groupkit._StabilizerChain, "keys", no_keys)
+    assert closures() == first
+
+
+def test_forged_normal_closure_file_is_recomputed(tmp_path, monkeypatch):
+    """A file of the right size that holds the identity and is closed
+    under the seed alone is not the normal closure: the check also steps
+    by each conjugate that grew it."""
+    monkeypatch.setenv("SYMPAL_CACHE_DIR", str(tmp_path))
+    g = build("induced")
+    seeds = g.generators[:1]
+    k = normal_closure(g, seeds)
+    want = closure_enumerate(k)._keys
+    table = k.chain().table
+    t = table.image_of(seeds[0].rows)
+
+    def coset(key):   # key·<t>, t of order 5
+        out = [np.atleast_1d(key)]
+        for _ in range(4):
+            out.append(table.times(table.pack.decode(out[-1]), t))
+        return np.concatenate(out)
+
+    x = np.setdiff1d(want, coset(table.identity))[0]
+    y = np.setdiff1d(g.elements()._keys, want)[0]
+    forged = np.union1d(np.setdiff1d(want, coset(x)), coset(y))
+    assert len(forged) == len(want)
+    assert np.all(np.isin(table.times(table.pack.decode(forged), t), forged))
+    path = groupkit._cache_path(g.space, k.generators, table)
+    assert path in map(str, tmp_path.glob("closure-*.npy"))
+    np.save(path, forged)
+    assert np.array_equal(closure_enumerate(normal_closure(g, seeds))._keys, want)
 
 
 @pytest.mark.parametrize("name", ["huge-f5@1", "huge-f25@2", "induced@3", "wreath-f25"])
