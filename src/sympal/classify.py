@@ -1,12 +1,19 @@
 """The transvection trichotomy: reducible / induced / huge.
 
 The classifier mirrors the structure of the underlying proof: test
-reducibility of G first; otherwise form H = <transvections of G> and
-either recognize it (irreducible case, order matching against
-|Sp_n(ell^d)|) or build the orthogonal block decomposition from an
-irreducible H-submodule and the generator orbit of its conjugates.
-Witnesses are verified, never trusted: a failed witness check signals an
-enumeration bug, not a mathematical possibility.
+reducibility of G first; otherwise take the transvection subgroup
+H = <transvections of G> and either recognize it (irreducible case, order
+matching against |Sp_n(ell^d)|) or build the orthogonal block
+decomposition from an irreducible H-submodule and the generator orbit of
+its conjugates.  Witnesses are verified, never trusted: a failed witness
+check signals an enumeration bug, not a mathematical possibility.
+
+H is not built from all the transvections.  In characteristic ell >= 5
+an irreducible group generated by transvections is Sp_n(F_{ell^d})
+(McLaughlin 1967), which is quasisimple, so the normal closure
+N = <T^G> of one transvection T decides the same way, and
+`groupkit.normal_closure` finds it by sifting conjugates into a
+stabilizer chain (see `classify` for the argument).
 
 The induced case is proved on the whole enumerated group by
 `extract_induction`, as array passes over the element keys: each element
@@ -46,12 +53,12 @@ from .groupkit import (
     group_order,   # unused here; perfbench/tracing.py patches this namespace
     harvest_transvections,
     is_irreducible,
+    normal_closure,
     sp_order,
     spin,
 )
 from .linalg import Mat
 from .symplectic import (
-    SqMatrix,
     Subspace,
     is_nonsingular_subspace,
     is_similitude,
@@ -95,18 +102,6 @@ def _check_preconditions(g: MatrixGroup):
             raise WitnessCheckFailed("generator outside GSp(V)")
 
 
-def _dedupe_directions(transvections) -> list[SqMatrix]:
-    """One transvection per direction line; enough for generation and
-    stabilization questions (T_v[c*lam] is a power of T_v[lam])."""
-    seen = set()
-    out = []
-    for m, data in transvections:
-        if data.direction not in seen:
-            seen.add(data.direction)
-            out.append(m)
-    return out
-
-
 def recognize_sp_over_subfield(h: MatrixGroup, cap: int = DEFAULT_CAP) -> int:
     """The divisor d of the ambient degree with |H| = |Sp_n(ell^d)|.
 
@@ -138,6 +133,23 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
     Case precedence follows the proof order: reducible, then induced,
     then huge.  Requires characteristic >= 5 and a nontrivial transvection
     in G (both checked).
+
+    The transvection subgroup is N = <T^G>, the normal closure of the
+    first harvested transvection T (first in element order), in place of
+    H = <transvections of G>.  It gives the same verdict:
+
+    * Which branch runs.  N lies in H.  If H is reducible, N keeps H's
+      invariant subspace.  If H is irreducible, H is Sp_n(F_{ell^d}), which
+      is quasisimple; N is normal in H and holds the non-central T, so
+      N = H, with the same d and |H|.
+    * Induced blocks.  H is normal in the irreducible G, so V is a
+      semisimple H-module (Clifford).  Let W be the H-spin of T's
+      direction v.  The transvections of H with directions in W act
+      irreducibly on W and generate a quasisimple H_W; N holds the normal
+      closure of T in H_W, which is H_W, so the N-spin of v is W.  The
+      first block, its G-orbit, the block order and `action` are the same.
+    * Which T.  T is the first harvested transvection, which fixes the
+      first block and so the serialized verdict.
     """
     _check_preconditions(g)
     harvested = harvest_transvections(g, cap)
@@ -151,14 +163,11 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
             raise WitnessCheckFailed("invalid reducibility witness")
         return Reducible(w)
 
-    h_gens = _dedupe_directions(harvested)
-    h = g.subgroup(h_gens, cap)
-    h_red = is_irreducible(h)
-    if h_red.irreducible:
-        d = _match_sp_order(h, cap)
-        return Huge(d, h.order(cap))
-
-    return _build_induced(g, h_gens, harvested[0][1].direction)
+    t, data = harvested[0]
+    h = normal_closure(g, [t], cap)
+    if is_irreducible(h).irreducible:
+        return Huge(_match_sp_order(h, cap), h.order(cap))
+    return _build_induced(g, h.generators, data.direction)
 
 
 def _build_induced(g: MatrixGroup, h_gens, seed) -> Induced:

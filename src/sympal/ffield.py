@@ -54,6 +54,7 @@ from .errors import (
 
 FIELD_LIMIT = 10**6        # largest ell^degree we agree to work with
 _TABLE_LIMIT = 1024        # build dense q x q tables below this size
+_POWER_CHUNK = 4096        # powers per digit-matrix product in exp_log
 
 
 def is_prime(n: int) -> bool:
@@ -465,7 +466,8 @@ class _Fq:
         log[0] = -1.  The first call also builds the Zech table `_zech`.
 
         Powers are built by doubling: with g^0, ..., g^(k-1) known, the
-        next k powers are those times g^k, one digit-matrix product.  1 + x
+        next k powers are those times g^k, a digit-matrix product on
+        _POWER_CHUNK powers at a time, so the digit arrays stay small.  1 + x
         differs from x only in the constant digit, so Z = log[1 + exp] is
         one pass over exp.  Each table is checked exactly: exp must be a
         permutation of 1..q-1 with g^(q-1) = 1, and the entries of Z other
@@ -474,11 +476,15 @@ class _Fq:
         if self._exp_log is None:
             g = self.generator()
             n = self.q - 1
-            exp = np.ones(1, dtype=np.int64)
-            while len(exp) < n:
-                step = self.mul_matrix(self._raw_mul(int(exp[-1]), g))
-                more = self.index_array(self.digit_array(exp[:n - len(exp)]) @ step % self.ell)
-                exp = np.concatenate((exp, more))
+            exp = np.empty(n, dtype=np.int64)
+            exp[0] = k = 1
+            while k < n:
+                step = self.mul_matrix(self._raw_mul(int(exp[k - 1]), g))
+                for lo in range(0, min(k, n - k), _POWER_CHUNK):
+                    hi = min(lo + _POWER_CHUNK, k, n - k)
+                    exp[k + lo:k + hi] = self.index_array(
+                        self.digit_array(exp[lo:hi]) @ step % self.ell)
+                k = min(2 * k, n)
             if self._raw_mul(int(exp[-1]), g) != 1:
                 raise WitnessCheckFailed("generator order mismatch")
             if not np.array_equal(np.sort(exp), np.arange(1, self.q)):

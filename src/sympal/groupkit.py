@@ -517,6 +517,15 @@ class _StabilizerChain:
 # element sets
 # ---------------------------------------------------------------------------
 
+def _int_array(m) -> Optional[np.ndarray]:
+    """The probe of a view's `in` as an int64 array, or None if it is not
+    a rectangular array of integers (ragged, a string, out of int64)."""
+    try:
+        return np.array(m, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _same_items(seq: Sequence, other) -> bool:
     """Sequence equality of a view with any non-string sequence: the same
     length and equal items in the same order."""
@@ -572,9 +581,14 @@ class ElementSet(Sequence):
             yield pos, self._table.entry_array(self._keys[pos])
 
     def __contains__(self, m) -> bool:
-        if isinstance(m, SqMatrix):
-            m = m.rows
-        key = self._table.key_of(m)
+        """Whether m (a SqMatrix or an n x n array of field element
+        indices) is an element; False for any other probe."""
+        probe = _int_array(m.rows if isinstance(m, SqMatrix) else m)
+        n = self.space.n
+        if probe is None or probe.shape != (n, n) \
+                or not np.all((0 <= probe) & (probe < self.space.field.order)):
+            return False
+        key = self._table.key_of(probe)
         return key is not None and bool(_in_sorted(self._keys, key)[0])
 
     def indices_with_trace(self, t: int) -> np.ndarray:
@@ -613,11 +627,8 @@ class MatSequence(Sequence):
                 yield tuple(map(tuple, m))
 
     def __contains__(self, m) -> bool:
-        try:
-            probe = np.array(m, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            return False
-        return (probe.shape == self._mats.shape[1:]
+        probe = _int_array(m)
+        return (probe is not None and probe.shape == self._mats.shape[1:]
                 and bool(np.any(np.all(self._mats == probe, axis=(1, 2)))))
 
     def __eq__(self, other) -> bool:
@@ -792,14 +803,14 @@ def normal_closure(g: MatrixGroup, seeds: Sequence[SqMatrix],
                    cap: int = DEFAULT_CAP) -> MatrixGroup:
     """The smallest subgroup of g containing the seeds (elements of g) and
     stable under conjugation by g's generators.  Each conjugate a^-1·s·a of
-    a generator s is composed from row-image tables and sifted; one that
-    grows the group joins the generators.  No element is built, so only
-    g's row search is bounded by the cap."""
+    a generator s is composed from the row-image tables the two chains
+    already hold and sifted; one that grows the group joins the
+    generators.  No element is built, so only g's row search is bounded by
+    the cap."""
     k = g.subgroup([s for s in seeds if not s.is_identity()] or [identity_mat(g.space)], cap)
     chain = k.chain(cap)
-    conjugators = [(a, np.argsort(a)) for a in (chain.table.image_of(a.rows)
-                                                for a in g.generators)]
-    work = [chain.table.image_of(s.rows) for s in k.generators]
+    conjugators = [(a, np.argsort(a)) for a in g.chain(cap).images]
+    work = list(chain.images)
     while work:
         s = work.pop()
         for a, a_inv in conjugators:

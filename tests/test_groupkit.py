@@ -101,6 +101,20 @@ def test_element_set_contains_and_order():
     assert mat(s, [[2, 0], [0, 2]]) not in elems  # multiplier 4 scaling
 
 
+@pytest.mark.parametrize("probe", [
+    ((8, 0), (4, 0)),              # 8 is no F5 index; it packs like row (0, 1)
+    ((0, 1, 0), (4, 0, 0)),        # 2 x 3: the extra slot was dropped
+    ((0, 1), (4, 0), (1, 1)),      # 3 x 2
+    ((-1, 0), (0, 1)),             # raised OverflowError
+    ((1, 0), (0,)),                # ragged: raised ValueError
+    "x",                           # raised ValueError
+], ids=["index-past-q", "2x3", "3x2", "negative", "ragged", "string"])
+def test_element_set_refuses_malformed_probes(probe):
+    _, g = sp2_f5()
+    assert ((0, 1), (4, 0)) in g.elements()
+    assert (probe in g.elements()) is False
+
+
 def test_enumeration_is_deterministic():
     s, _ = sp2_f5()
     g1 = group(s, [make_transvection(s, (1, 0), 1),

@@ -10,10 +10,11 @@ pair of elements, F(5^5) on a seeded sample.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
-from sympal.ffield import field_make
+from sympal.ffield import _Fq, field_make
 
 EXHAUSTIVE = [(2, 4), (3, 3), (5, 2), (5, 3), (7, 2)]
 
@@ -116,3 +117,17 @@ def test_zech_table_marks_minus_one():
         minus_one = [k for k in range(ctx.q - 1) if ctx._zech[k] < 0]
         assert minus_one == [0 if ell == 2 else (ctx.q - 1) // 2]
         assert exp[minus_one[0]] == ctx.neg(1)
+
+
+def test_exp_log_transient_memory_is_bounded():
+    # the doubling works on bounded blocks of powers, so building the
+    # tables of F(2^16) peaks below 3x what they keep (it was 5.6x)
+    ctx = _Fq(field_make(2, 16))
+    tracemalloc.start()
+    try:
+        exp, log = ctx.exp_log()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = 8 * (len(exp) + len(log) + len(ctx._zech))
+    assert peak < 3 * kept

@@ -24,8 +24,11 @@ from sympal.groupkit import (
     MatrixGroup,
     closure_enumerate,
     group,
+    harvest_transvections,
+    is_irreducible,
     normal_closure,
     sp_order,
+    spin,
 )
 from sympal.npgroup import build_chi, build_np_group, np_params
 from sympal.symplectic import (
@@ -103,6 +106,10 @@ def build(name):
                                   for row in m.rows))
                 for m in _induced_gens(SympSpace.standard(F5, 4))]
         return group(s, gens)
+    if name == "wreath-f7":
+        # Sp2(F7) wr C2
+        s = SympSpace.standard(field_make(7, 1), 4)
+        return group(s, _induced_gens(s))
     if name == "one-transvection":
         s = SympSpace.standard(F5, 4)
         return group(s, [make_transvection(s, (0, 0, 0, 1), 2)])
@@ -291,6 +298,38 @@ def test_normal_closure_equals_the_enumerating_one(name):
     got = normal_closure(g, seeds)
     assert got.order() == len(want.elements())
     assert got.elements() == want.elements()
+
+
+def deduplicated_transvection_subgroup(g, harvested):
+    """The transvection subgroup as classify built it before it took a
+    normal closure: one harvested transvection per direction line."""
+    seen, gens = set(), []
+    for m, data in harvested:
+        if data.direction not in seen:
+            seen.add(data.direction)
+            gens.append(m)
+    return g.subgroup(gens)
+
+
+@pytest.mark.parametrize("name", CRITERION_3 + ["wreath-f7", "wreath-f25"])
+def test_normal_closure_of_one_transvection_is_the_transvection_subgroup(name):
+    """N = <T^G> for the first harvested T picks classify's branch as
+    H = <transvections of G> does, with the same |H| in the huge case and
+    the same spin of T's direction (the first block) in the induced one."""
+    g = build(name)
+    harvested = harvest_transvections(g)
+    t, data = harvested[0]
+    n = normal_closure(g, [t])
+    h = deduplicated_transvection_subgroup(g, harvested)
+    h_irreducible = is_irreducible(h).irreducible
+    assert is_irreducible(n).irreducible == h_irreducible
+    if not is_irreducible(g).irreducible:
+        return
+    if h_irreducible:
+        assert n.order() == h.order()
+    else:
+        assert (spin(g.space, n.generators, data.direction).basis
+                == spin(g.space, h.generators, data.direction).basis)
 
 
 def seeded_transvections(ell, n, count, seed):
