@@ -518,12 +518,14 @@ class _StabilizerChain:
 # ---------------------------------------------------------------------------
 
 def _int_array(m) -> Optional[np.ndarray]:
-    """The probe of a view's `in` as an int64 array, or None if it is not
-    a rectangular array of integers (ragged, a string, out of int64)."""
+    """The probe of a view's `in` as an integer array, or None if it is
+    not a rectangular array of integers that fit in 64 bits (ragged, a
+    string, floats, larger ints)."""
     try:
-        return np.array(m, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
+        probe = np.asarray(m)
+    except ValueError:
         return None
+    return probe if probe.dtype.kind in "iu" else None
 
 
 def _same_items(seq: Sequence, other) -> bool:

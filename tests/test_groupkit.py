@@ -108,7 +108,8 @@ def test_element_set_contains_and_order():
     ((-1, 0), (0, 1)),             # raised OverflowError
     ((1, 0), (0,)),                # ragged: raised ValueError
     "x",                           # raised ValueError
-], ids=["index-past-q", "2x3", "3x2", "negative", "ragged", "string"])
+    ((0.5, 1), (4, 0)),            # truncated to the member ((0, 1), (4, 0))
+], ids=["index-past-q", "2x3", "3x2", "negative", "ragged", "string", "float"])
 def test_element_set_refuses_malformed_probes(probe):
     _, g = sp2_f5()
     assert ((0, 1), (4, 0)) in g.elements()
