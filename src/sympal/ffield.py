@@ -37,6 +37,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -54,7 +55,7 @@ from .errors import (
 
 FIELD_LIMIT = 10**6        # largest ell^degree we agree to work with
 _TABLE_LIMIT = 1024        # build dense q x q tables below this size
-_POWER_CHUNK = 4096        # powers per digit-matrix product in exp_log
+_POWER_CHUNK = 4096        # values per block: exp_log powers, field_make root tests
 
 
 def is_prime(n: int) -> bool:
@@ -256,12 +257,20 @@ def poly_factors(spec: "FieldSpec", f, rng) -> list[list[int]]:
     return sorted(out, key=lambda p: (len(p), p))
 
 
-def _monic_polys_lex(ell: int, degree: int) -> Iterator[list[int]]:
-    """Monic degree-`degree` polynomials in lex order on (c0, c1, ...)."""
-    from itertools import product
-
-    for coeffs in product(range(ell), repeat=degree):
-        yield list(coeffs) + [1]
+def _rootless_monic_polys(ell: int, degree: int) -> Iterator[list[int]]:
+    """Monic degree-`degree` polynomials with no root in F_ell, in lex order
+    on (c0, c1, ...).  For degree >= 2 a root is a linear factor, so only
+    these can be irreducible.  Candidates are evaluated at every point of
+    F_ell, about _POWER_CHUNK values at a time."""
+    x = np.arange(ell, dtype=np.int64)
+    powers = np.stack([x ** j % ell for j in range(degree + 1)])   # below ell^degree
+    place = ell ** np.arange(degree - 1, -1, -1, dtype=np.int64)  # c0 varies slowest
+    step = max(1, _POWER_CHUNK // ell)
+    for lo in range(0, ell ** degree, step):
+        coeffs = np.arange(lo, min(lo + step, ell ** degree))[:, None] // place % ell
+        rootless = np.all((coeffs @ powers[:degree] + powers[degree]) % ell, axis=1)
+        for c in coeffs[rootless].tolist():
+            yield c + [1]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +313,7 @@ def field_make(ell: int, degree: int) -> FieldSpec:
     if degree == 1:
         return FieldSpec(ell, 1, (0, 1))
     prime = field_make(ell, 1).ctx
-    for mod in _monic_polys_lex(ell, degree):
+    for mod in _rootless_monic_polys(ell, degree):
         if _is_irreducible(mod, prime):
             return FieldSpec(ell, degree, tuple(mod))
     raise WitnessCheckFailed(f"no monic irreducible of degree {degree} over F_{ell}")
@@ -445,7 +454,7 @@ class _Fq:
         """Least element in coefficient-lex order with full order q-1."""
         if self._gen is None:
             fac = factorize(self.q - 1)
-            lex = (self.encode(f[:-1]) for f in _monic_polys_lex(self.ell, self.r))
+            lex = (self.encode(c) for c in product(range(self.ell), repeat=self.r))
             self._gen = next(c for c in lex if c and all(
                 self._raw_pow(c, (self.q - 1) // p) != 1 for p in fac))
         return self._gen

@@ -25,14 +25,19 @@ words, sorted by the last slot first (`_Packing`).
   is built, and past the cap CapExceeded carries it.  Within the cap each
   element is built exactly once, as a product of transversal elements,
   and one sort lists the keys in increasing reversed-entry-tuple order.
+* Chains: a chain is the trivial chain extended by its generators.
+  `_StabilizerChain.extend` sifts elements given as row-image tables: a
+  residue of 1 means a member, and otherwise the residue joins the chain
+  by incremental Schreier-Sims (Seress 2003, ch. 4).  The chain works on
+  row numbers only: each residue, transversal element and tree shortcut
+  it stores is composed from the tables it holds, and field arithmetic
+  (`_RowTable.image_of`) makes only the tables of generators and seeds.
 * Subgroups: every row of an element of a subgroup is a row of the group,
   so `MatrixGroup.subgroup` builds the subgroup's chain on the group's row
   table from its generators' row-image tables, with no row search of its
-  own.  `_StabilizerChain.extend` sifts one more element: a residue of 1
-  means it is already a member, and otherwise the residue joins the chain
-  by incremental Schreier-Sims (Seress 2003, ch. 4).  So `normal_closure`
-  composes each conjugate a^-1·s·a from row-image tables and sifts it: no
-  element is built, and a closure past the cap has its exact order.
+  own.  So `normal_closure` composes each conjugate a^-1·s·a from
+  row-image tables and extends by it: no element is built, and a closure
+  past the cap has its exact order.
 
 Irreducibility of the natural module needs no enumeration at all: Norton's
 test (`is_irreducible`) spins a few vectors chosen from the kernels of
@@ -256,15 +261,16 @@ class _StabilizerChain:
     of the nontrivial residues, the one of least key becomes a strong
     generator.  Strong generators, tree shortcuts and their inverses are
     rows of one table (`perms`; the inverse of id k is k ^ 1), so a batch
-    of elements is stripped by gathers; a new row of it is the only field
-    arithmetic (`_RowTable.image_of`).  The generators come as row-image
-    tables (`images`, which `extend` adds to), so a subgroup's chain lives
-    on its group's table.
+    of elements is stripped by gathers.  The chain is permutation code
+    only: the generators come as row-image tables, so a subgroup's chain
+    lives on its group's table, and every row it stores is composed from
+    them by gathers.  It starts as the trivial chain and `extend` adds the
+    generators; `images` lists those that grew the group.
     """
 
     def __init__(self, table: _RowTable, images: Sequence[np.ndarray]):
         self.table = table
-        self.images = list(images)
+        self.images: list[np.ndarray] = []
         degree = len(table.row_keys)
         # row numbers as int32 halve the memory traffic of the gathers
         rowtype = np.int32 if degree < 2**31 else np.int64
@@ -272,11 +278,7 @@ class _StabilizerChain:
         self.perms = np.empty((8, degree), dtype=rowtype)
         self._count = 0
         self.levels = [_Level(b, self.base, degree) for b in self.base]
-        for image in images:
-            self._add_generator(image, 0)
-        for lev in self.levels:
-            self._grow(lev)
-        self._schreier_sims()
+        self.extend(*images)
 
     @property
     def order(self) -> int:
@@ -302,21 +304,47 @@ class _StabilizerChain:
         return bool(_in_sorted(keys, table.identity)[0]) and all(
             np.all(_in_sorted(keys, table.times(cols, image))) for image in self.images)
 
-    def extend(self, perm: np.ndarray) -> bool:
-        """Add the element with row-image table perm to the group; False if
-        it is already in it.  The element is sifted; a nontrivial residue
-        joins the generators of the levels down to the first whose point
-        it moves, those orbits grow, and Schreier-Sims runs again, sifting
-        only the Schreier generators not yet tested (Seress 2003, ch. 4)."""
-        x = perm[self.base][None, :].astype(self.perms.dtype)
-        if self._sift(x, 0)[0] == len(self.levels):
+    def extend(self, *perms: np.ndarray) -> bool:
+        """Add the elements with these row-image tables to the group; False
+        if every one is already in it.  Each is sifted through the chain as
+        it stands; a nontrivial residue joins the generators of the levels
+        down to the first whose point it moves, and `images` lists the
+        element.  Then those orbits grow and Schreier-Sims runs again,
+        sifting only the Schreier generators not yet tested (Seress 2003,
+        ch. 4)."""
+        lowest = -1
+        for perm in perms:
+            x = perm[self.base][None, :].astype(self.perms.dtype)
+            if self._sift(x, 0)[0] < len(self.levels):
+                lowest = max(lowest, self._add_generator(self._residue(perm, 0, x[0]), 0))
+                self.images.append(perm)
+        if lowest < 0:
             return False
-        j = self._add_generator(self.table.image_of(self.table.mat(x[0])), 0)
-        for lev in self.levels[:j + 1]:
+        for lev in self.levels[:lowest + 1]:
             self._grow(lev)
         self._schreier_sims()
-        self.images.append(perm)
         return True
+
+    def _residue(self, perm: np.ndarray, start: int, rows: np.ndarray) -> np.ndarray:
+        """The row-image table of perm sifted from level start: its base
+        images and all its images are one row of the sift.  The base
+        images must come out as `rows`, perm's base images sifted alone,
+        which moved a base point; else WitnessCheckFailed."""
+        x = np.concatenate((perm[self.base], perm))[None].astype(self.perms.dtype)
+        self._sift(x, start)
+        if not np.array_equal(x[0, :len(self.base)], rows):
+            raise WitnessCheckFailed("a composed residue differs from the sifted rows")
+        return x[0, len(self.base):]
+
+    def _transversal(self, lev: _Level, o: int) -> np.ndarray:
+        """The row-image table of t_o, the product of the tree labels from
+        the root down to orbit point o: walking up, each label is composed
+        in front."""
+        t = np.arange(self.perms.shape[1], dtype=self.perms.dtype)
+        while o:
+            t = t[self.perms[lev.label[o]]]
+            o = lev.parent[o]
+        return t
 
     def _store(self, perm: np.ndarray) -> int:
         """Add perm and its inverse to the table; the id of perm."""
@@ -329,16 +357,14 @@ class _StabilizerChain:
         return k
 
     def _add_generator(self, perm: np.ndarray, lo: int) -> int:
-        """Add perm to the generators of the levels from lo to the first
-        whose point it moves, and return that level (n for the identity,
-        which is not added).  The caller grows those levels' orbits."""
-        moved = np.nonzero(perm[self.base] != self.base)[0]
-        if not len(moved):
-            return len(self.base)
+        """Add perm, which moves a base point, to the generators of the
+        levels from lo to the first whose point it moves, and return that
+        level.  The caller grows those levels' orbits."""
+        moved = int(np.nonzero(perm[self.base] != self.base)[0][0])
         k = self._store(perm)
-        for lev in self.levels[lo:moved[0] + 1]:
+        for lev in self.levels[lo:moved + 1]:
             lev.gens.append(k)
-        return int(moved[0])
+        return moved
 
     def _grow(self, lev: _Level) -> None:
         """Close the orbit under the level's generators.  Points already in
@@ -359,7 +385,7 @@ class _StabilizerChain:
             deepest = old + int(np.argmax(lev.depth[old:]))
             if lev.depth[deepest] <= 2 * len(lev.orbit).bit_length():
                 break
-            k = self._store(self.table.image_of(self.table.mat(lev.rows[deepest])))
+            k = self._store(self._transversal(lev, deepest))
             lev.shortcuts.append(k)
             fresh += [k, k ^ 1]
             lev.where[lev.orbit[old:]] = -1
@@ -448,11 +474,10 @@ class _StabilizerChain:
             lev.tested[o[passed], s[passed]] = True
             if passed.all():
                 continue
-            residues = x[~passed]
-            least = residues[np.lexsort(residues.T)[0]]
-            j = self._add_generator(self.table.image_of(self.table.mat(least)), i + 1)
-            if j == n:
-                raise WitnessCheckFailed("a sifting residue fixes every base point")
+            failed = np.nonzero(~passed)[0]
+            k = failed[np.lexsort(x[failed].T)[0]]
+            t = self.perms[lev.gens[s[k]]][self._transversal(lev, o[k])]
+            j = self._add_generator(self._residue(t, i, x[k]), i + 1)
             for grown in self.levels[i + 1:j + 1]:
                 self._grow(grown)
             i = j

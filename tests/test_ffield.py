@@ -4,7 +4,10 @@ Oracle values (moduli, generators, logs) were computed independently by
 brute-force scripts over the integer encodings and frozen here.
 """
 
+import json
+import pathlib
 import random
+import time
 
 import pytest
 
@@ -271,3 +274,23 @@ def test_field_moduli_are_their_own_factorization():
 def test_factor_rejects_zero():
     with pytest.raises(ZeroArgument):
         poly_factors(field_make(5, 1), [0, 0], random.Random(0))
+
+
+# moduli of the scan over every monic polynomial in lex order, recorded
+# before field_make skipped the candidates with a root in F_ell
+MODULI = json.loads((pathlib.Path(__file__).parent / "data" / "field_moduli.json").read_text())
+
+
+def test_field_make_keeps_the_lex_least_modulus():
+    top = {2: 16, 3: 12, 5: 8, 7: 7, 11: 5, 31: 4, 997: 2}
+    assert list(MODULI) == [f"{ell},{r}" for ell in top for r in range(2, top[ell] + 1)]
+    for key, want in MODULI.items():
+        ell, degree = map(int, key.split(","))
+        assert list(field_make.__wrapped__(ell, degree).modulus) == want, key
+
+
+def test_field_make_scans_only_rootless_candidates():
+    start = time.perf_counter()
+    spec = field_make.__wrapped__(3, 12)
+    assert time.perf_counter() - start < 2
+    assert list(spec.modulus) == MODULI["3,12"]

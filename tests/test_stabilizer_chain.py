@@ -9,6 +9,8 @@ closure, which enumerated its subgroup every round; `normal_closure` must
 give the same group wherever that one fits under the cap.
 """
 
+import ast
+import pathlib
 import random
 import time
 
@@ -20,6 +22,7 @@ from sympal.classify import Huge, classify
 from sympal.errors import CapExceeded, WitnessCheckFailed
 from sympal.ffield import FieldElement, field_make, mult_generator, subfield_embed
 from sympal.groupkit import (
+    ARRAY_CHUNK,
     DEFAULT_CAP,
     MatrixGroup,
     closure_enumerate,
@@ -372,6 +375,42 @@ def test_normal_closure_past_the_cap(monkeypatch, build_g, order, closure_order)
     assert exc.value.count == closure_order
 
 
+# ---------------------------------------------------------------------------
+# field arithmetic stays at the chain's boundary
+# ---------------------------------------------------------------------------
+
+def test_chain_methods_do_no_field_arithmetic():
+    tree = ast.parse(pathlib.Path(groupkit.__file__).read_text())
+    chain = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_StabilizerChain")
+    names = {node.attr for node in ast.walk(chain) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(chain) if isinstance(node, ast.Name)}
+    assert not names & {"image_of", "mat"}
+
+
+def test_image_of_is_called_only_for_generators_and_seeds(monkeypatch):
+    calls = []
+    inner = groupkit._RowTable.image_of
+    monkeypatch.setattr(groupkit._RowTable, "image_of",
+                        lambda table, m: calls.append(m) or inner(table, m))
+    for g in [build(name) for name in CRITERION_3] + [_sp4_f11()]:
+        calls.clear()
+        g.order()
+        assert len(calls) == len(g.generators)
+        calls.clear()
+        normal_closure(g, [g.generators[0]])
+        assert len(calls) == 1
+
+
+def test_a_wrong_transversal_is_refused(monkeypatch):
+    inner = groupkit._StabilizerChain._transversal
+    # one label fewer: t_p for the parent p of o
+    monkeypatch.setattr(groupkit._StabilizerChain, "_transversal",
+                        lambda chain, lev, o: inner(chain, lev, lev.parent[o]))
+    with pytest.raises(WitnessCheckFailed):
+        build("huge-f25@2").order()
+
+
 def test_subgroup_cache_files_load(tmp_path, monkeypatch):
     """A subgroup's keys number the rows of its group's table, which are
     more than its own: its cache file must load again, and a standalone
@@ -453,3 +492,39 @@ def test_extend_is_a_membership_test():
     assert chain.extend(chain.table.image_of(swap.rows))
     assert chain.order == 28_800 == g.order()
     assert not chain.extend(chain.table.image_of(swap.rows))
+
+
+def test_sifting_is_membership_on_the_irreducibility_corpus():
+    """Every element of each corpus group within the cap sifts to 1, a
+    seeded sample of them leaves the chain as it was, and the chain built
+    from all generators at once equals the one extended by one generator
+    at a time, in reverse order."""
+    from test_irreducibility import CORPUS
+
+    cap = 10**4
+    rng = random.Random(15)
+    checked = 0
+    for name, g in CORPUS:
+        g = group(g.space, g.generators)
+        chain = g.chain()
+        if chain.order > cap:
+            continue
+        n, order, images = len(chain.levels), chain.order, list(chain.images)
+        elems = g.elements(cap)
+        for lo in range(0, len(elems), ARRAY_CHUNK):
+            rows = np.stack(chain.table.pack.decode(elems._keys[lo:lo + ARRAY_CHUNK]), axis=1)
+            assert np.all(chain._sift(rows.astype(chain.perms.dtype), 0) == n), name
+        sample = [elems[i] for i in rng.sample(range(len(elems)), min(8, len(elems)))]
+        assert not chain.extend(*[chain.table.image_of(m.rows) for m in sample]), name
+        assert chain.order == order and len(chain.images) == len(images), name
+        gens = [chain.table.image_of(m.rows) for m in g.generators]
+        at_once = groupkit._StabilizerChain(chain.table, [])
+        at_once.extend(*gens)
+        one_by_one = groupkit._StabilizerChain(chain.table, [])
+        for image in reversed(gens):
+            one_by_one.extend(image)
+        for other in (at_once, one_by_one):
+            assert other.order == order, name
+            assert np.array_equal(other.keys(), elems._keys), name
+        checked += 1
+    assert checked >= 180
