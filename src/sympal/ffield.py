@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 from typing import Iterator, Sequence
@@ -296,8 +296,10 @@ class FieldSpec:
     def __repr__(self) -> str:
         return f"F({self.ell}^{self.degree})" if self.degree > 1 else f"F({self.ell})"
 
-    @property
+    @cached_property
     def ctx(self) -> "_Fq":
+        """The field's shared context; kept on the instance, so only the
+        first access hashes the spec."""
         return _context(self)
 
 

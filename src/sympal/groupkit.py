@@ -46,13 +46,13 @@ polynomials in random algebra elements, and decides exactly at every size.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import operator
 import os
 import random
-import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -75,8 +75,6 @@ from .symplectic import (
 )
 
 DEFAULT_CAP = 2 * 10**7
-# hashed into cache file names, so files of another key encoding never load
-_KEY_ENCODING = "row-index-v1"
 # elements per chunk of the array passes (element iteration, harvest,
 # extract_induction), so their working memory does not grow with the group
 ARRAY_CHUNK = 4096
@@ -248,6 +246,8 @@ class _Level:
         self.depth = np.zeros(1, dtype=np.intp)
         self.rows = base[None, :]                  # t_o as row numbers
         self.tested = np.zeros((1, 0), dtype=bool)   # Schreier generators (o, s) sifted
+        # the untested (o, s) in row-major order, or None to search `tested` again
+        self.untested: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 class _StabilizerChain:
@@ -283,26 +283,6 @@ class _StabilizerChain:
     @property
     def order(self) -> int:
         return math.prod(len(lev.orbit) for lev in self.levels)
-
-    def is_closure(self, keys) -> bool:
-        """Whether a key array read from disk is the closure over this
-        chain's table: of the table's key dtype, 1-D, strictly increasing,
-        every key canonical, holding the identity and closed under one step
-        by each of the chain's generators (`images`).  Such an array holds
-        every product of generators, so it contains G; its length must also
-        be |G|, and then it is G."""
-        table = self.table
-        if not (isinstance(keys, np.ndarray) and keys.dtype == table.pack.dtype
-                and keys.ndim == 1 and len(keys) == self.order):
-            return False
-        if not (np.array_equal(np.sort(keys), keys) and np.all(keys[1:] != keys[:-1])):
-            return False
-        cols = table.pack.decode(keys)
-        if any(np.any(col >= len(table.row_keys)) for col in cols) \
-                or not np.array_equal(table.pack.encode(cols), keys):
-            return False
-        return bool(_in_sorted(keys, table.identity)[0]) and all(
-            np.all(_in_sorted(keys, table.times(cols, image))) for image in self.images)
 
     def extend(self, *perms: np.ndarray) -> bool:
         """Add the elements with these row-image tables to the group; False
@@ -403,6 +383,7 @@ class _StabilizerChain:
         tested[lev.parent[new][ahead >= 0], ahead[ahead >= 0]] = True
         tested[new[back >= 0], back[back >= 0]] = True
         lev.tested = tested
+        lev.untested = None
 
     def _extend(self, lev: _Level, fresh: list[int]) -> None:
         """Breadth-first search: the orbit's points by the fresh labels, then
@@ -463,17 +444,20 @@ class _StabilizerChain:
         i = n - 1
         while i >= 0:
             lev = self.levels[i]
-            o, s = np.nonzero(~lev.tested)
+            if lev.untested is None:
+                lev.untested = np.nonzero(~lev.tested)
+            o, s = (a[:_SIFT_CHUNK] for a in lev.untested)
             if not len(o):
                 i -= 1
                 continue
-            o, s = o[:_SIFT_CHUNK], s[:_SIFT_CHUNK]
             x = self.perms[np.array(lev.gens)[s][:, None], lev.rows[o]]
             drop = self._sift(x, i)
             passed = drop == n
             lev.tested[o[passed], s[passed]] = True
             if passed.all():
+                lev.untested = tuple(a[len(o):] for a in lev.untested)
                 continue
+            lev.untested = None
             failed = np.nonzero(~passed)[0]
             k = failed[np.lexsort(x[failed].T)[0]]
             t = self.perms[lev.gens[s[k]]][self._transversal(lev, o[k])]
@@ -731,7 +715,6 @@ def _cache_path(space: SympSpace, gens, table: _RowTable) -> Optional[str]:
     if not root:
         return None
     doc = {
-        "encoding": _KEY_ENCODING,
         "field": [space.field.ell, space.field.degree, list(space.field.modulus)],
         "n": space.n,
         "gram": [list(r) for r in space.gram],
@@ -743,38 +726,34 @@ def _cache_path(space: SympSpace, gens, table: _RowTable) -> Optional[str]:
     return os.path.join(root, f"closure-{digest}.npy")
 
 
-def _load_closure(path: str, chain: _StabilizerChain) -> Optional[np.ndarray]:
-    """The cached keys at path, or None if missing, unreadable or not the
-    chain's group."""
-    try:
-        keys = np.load(path)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
-        return None
-    return keys if chain.is_closure(keys) else None
-
-
 def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     """Full element set of <generators> if its order is at most `cap`.
 
     Deterministic: elements are listed in increasing reversed-entry-tuple
     order.  Raises CapExceeded past the cap, with the group's order from
     the stabilizer chain, before any element is built, or with the count
-    of rows when more than n·cap rows are reached first.  A cache file
-    that fails `_StabilizerChain.is_closure` is recomputed and overwritten.
+    of rows when more than n·cap rows are reached first.
+
+    The keys are always built from the chain.  With SYMPAL_CACHE_DIR set
+    they are also written to one `closure-<hash>.npy` file there, which
+    nothing reads back: checking a file costs more than building the keys.
+    A write that fails with OSError is skipped.
     """
     chain = g.chain(cap)
     if chain.order > cap:
         raise CapExceeded(chain.order, f"the group order {chain.order} is past "
                                        f"the enumeration cap {cap}")
+    keys = chain.keys()
     path = _cache_path(g.space, g.generators, chain.table)
-    keys = _load_closure(path, chain) if path else None
-    if keys is None:
-        keys = chain.keys()
-        if path:
+    if path:
+        tmp = path + f".tmp{os.getpid()}.npy"   # np.save insists on the suffix
+        try:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            tmp = path + f".tmp{os.getpid()}.npy"   # np.save insists on the suffix
             np.save(tmp, keys)
             os.replace(tmp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
     return ElementSet(g.space, chain.table, keys)
 
 

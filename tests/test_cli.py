@@ -30,6 +30,15 @@ def test_classify_ok(huge_fixture_path, capsys):
     assert out["case"] == "huge" and out["subfield_degree"] == 1
 
 
+def test_classify_skips_an_unwritable_cache_dir(huge_fixture_path, tmp_path, capsys,
+                                                monkeypatch):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("SYMPAL_CACHE_DIR", str(blocker / "cache"))
+    assert main(["classify", "--input", huge_fixture_path]) == 0
+    assert "case: huge" in capsys.readouterr().out
+
+
 def test_classify_missing_file():
     assert main(["classify", "--input", "/no/such/file.json"]) == 1
 

@@ -55,6 +55,15 @@ def test_field_spec_identity_is_cached():
     assert field_make(5, 2) is field_make(5, 2)
 
 
+def test_equal_specs_share_one_context_kept_on_each():
+    made = field_make(5, 2)
+    direct = FieldSpec(5, 2, (1, 1, 1))
+    assert direct is not made and direct == made and hash(direct) == hash(made)
+    assert direct.ctx is made.ctx
+    # cached on the instance, so later accesses hash nothing
+    assert vars(direct)["ctx"] is vars(made)["ctx"]
+
+
 def test_mixed_spec_arithmetic_rejected():
     a = FieldElement(field_make(5, 1), 1)
     b = FieldElement(field_make(7, 1), 1)

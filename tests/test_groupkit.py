@@ -211,6 +211,18 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch):
     assert group_order(g2) == 120
 
 
+def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMPAL_CACHE_DIR", str(tmp_path))
+
+    def refuse(src, dst):
+        raise PermissionError(dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    _, g = sp2_f5()
+    assert group_order(g) == 120
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("damage", ["truncated", "unsorted", "float", "garbage"])
 def test_damaged_cache_file_is_recomputed(tmp_path, monkeypatch, damage):
     monkeypatch.setenv("SYMPAL_CACHE_DIR", str(tmp_path))

@@ -411,27 +411,30 @@ def test_a_wrong_transversal_is_refused(monkeypatch):
         build("huge-f25@2").order()
 
 
-def test_subgroup_cache_files_load(tmp_path, monkeypatch):
+def test_subgroup_cache_files_are_written_not_read(tmp_path, monkeypatch):
     """A subgroup's keys number the rows of its group's table, which are
-    more than its own: its cache file must load again, and a standalone
-    group with the same generators must keep a file of its own."""
+    more than its own, so a standalone group with the same generators
+    writes a file of its own.  Each file holds the keys closure_enumerate
+    returned, and nothing reads a file back."""
     monkeypatch.setenv("SYMPAL_CACHE_DIR", str(tmp_path))
     g = build("huge-f5")
     t = g.generators[:1]
 
-    def closures():
-        return [closure_enumerate(k) for k in
-                (g.subgroup(t), group(g.space, t), normal_closure(g, t))]
+    def groups():
+        return [g.subgroup(t), group(g.space, t), normal_closure(g, t)]
 
-    first = closures()
+    first = [closure_enumerate(k) for k in groups()]
     assert [len(e) for e in first] == [5, 5, 120]
     assert len(list(tmp_path.glob("closure-*.npy"))) == 3
+    for k, e in zip(groups(), first):
+        saved = np.load(groupkit._cache_path(k.space, k.generators, k.chain().table))
+        assert saved.dtype == e._keys.dtype and np.array_equal(saved, e._keys)
 
-    def no_keys(self):
-        raise AssertionError("a cached closure was recomputed")
+    def no_load(*args, **kwargs):
+        raise AssertionError("a closure file was read")
 
-    monkeypatch.setattr(groupkit._StabilizerChain, "keys", no_keys)
-    assert closures() == first
+    monkeypatch.setattr(np, "load", no_load)
+    assert [closure_enumerate(k) for k in groups()] == first
 
 
 def test_forged_normal_closure_file_is_recomputed(tmp_path, monkeypatch):
