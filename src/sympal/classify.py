@@ -15,18 +15,18 @@ N = <T^G> of one transvection T decides the same way, and
 `groupkit.normal_closure` finds it by sifting conjugates into a
 stabilizer chain (see `classify` for the argument).
 
-The induced case is proved on the whole enumerated group by
-`extract_induction`, as array passes over the element keys: each element
-A is rewritten in the block basis, M = B^-1·A·B with B the concatenated
-block bases, by one fixed integer matrix on A's base-ell digits.  Then A
-permutes the blocks iff M is block-monomial (one nonzero m x m block per
-block row and column), the fixed blocks' diagonal traces must sum to
-trace(A), and the stabilizer of the first block is where M's (0, 0)
-block is nonzero.  This replaces transforming every block by every
-element, one subspace echelon form and linear solve at a time.  The
-result is two views over arrays, the stabilizer's keys and its (0, 0)
-blocks, so its memory grows with those arrays and a stabilizer element
-or block matrix costs a decode only when a caller reads it.
+The induced case is proved on the generators.  `_block_orbit` walks
+the generator orbit of the first block once, breadth first, and checks
+that each generator permutes the blocks; then so does every element, so
+G acts on the blocks and its character is induced from the stabilizer
+S_1 of the first block.  `extract_induction` builds S_1 from Schreier
+generators on G's row table, checks its index against the block count
+from the two stabilizer chains, and enumerates S_1 alone, never G.  Each
+element of S_1 is rewritten in the block basis by one fixed integer
+matrix on its base-ell digits (`sandwich_map`), and its (0, 0) block is
+its matrix on the first block.  The result is two views over arrays,
+S_1's keys and those blocks, so a stabilizer element or block matrix
+costs a decode only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .groupkit import (
 from .linalg import Mat
 from .symplectic import (
     Subspace,
+    identity_mat,
     is_nonsingular_subspace,
     is_similitude,
     stabilizes,
@@ -170,32 +171,44 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
     return _build_induced(g, h.generators, data.direction)
 
 
+def _block_orbit(g: MatrixGroup, w: Subspace):
+    """The generator orbit of w, breadth first, each image computed once:
+    the blocks, their representatives t_i (products of generators with
+    t_i·w = block i, t_0 = 1) and each generator's permutation (block i
+    goes to block perm[i]).  An orbit of more than n / dim w blocks, or a
+    generator whose map is not a permutation, raises WitnessCheckFailed."""
+    n, m = g.space.n, w.dim
+    blocks, reps, index = [w], [identity_mat(g.space)], {w.basis: 0}
+    perms = [[] for _ in g.generators]
+    for i, b in enumerate(blocks):   # blocks grows as it is walked: a queue
+        for a, perm in zip(g.generators, perms):
+            img = b.transform(a)
+            if img.basis not in index:
+                if (len(blocks) + 1) * m > n:
+                    raise WitnessCheckFailed(
+                        f"a generator moves a block off the orbit: more than {n // m} "
+                        f"blocks of dimension {m} cannot tile the space")
+                index[img.basis] = len(blocks)
+                blocks.append(img)
+                reps.append(a * reps[i])
+            perm.append(index[img.basis])
+    if any(sorted(perm) != list(range(len(blocks))) for perm in perms):
+        raise WitnessCheckFailed("generator action is not a permutation")
+    return blocks, reps, tuple(map(tuple, perms))
+
+
 def _build_induced(g: MatrixGroup, h_gens, seed) -> Induced:
     """Blocks = generator orbit of the spin of a transvection direction."""
     space = g.space
     w = spin(space, h_gens, seed)
-    blocks = [w]
-    index = {w.basis: 0}
-    frontier = [w]
-    while frontier:
-        new = []
-        for b in frontier:
-            for a in g.generators:
-                img = b.transform(a)
-                if img.basis not in index:
-                    index[img.basis] = len(blocks)
-                    blocks.append(img)
-                    new.append(img)
-        frontier = new
-    h = len(blocks)
-    m = w.dim
+    blocks, _, action = _block_orbit(g, w)
+    h, m = len(blocks), w.dim
     if h * m != space.n:
         raise WitnessCheckFailed("block orbit does not tile the space")
-    # verify: equal dims, pairwise orthogonal, nonsingular, direct sum
+    # verify: pairwise orthogonal, nonsingular, direct sum (the generators
+    # are invertible, so every block has dimension m)
     all_rows: list = []
     for i, b in enumerate(blocks):
-        if b.dim != m:
-            raise WitnessCheckFailed("unequal block dimensions")
         if not is_nonsingular_subspace(b):
             raise WitnessCheckFailed("singular block")
         for j in range(i):
@@ -206,19 +219,7 @@ def _build_induced(g: MatrixGroup, h_gens, seed) -> Induced:
         all_rows.extend(b.basis)
     if linalg.rank(space.field, all_rows) != space.n:
         raise WitnessCheckFailed("blocks do not span")
-    action = []
-    for a in g.generators:
-        perm = []
-        for b in blocks:
-            img = b.transform(a)
-            k = index.get(img.basis)
-            if k is None:
-                raise WitnessCheckFailed("generator image leaves the block set")
-            perm.append(k)
-        if sorted(perm) != list(range(h)):
-            raise WitnessCheckFailed("generator action is not a permutation")
-        action.append(tuple(perm))
-    return Induced(tuple(blocks), m, h, tuple(action))
+    return Induced(tuple(blocks), m, h, action)
 
 
 def is_huge(g: MatrixGroup, cap: int = DEFAULT_CAP) -> bool:
@@ -268,26 +269,26 @@ def sandwich_map(spec: FieldSpec, left: Mat, right: Mat) -> np.ndarray:
 
 def extract_induction(g: MatrixGroup, verdict: Induced,
                       cap: int = DEFAULT_CAP) -> InducedExtraction:
-    """Stabilizer of the first block with its block representation.
+    """Stabilizer S_1 of the first block with its block representation,
+    proved on the generators.
+
+    The verdict's blocks must be the generator orbit of the first block
+    (`_block_orbit`), else WitnessCheckFailed ("off the orbit").  As the
+    generators permute the blocks, so does every element: each is
+    block-monomial in the block basis, and its trace is the sum of the
+    traces of the blocks it fixes, the induced character.  By Schreier's
+    lemma (Seress 2003, §4.1) S_1 is generated by the t_{a(i)}^-1·a·t_i,
+    for block i and generator a sending it to block a(i); its chain lives
+    on G's row table.  |S_1|·block_count = |G|, from the two chains, checks
+    the count.  Only S_1 is enumerated, so G may lie past the cap.
 
     Let B be the matrix whose columns are the blocks' reduced-echelon
-    bases, concatenated.  Each element A is rewritten in the block basis
-    as M = B^-1·A·B, a fixed F_ell-linear map of A's entry digits
-    (`sandwich_map`), ARRAY_CHUNK elements at a time.  The m x m
-    block (r, c) of M is the block-r part of A applied to block c, so:
-
-    * A permutes the blocks iff every block row and every block column of
-      M holds exactly one nonzero block; otherwise WitnessCheckFailed
-      ("element moves a block off the orbit");
-    * the induced character of the block action at A is the sum of the
-      traces of the diagonal blocks of the blocks A fixes, which must equal
-      trace(A) (compared digit-wise);
-    * A stabilizes the first block iff M's (0, 0) block is nonzero, and
-      that block is A's matrix on it in the block's basis.
-
-    Finally the stabilizer's index must equal the block count.  The
-    result holds the stabilizer's keys and the (0, 0) blocks as arrays
-    (see InducedExtraction); no element or matrix object is built.
+    bases, concatenated.  Each element A of S_1 is rewritten as
+    M = B^-1·A·B, a fixed F_ell-linear map of A's entry digits
+    (`sandwich_map`), ARRAY_CHUNK elements at a time.  M's first block
+    column must be zero below its (0, 0) block, which is A's matrix on the
+    first block in that block's basis.  The result holds S_1's keys and
+    the (0, 0) blocks as arrays (see InducedExtraction).
     """
     space = g.space
     n, m, h = space.n, verdict.block_dim, len(verdict.blocks)
@@ -298,31 +299,26 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
         to_blocks = linalg.inverse(space.field, basis)
     except Singular:
         raise WitnessCheckFailed("blocks do not span") from None
-    elems = g.elements(cap)
+    blocks, reps, perms = _block_orbit(g, verdict.blocks[0])
+    if {b.basis for b in blocks} != {b.basis for b in verdict.blocks}:
+        raise WitnessCheckFailed("a block is off the orbit of the first block")
+    back = [t.inv() for t in reps]
+    schreier = [back[j] * a * t for a, perm in zip(g.generators, perms)
+                for t, j in zip(reps, perm)]
+    stab = g.subgroup([s for s in schreier if not s.is_identity()] or [identity_mat(space)], cap)
+    if stab.order(cap) * verdict.block_count != g.order(cap):
+        raise WitnessCheckFailed("stabilizer index does not equal block count")
+    elems = stab.elements(cap)
     ctx = space.field.ctx
     change = sandwich_map(space.field, to_blocks, basis)
-    ell, diag, blocks = ctx.ell, np.arange(n), np.arange(h)
-    stab, action = [], []
-    for pos, entries in elems.entry_chunks():
+    action = []
+    for _, entries in elems.entry_chunks():
         a = ctx.digit_array(entries)
-        c = len(pos)
-        mm = (a.reshape(c, -1) @ change % ell).reshape(a.shape)
-        nonzero = mm.reshape(c, h, m, h, m, -1).any(axis=(2, 4, 5))
-        if not (np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=2) == 1)):
-            raise WitnessCheckFailed("element moves a block off the orbit")
-        traces = mm[:, diag, diag].reshape(c, h, m, -1).sum(axis=2)
-        fixed = nonzero[:, blocks, blocks, None]
-        if not np.array_equal((traces * fixed).sum(axis=1) % ell,
-                              a[:, diag, diag].sum(axis=1) % ell):
-            raise WitnessCheckFailed("induced character mismatch")
-        keep = nonzero[:, 0, 0]
-        stab.append(pos[keep])
-        action.append(ctx.index_array(mm[keep, :m, :m]))
-    stab = np.concatenate(stab)
-    if len(stab) * verdict.block_count != len(elems):
-        raise WitnessCheckFailed("stabilizer index does not equal block count")
-    return InducedExtraction(elems.subset(stab), verdict.block_count,
-                             MatSequence(np.concatenate(action)))
+        mm = (a.reshape(len(a), -1) @ change % ctx.ell).reshape(a.shape)
+        if mm[:, m:, :m].any():
+            raise WitnessCheckFailed("a stabilizer element moves the first block")
+        action.append(ctx.index_array(mm[:, :m, :m]))
+    return InducedExtraction(elems, verdict.block_count, MatSequence(np.concatenate(action)))
 
 
 def serialize_verdict(v: Classification) -> dict:

@@ -10,7 +10,8 @@ The digit layer of `_Fq` is the one home of this encoding for array code:
 multiplication is F_ell-bilinear on digits, given by `mul_tensor` (the
 digits of x^a·x^b, built from the modulus alone), and `digit_array`,
 `index_array`, `mul_matrix` and `product_digits` serve the closure kernel,
-the transvection harvest, extract_induction and the power table.
+the transvection harvest, extract_induction's block-basis rewrite of the
+block stabilizer and the power table.
 
 Scalar arithmetic in an extension field is table lookups on logarithms,
 with no digit tuple in sight.  `exp_log` builds, from the digit layer,

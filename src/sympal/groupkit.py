@@ -75,8 +75,9 @@ from .symplectic import (
 )
 
 DEFAULT_CAP = 2 * 10**7
-# elements per chunk of the array passes (element iteration, harvest,
-# extract_induction), so their working memory does not grow with the group
+# elements per chunk of the array passes (element iteration, the harvest,
+# and extract_induction's block-basis rewrite of the block stabilizer), so
+# their working memory does not grow with the group
 ARRAY_CHUNK = 4096
 # Rounds of Norton's test before is_irreducible gives up.  Each round decides
 # with probability bounded below by a constant (Holt and Rees), and the test
@@ -142,6 +143,8 @@ class _Packing:
 
 def _in_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Membership of each probe key in a sorted key array."""
+    if not len(sorted_keys):
+        return np.zeros(len(probe), dtype=bool)
     pos = np.minimum(np.searchsorted(sorted_keys, probe), len(sorted_keys) - 1)
     return sorted_keys[pos] == probe
 
@@ -668,9 +671,12 @@ class MatrixGroup:
     def __post_init__(self):
         if not self.generators:
             raise ValueError("need at least one generator")
+        n = self.space.n
         for g in self.generators:
             if g.space != self.space:
                 raise ValueError("generator over the wrong space")
+            if len(g.rows) != n or any(len(r) != n for r in g.rows):
+                raise ValueError(f"generator is not {n} x {n}")
             if not is_similitude(g):
                 raise ValueError("generator is not an invertible similitude")
 

@@ -44,6 +44,8 @@ class SympSpace:
         ctx = self.field.ctx
         if self.n % 2 or self.n <= 0:
             raise ValueError("dimension must be even and positive")
+        if len(self.gram) != self.n or any(len(r) != self.n for r in self.gram):
+            raise ValueError(f"Gram matrix must be {self.n} x {self.n}")
         for i in range(self.n):
             if self.gram[i][i] != 0:
                 raise ValueError("Gram matrix must have zero diagonal")

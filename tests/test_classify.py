@@ -189,9 +189,8 @@ def test_induced_character_vanishes_off_stabilizer():
     ctx = g.space.field.ctx
     for m in g.elements():
         if m.rows not in stab_rows:
-            # swaps both blocks -> induced character value 0 when the block
-            # permutation is fixed-point-free... trace need not vanish for
-            # elements fixing no block is exactly the claim:
+            # the induced character vanishes on an element that fixes no
+            # block, so such an element has trace 0
             moved = all(b.transform(m) != b for b in v.blocks)
             if moved:
                 assert m.trace() == 0

@@ -67,6 +67,23 @@ def test_classify_rejects_malformed_entries(tmp_path, capsys, degree, entry):
     assert "malformed fixture: fixture entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part, rows, message", [
+    # a 1 x 2 generator: is_similitude does not see its shape
+    ("generators", [[[[1], [0]]], [[[1], [0]], [[1], [1]]]], "generator is not 2 x 2"),
+    # a Gram row of 3 entries
+    ("gram", [[[0], [1], [0]], [[4], [0]]], "Gram matrix must be 2 x 2"),
+], ids=["generator-1x2", "gram-row-3"])
+def test_classify_rejects_non_square_matrices(tmp_path, capsys, part, rows, message):
+    s = SympSpace.standard(field_make(5, 1), 2)
+    doc = to_fixture(group(s, [make_transvection(s, (1, 0), 1),
+                               make_transvection(s, (0, 1), 1)]))
+    doc[part] = rows
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--input", str(path)]) == 1
+    assert f"error: malformed fixture: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("ell", 5.9), ("degree", 1.2), ("n", 2.7),
                                         ("ell", True), ("n", "2")])
 def test_classify_rejects_non_int_header(tmp_path, capsys, key, value):

@@ -116,6 +116,14 @@ def test_element_set_refuses_malformed_probes(probe):
     assert (probe in g.elements()) is False
 
 
+def test_empty_element_view_contains_nothing():
+    s, g = sp2_f5()
+    empty = g.elements().subset(np.array([], dtype=np.intp))
+    assert len(empty) == 0 and tuple(empty) == ()
+    assert (make_transvection(s, (1, 0), 1) in empty) is False
+    assert (((0, 1), (4, 0)) in empty) is False
+
+
 def test_enumeration_is_deterministic():
     s, _ = sp2_f5()
     g1 = group(s, [make_transvection(s, (1, 0), 1),

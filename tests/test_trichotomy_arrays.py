@@ -3,7 +3,9 @@
 `reference_extract_induction` and `reference_harvest` are the earlier
 per-element implementations of `classify.extract_induction` and
 `groupkit.harvest_transvections`, kept here as oracles: the array passes
-must return equal results, field by field and in order.
+must return equal results, field by field and in order.  The extraction
+oracle checks every element of G (block permutation, induced character),
+which the library proves on the generators alone.
 """
 
 import dataclasses
@@ -217,6 +219,24 @@ def test_blocks_not_permuted_by_g_are_refused():
         Subspace.from_vectors(s, [(0, 0, 1, 0), (0, 0, 0, 1)])))
     with pytest.raises(WitnessCheckFailed, match="off the orbit"):
         extract_induction(g, forged)
+
+
+def test_extraction_enumerates_only_the_stabilizer():
+    # |S_1| = 14,400 <= cap < |G| = 28,800: G is never enumerated
+    gens = _gens("induced")
+    g = group(gens[0].space, gens)
+    _, v = case("induced")
+    assert extract_induction(g, v, cap=20000) == reference_extraction("induced")
+    assert g.cache is None
+
+
+def test_blocks_that_are_not_one_orbit_are_refused():
+    # without the swap the six transvections generate Sp2 x Sp2, which fixes
+    # each block, so the blocks are two orbits
+    g, v = case("induced")
+    product = group(g.space, g.generators[:6])
+    with pytest.raises(WitnessCheckFailed, match="off the orbit"):
+        extract_induction(product, v)
 
 
 @pytest.mark.parametrize("count", [1, 3])
