@@ -11,9 +11,13 @@ check signals an enumeration bug, not a mathematical possibility.
 H is not built from all the transvections.  In characteristic ell >= 5
 an irreducible group generated by transvections is Sp_n(F_{ell^d})
 (McLaughlin 1967), which is quasisimple, so the normal closure
-N = <T^G> of one transvection T decides the same way, and
-`groupkit.normal_closure` finds it by sifting conjugates into a
-stabilizer chain (see `classify` for the argument).
+N = <T^G> of any one nontrivial transvection T decides the case, d and
+|H| the same way, and `groupkit.normal_closure` finds it by sifting
+conjugates into a stabilizer chain (see `classify` for the argument).
+So T is a generator whenever one is a transvection, and G is enumerated
+(`harvest_transvections`) only when none is, or in the induced case: there
+N = H, and the first block is the N-spin of the first harvested
+transvection's direction, which fixes the block order.
 
 The induced case is proved on the generators.  `_block_orbit` walks
 the generator orbit of the first block once, breadth first, and checks
@@ -54,12 +58,15 @@ from .groupkit import (
     harvest_transvections,
     is_irreducible,
     normal_closure,
+    refuse_past_cap,
     sp_order,
     spin,
 )
 from .linalg import Mat
 from .symplectic import (
     Subspace,
+    TransvectionKind,
+    detect_transvection,
     identity_mat,
     is_nonsingular_subspace,
     is_similitude,
@@ -132,30 +139,39 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
     """Trichotomy verdict with verified witnesses.
 
     Case precedence follows the proof order: reducible, then induced,
-    then huge.  Requires characteristic >= 5 and a nontrivial transvection
-    in G (both checked).
+    then huge.  Requires characteristic >= 5, |G| within the cap (from the
+    stabilizer chain) and a nontrivial transvection in G (all checked).
 
-    The transvection subgroup is N = <T^G>, the normal closure of the
-    first harvested transvection T (first in element order), in place of
-    H = <transvections of G>.  It gives the same verdict:
+    The transvection subgroup is N = <T^G>, the normal closure of one
+    nontrivial transvection T, in place of H = <transvections of G>.  T is
+    the first generator that is a transvection; only if none is, G is
+    enumerated and T is the first harvested one (first in element order).
+    Any such T gives the same verdict:
 
     * Which branch runs.  N lies in H.  If H is reducible, N keeps H's
       invariant subspace.  If H is irreducible, H is Sp_n(F_{ell^d}), which
       is quasisimple; N is normal in H and holds the non-central T, so
-      N = H, with the same d and |H|.
+      N = H, with the same d and |H|, whichever T.
     * Induced blocks.  H is normal in the irreducible G, so V is a
-      semisimple H-module (Clifford).  Let W be the H-spin of T's
-      direction v.  The transvections of H with directions in W act
-      irreducibly on W and generate a quasisimple H_W; N holds the normal
-      closure of T in H_W, which is H_W, so the N-spin of v is W.  The
-      first block, its G-orbit, the block order and `action` are the same.
-    * Which T.  T is the first harvested transvection, which fixes the
-      first block and so the serialized verdict.
+      semisimple H-module (Clifford): the orthogonal sum of the H-spins
+      W_i of transvection directions, permuted transitively by G, with H
+      the product of the quasisimple H_i generated by the transvections
+      whose directions lie in W_i.  N holds the normal closure of T in the
+      H_i holding T, which is H_i, and its G-conjugates, the other H_i, so
+      N = H whichever T.  Only the block order depends on T: the first
+      block is the N-spin of the first harvested transvection's direction,
+      so the induced case harvests once (if it has not already).  The
+      first block, its G-orbit, the block order and `action` are the same
+      as from that T.
     """
     _check_preconditions(g)
-    harvested = harvest_transvections(g, cap)
-    if not harvested:
-        raise NoTransvection("no nontrivial transvection found within the cap")
+    refuse_past_cap(g, cap)
+    harvested = None
+    t = next((m for m in g.generators
+              if detect_transvection(m).kind is TransvectionKind.NONTRIVIAL), None)
+    if t is None:
+        harvested = _harvest(g, cap)
+        t = harvested[0][0]
 
     red = is_irreducible(g)
     if not red.irreducible:
@@ -164,11 +180,20 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
             raise WitnessCheckFailed("invalid reducibility witness")
         return Reducible(w)
 
-    t, data = harvested[0]
     h = normal_closure(g, [t], cap)
     if is_irreducible(h).irreducible:
         return Huge(_match_sp_order(h, cap), h.order(cap))
-    return _build_induced(g, h.generators, data.direction)
+    if harvested is None:
+        harvested = _harvest(g, cap)
+    return _build_induced(g, h.generators, harvested[0][1].direction)
+
+
+def _harvest(g: MatrixGroup, cap: int) -> list:
+    """harvest_transvections, or NoTransvection if G has none."""
+    harvested = harvest_transvections(g, cap)
+    if not harvested:
+        raise NoTransvection("no nontrivial transvection found within the cap")
+    return harvested
 
 
 def _block_orbit(g: MatrixGroup, w: Subspace):

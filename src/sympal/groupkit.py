@@ -35,7 +35,8 @@ words, sorted by the last slot first (`_Packing`).
 * Subgroups: every row of an element of a subgroup is a row of the group,
   so `MatrixGroup.subgroup` builds the subgroup's chain on the group's row
   table from its generators' row-image tables, with no row search of its
-  own.  So `normal_closure` composes each conjugate a^-1·s·a from
+  own, once each generator's rows have sifted to 1 through the group's
+  chain.  So `normal_closure` composes each conjugate a^-1·s·a from
   row-image tables and extends by it: no element is built, and a closure
   past the cap has its exact order.
 
@@ -59,7 +60,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import CapExceeded, InvalidParams, WitnessCheckFailed, exact_int
+from .errors import CapExceeded, InvalidParams, NotSubgroup, WitnessCheckFailed, exact_int
 from .ffield import FieldSpec, poly_factors
 from .linalg import Mat, Vec
 from .symplectic import (
@@ -307,6 +308,11 @@ class _StabilizerChain:
             self._grow(lev)
         self._schreier_sims()
         return True
+
+    def contains(self, rows: np.ndarray) -> np.ndarray:
+        """Membership of the elements with these base images, one row of
+        row numbers each: an element is a member iff it sifts to 1."""
+        return self._sift(rows.astype(self.perms.dtype), 0) == len(self.levels)
 
     def _residue(self, perm: np.ndarray, start: int, rows: np.ndarray) -> np.ndarray:
         """The row-image table of perm sifted from level start: its base
@@ -706,9 +712,16 @@ class MatrixGroup:
     def subgroup(self, gens: Sequence[SqMatrix], cap: int = DEFAULT_CAP) -> "MatrixGroup":
         """The subgroup generated by gens, elements of this group.  Its
         chain, built on first use, lives on this group's row table: no row
-        search of its own."""
+        search of its own.  A generator's rows are its base images, so it
+        is sifted through this group's chain by their numbers; one with a
+        row off the table, or that does not sift to 1, raises NotSubgroup."""
         h = MatrixGroup(self.space, tuple(gens))
-        h._table = self.chain(cap).table
+        chain = self.chain(cap)
+        keys = [chain.table.key_of(m.rows) for m in h.generators]
+        if any(k is None for k in keys) or not chain.contains(
+                np.stack(chain.table.pack.decode(np.concatenate(keys)), axis=1)).all():
+            raise NotSubgroup("a generator is not an element of the group")
+        h._table = chain.table
         return h
 
 
@@ -732,6 +745,14 @@ def _cache_path(space: SympSpace, gens, table: _RowTable) -> Optional[str]:
     return os.path.join(root, f"closure-{digest}.npy")
 
 
+def refuse_past_cap(g: MatrixGroup, cap: int) -> None:
+    """CapExceeded, carrying |G| from the stabilizer chain, if |G| is past
+    the cap."""
+    order = g.order(cap)
+    if order > cap:
+        raise CapExceeded(order, f"the group order {order} is past the enumeration cap {cap}")
+
+
 def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     """Full element set of <generators> if its order is at most `cap`.
 
@@ -745,10 +766,8 @@ def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     nothing reads back: checking a file costs more than building the keys.
     A write that fails with OSError is skipped.
     """
+    refuse_past_cap(g, cap)
     chain = g.chain(cap)
-    if chain.order > cap:
-        raise CapExceeded(chain.order, f"the group order {chain.order} is past "
-                                       f"the enumeration cap {cap}")
     keys = chain.keys()
     path = _cache_path(g.space, g.generators, chain.table)
     if path:
@@ -813,12 +832,12 @@ def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
 
 def normal_closure(g: MatrixGroup, seeds: Sequence[SqMatrix],
                    cap: int = DEFAULT_CAP) -> MatrixGroup:
-    """The smallest subgroup of g containing the seeds (elements of g) and
-    stable under conjugation by g's generators.  Each conjugate a^-1·s·a of
-    a generator s is composed from the row-image tables the two chains
-    already hold and sifted; one that grows the group joins the
-    generators.  No element is built, so only g's row search is bounded by
-    the cap."""
+    """The smallest subgroup of g containing the seeds (elements of g, else
+    NotSubgroup) and stable under conjugation by g's generators.  Each
+    conjugate a^-1·s·a of a generator s is composed from the row-image
+    tables the two chains already hold and sifted; one that grows the
+    group joins the generators.  No element is built, so only g's row
+    search is bounded by the cap."""
     k = g.subgroup([s for s in seeds if not s.is_identity()] or [identity_mat(g.space)], cap)
     chain = k.chain(cap)
     conjugators = [(a, np.argsort(a)) for a in g.chain(cap).images]

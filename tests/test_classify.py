@@ -15,9 +15,10 @@ from sympal.classify import (
     recognize_sp_over_subfield,
     serialize_verdict,
 )
-from sympal.errors import CharTooSmall, NoOrderMatch, NoTransvection
+from sympal import groupkit
+from sympal.errors import CapExceeded, CharTooSmall, NoOrderMatch, NoTransvection
 from sympal.ffield import FieldElement, field_make, mult_generator, subfield_embed
-from sympal.groupkit import group, group_order
+from sympal.groupkit import closure_enumerate, group, group_order
 from sympal.symplectic import (
     SqMatrix,
     SympSpace,
@@ -26,6 +27,7 @@ from sympal.symplectic import (
     random_similitude,
     scaling_similitude,
 )
+from test_stabilizer_chain import CRITERION_3, build
 
 classify_mod = importlib.import_module("sympal.classify")   # sympal.classify is also a function
 F5 = field_make(5, 1)
@@ -114,6 +116,67 @@ def test_induced_case():
     # the swap generator must act as the nontrivial block permutation
     assert v.action[-1] == (1, 0)
     assert all(p == (0, 1) for p in v.action[:-1])
+
+
+# ---------------------------------------------------------------------------
+# routing: G is enumerated only to fix the induced block order
+# ---------------------------------------------------------------------------
+
+def _counted(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or inner(*args))
+    return calls
+
+
+def _refuse(monkeypatch, owner, name):
+    def refused(*args):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(owner, name, refused)
+
+
+@pytest.mark.parametrize("name", [c for c in CRITERION_3 if not c.startswith("induced")])
+def test_reducible_and_huge_verdicts_enumerate_nothing(name, monkeypatch):
+    """A generator is a transvection, so neither branch harvests or builds
+    an element."""
+    _refuse(monkeypatch, classify_mod, "harvest_transvections")
+    _refuse(monkeypatch, groupkit._StabilizerChain, "keys")
+    assert classify(build(name)).case == ("huge" if name.startswith("huge") else "reducible")
+
+
+@pytest.mark.parametrize("name", [c for c in CRITERION_3 if c.startswith("induced")]
+                         + ["wreath-f7", "wreath-f25@1"])
+def test_induced_verdict_harvests_once(name, monkeypatch):
+    harvests = _counted(monkeypatch, classify_mod, "harvest_transvections")
+    keys = _counted(monkeypatch, groupkit._StabilizerChain, "keys")
+    assert isinstance(classify(build(name)), Induced)
+    assert len(harvests) == len(keys) == 1
+
+
+@pytest.mark.parametrize("order", ["t1·t2", "t2·t1"])
+def test_huge_without_a_transvection_generator_harvests(order, monkeypatch):
+    """Sp2(F5) on the products of its two standard transvections: neither
+    generator is a transvection, so T comes from the harvest."""
+    s = SympSpace.standard(F5, 2)
+    t1, t2 = make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)
+    gens = [t1 * t2, t2 * t1] if order == "t1·t2" else [t2 * t1, t1 * t2]
+    harvests = _counted(monkeypatch, classify_mod, "harvest_transvections")
+    v = classify(group(s, gens))
+    assert isinstance(v, Huge)
+    assert (v.subfield_degree, v.transvection_subgroup_order) == (1, 120)
+    assert len(harvests) == 1
+
+
+def test_classify_refuses_past_the_cap_from_the_order(monkeypatch):
+    """The same refusal as closure_enumerate's, from the chain, with no
+    element built."""
+    _refuse(monkeypatch, groupkit._StabilizerChain, "keys")
+    for run in (classify, closure_enumerate):
+        with pytest.raises(CapExceeded) as exc:
+            run(huge_f5(), 100)
+        assert exc.value.count == 120
+        assert str(exc.value) == "the group order 120 is past the enumeration cap 100"
 
 
 def test_char_too_small():

@@ -19,7 +19,7 @@ import pytest
 
 from sympal import groupkit
 from sympal.classify import Huge, classify
-from sympal.errors import CapExceeded, WitnessCheckFailed
+from sympal.errors import CapExceeded, NotSubgroup, WitnessCheckFailed
 from sympal.ffield import FieldElement, field_make, mult_generator, subfield_embed
 from sympal.groupkit import (
     ARRAY_CHUNK,
@@ -97,27 +97,29 @@ def _conjugate(gens, seed):
     return [a * m * ai for m in gens]
 
 
-def build(name):
-    if name.startswith("np-"):
-        g, _ = build_np_group(build_chi(np_params(*map(int, name[3:].split(",")))))
-        return g
+def _wreath(name):
     if name == "wreath-f25":
         # Sp2(F5) wr C2 written over F25
         s = SympSpace.standard(F25, 4)
         emb = subfield_embed(F5, F25)
-        gens = [SqMatrix(s, tuple(tuple(emb(FieldElement(F5, x)).index for x in row)
+        return [SqMatrix(s, tuple(tuple(emb(FieldElement(F5, x)).index for x in row)
                                   for row in m.rows))
                 for m in _induced_gens(SympSpace.standard(F5, 4))]
-        return group(s, gens)
-    if name == "wreath-f7":
-        # Sp2(F7) wr C2
-        s = SympSpace.standard(field_make(7, 1), 4)
-        return group(s, _induced_gens(s))
+    # wreath-f7: Sp2(F7) wr C2
+    return _induced_gens(SympSpace.standard(field_make(7, 1), 4))
+
+
+def build(name):
+    """The named group; `name@seed` conjugates the generators of a
+    criterion-3 or wreath fixture by a seeded random similitude."""
+    if name.startswith("np-"):
+        g, _ = build_np_group(build_chi(np_params(*map(int, name[3:].split(",")))))
+        return g
     if name == "one-transvection":
         s = SympSpace.standard(F5, 4)
         return group(s, [make_transvection(s, (0, 0, 0, 1), 2)])
     base, _, seed = name.partition("@")
-    gens = _criterion_3(base)
+    gens = _wreath(base) if base.startswith("wreath-") else _criterion_3(base)
     return group(gens[0].space, _conjugate(gens, int(seed)) if seed else gens)
 
 
@@ -194,7 +196,7 @@ def test_order_builds_no_element(monkeypatch):
     assert g.cache is None
 
 
-def test_huge_verdict_enumerates_only_g(monkeypatch):
+def test_huge_verdict_enumerates_nothing(monkeypatch):
     calls = []
     inner = groupkit._StabilizerChain.keys
     monkeypatch.setattr(groupkit._StabilizerChain, "keys",
@@ -202,7 +204,7 @@ def test_huge_verdict_enumerates_only_g(monkeypatch):
     verdict = classify(build("huge-f25@2"))
     assert isinstance(verdict, Huge)
     assert verdict.transvection_subgroup_order == sp_order(2, 25)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_huge_verdict_searches_rows_once(monkeypatch):
@@ -400,6 +402,22 @@ def test_image_of_is_called_only_for_generators_and_seeds(monkeypatch):
         calls.clear()
         normal_closure(g, [g.generators[0]])
         assert len(calls) == 1
+
+
+def test_subgroup_refuses_a_non_member():
+    """2·I is a similitude whose rows are rows of Sp2(F5), but not an
+    element; a transvection off <T>'s rows has a row off its table."""
+    g = build("huge-f5")
+    two = SqMatrix(g.space, ((2, 0), (0, 2)))
+    for make in (g.subgroup, lambda gens: normal_closure(g, gens)):
+        with pytest.raises(NotSubgroup):
+            make([g.generators[0], two])
+    k = build("reducible")
+    with pytest.raises(NotSubgroup):
+        k.subgroup([make_transvection(k.space, (0, 1), 1)])
+    with pytest.raises(NotSubgroup):
+        normal_closure(k, [make_transvection(k.space, (0, 1), 1)])
+    assert g.subgroup([two * two * two * two]).order() == 1   # 16·I = I
 
 
 def test_a_wrong_transversal_is_refused(monkeypatch):
