@@ -14,10 +14,11 @@ an irreducible group generated by transvections is Sp_n(F_{ell^d})
 N = <T^G> of any one nontrivial transvection T decides the case, d and
 |H| the same way, and `groupkit.normal_closure` finds it by sifting
 conjugates into a stabilizer chain (see `classify` for the argument).
-So T is a generator whenever one is a transvection, and G is enumerated
-(`harvest_transvections`) only when none is, or in the induced case: there
-N = H, and the first block is the N-spin of the first harvested
-transvection's direction, which fixes the block order.
+So T is the first generator that is a transvection, and G is enumerated
+(`harvest_transvections`) only when no generator is one.  In the induced
+case N = H, and the first block is the N-spin of T's own direction.  The
+cap bounds only that enumeration and the row search of the chains, so a
+group with a transvection generator is decided past it.
 
 The induced case is proved on the generators.  `_block_orbit` walks
 the generator orbit of the first block once, breadth first, and checks
@@ -54,11 +55,11 @@ from .groupkit import (
     ElementSet,
     MatrixGroup,
     MatSequence,
+    check_cap,
     group_order,   # unused here; perfbench/tracing.py patches this namespace
     harvest_transvections,
     is_irreducible,
     normal_closure,
-    refuse_past_cap,
     sp_order,
     spin,
 )
@@ -139,14 +140,15 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
     """Trichotomy verdict with verified witnesses.
 
     Case precedence follows the proof order: reducible, then induced,
-    then huge.  Requires characteristic >= 5, |G| within the cap (from the
-    stabilizer chain) and a nontrivial transvection in G (all checked).
+    then huge.  Requires a cap of at least 1, characteristic >= 5 and a
+    nontrivial transvection in G (all checked).
 
     The transvection subgroup is N = <T^G>, the normal closure of one
     nontrivial transvection T, in place of H = <transvections of G>.  T is
     the first generator that is a transvection; only if none is, G is
-    enumerated and T is the first harvested one (first in element order).
-    Any such T gives the same verdict:
+    enumerated (so |G| must be within the cap) and T is the first
+    harvested one (first in element order).  Any such T gives the same
+    verdict:
 
     * Which branch runs.  N lies in H.  If H is reducible, N keeps H's
       invariant subspace.  If H is irreducible, H is Sp_n(F_{ell^d}), which
@@ -159,18 +161,17 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
       whose directions lie in W_i.  N holds the normal closure of T in the
       H_i holding T, which is H_i, and its G-conjugates, the other H_i, so
       N = H whichever T.  Only the block order depends on T: the first
-      block is the N-spin of the first harvested transvection's direction,
-      so the induced case harvests once (if it has not already).  The
-      first block, its G-orbit, the block order and `action` are the same
-      as from that T.
+      block is the N-spin of T's direction, the block W_i holding it, and
+      the others follow in the order of its generator orbit.
     """
+    check_cap(cap)
     _check_preconditions(g)
-    refuse_past_cap(g, cap)
-    harvested = None
     t = next((m for m in g.generators
               if detect_transvection(m).kind is TransvectionKind.NONTRIVIAL), None)
     if t is None:
-        harvested = _harvest(g, cap)
+        harvested = harvest_transvections(g, cap)
+        if not harvested:
+            raise NoTransvection("no nontrivial transvection found within the cap")
         t = harvested[0][0]
 
     red = is_irreducible(g)
@@ -183,17 +184,7 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
     h = normal_closure(g, [t], cap)
     if is_irreducible(h).irreducible:
         return Huge(_match_sp_order(h, cap), h.order(cap))
-    if harvested is None:
-        harvested = _harvest(g, cap)
-    return _build_induced(g, h.generators, harvested[0][1].direction)
-
-
-def _harvest(g: MatrixGroup, cap: int) -> list:
-    """harvest_transvections, or NoTransvection if G has none."""
-    harvested = harvest_transvections(g, cap)
-    if not harvested:
-        raise NoTransvection("no nontrivial transvection found within the cap")
-    return harvested
+    return _build_induced(g, h.generators, detect_transvection(t).data.direction)
 
 
 def _block_orbit(g: MatrixGroup, w: Subspace):

@@ -696,8 +696,7 @@ class MatrixGroup:
         """The group's stabilizer chain, built on first use.  Only a row
         search is bounded: more than n·cap rows raise CapExceeded.  A cap
         below 1 raises InvalidParams."""
-        if cap < 1:
-            raise InvalidParams(f"cap must be at least 1, not {cap}")
+        check_cap(cap)
         if self._chain is None:
             if self._table is None:
                 self._table = _RowTable(self.space, [m.rows for m in self.generators], cap)
@@ -745,12 +744,10 @@ def _cache_path(space: SympSpace, gens, table: _RowTable) -> Optional[str]:
     return os.path.join(root, f"closure-{digest}.npy")
 
 
-def refuse_past_cap(g: MatrixGroup, cap: int) -> None:
-    """CapExceeded, carrying |G| from the stabilizer chain, if |G| is past
-    the cap."""
-    order = g.order(cap)
-    if order > cap:
-        raise CapExceeded(order, f"the group order {order} is past the enumeration cap {cap}")
+def check_cap(cap: int) -> None:
+    """InvalidParams if the cap is below 1."""
+    if cap < 1:
+        raise InvalidParams(f"cap must be at least 1, not {cap}")
 
 
 def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
@@ -766,8 +763,10 @@ def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     nothing reads back: checking a file costs more than building the keys.
     A write that fails with OSError is skipped.
     """
-    refuse_past_cap(g, cap)
     chain = g.chain(cap)
+    if chain.order > cap:
+        raise CapExceeded(chain.order,
+                          f"the group order {chain.order} is past the enumeration cap {cap}")
     keys = chain.keys()
     path = _cache_path(g.space, g.generators, chain.table)
     if path:

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import time
 
 import pytest
 
@@ -16,9 +17,15 @@ from sympal.classify import (
     serialize_verdict,
 )
 from sympal import groupkit
-from sympal.errors import CapExceeded, CharTooSmall, NoOrderMatch, NoTransvection
+from sympal.errors import (
+    CapExceeded,
+    CharTooSmall,
+    InvalidParams,
+    NoOrderMatch,
+    NoTransvection,
+)
 from sympal.ffield import FieldElement, field_make, mult_generator, subfield_embed
-from sympal.groupkit import closure_enumerate, group, group_order
+from sympal.groupkit import DEFAULT_CAP, closure_enumerate, group, group_order, sp_order
 from sympal.symplectic import (
     SqMatrix,
     SympSpace,
@@ -27,7 +34,14 @@ from sympal.symplectic import (
     random_similitude,
     scaling_similitude,
 )
-from test_stabilizer_chain import CRITERION_3, build
+from test_stabilizer_chain import (
+    CRITERION_3,
+    WREATH,
+    _sp4_f11,
+    _wreath_f101,
+    build,
+    seeded_transvections,
+)
 
 classify_mod = importlib.import_module("sympal.classify")   # sympal.classify is also a function
 F5 = field_make(5, 1)
@@ -119,7 +133,7 @@ def test_induced_case():
 
 
 # ---------------------------------------------------------------------------
-# routing: G is enumerated only to fix the induced block order
+# routing: G is enumerated only when no generator is a transvection
 # ---------------------------------------------------------------------------
 
 def _counted(monkeypatch, owner, name):
@@ -136,47 +150,103 @@ def _refuse(monkeypatch, owner, name):
     monkeypatch.setattr(owner, name, refused)
 
 
-@pytest.mark.parametrize("name", [c for c in CRITERION_3 if not c.startswith("induced")])
-def test_reducible_and_huge_verdicts_enumerate_nothing(name, monkeypatch):
-    """A generator is a transvection, so neither branch harvests or builds
-    an element."""
+@pytest.mark.parametrize("name", CRITERION_3 + WREATH)
+def test_verdicts_on_a_transvection_generator_enumerate_nothing(name, monkeypatch):
+    """A generator is a transvection, so no branch harvests or builds an
+    element: the induced blocks come from that generator's direction."""
     _refuse(monkeypatch, classify_mod, "harvest_transvections")
     _refuse(monkeypatch, groupkit._StabilizerChain, "keys")
-    assert classify(build(name)).case == ("huge" if name.startswith("huge") else "reducible")
+    case = "reducible" if name.startswith("reducible") else (
+        "huge" if name.startswith("huge") else "induced")
+    assert classify(build(name)).case == case
 
 
-@pytest.mark.parametrize("name", [c for c in CRITERION_3 if c.startswith("induced")]
-                         + ["wreath-f7", "wreath-f25@1"])
-def test_induced_verdict_harvests_once(name, monkeypatch):
-    harvests = _counted(monkeypatch, classify_mod, "harvest_transvections")
-    keys = _counted(monkeypatch, groupkit._StabilizerChain, "keys")
-    assert isinstance(classify(build(name)), Induced)
-    assert len(harvests) == len(keys) == 1
+def products_group(order):
+    """Sp2(F5) on the products of its two standard transvections, in
+    either order: neither generator is a transvection."""
+    s = SympSpace.standard(F5, 2)
+    t1, t2 = make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)
+    return group(s, [t1 * t2, t2 * t1] if order == "t1·t2" else [t2 * t1, t1 * t2])
 
 
 @pytest.mark.parametrize("order", ["t1·t2", "t2·t1"])
 def test_huge_without_a_transvection_generator_harvests(order, monkeypatch):
-    """Sp2(F5) on the products of its two standard transvections: neither
-    generator is a transvection, so T comes from the harvest."""
-    s = SympSpace.standard(F5, 2)
-    t1, t2 = make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)
-    gens = [t1 * t2, t2 * t1] if order == "t1·t2" else [t2 * t1, t1 * t2]
+    """T comes from the harvest."""
     harvests = _counted(monkeypatch, classify_mod, "harvest_transvections")
-    v = classify(group(s, gens))
+    v = classify(products_group(order))
     assert isinstance(v, Huge)
     assert (v.subfield_degree, v.transvection_subgroup_order) == (1, 120)
     assert len(harvests) == 1
 
 
-def test_classify_refuses_past_the_cap_from_the_order(monkeypatch):
-    """The same refusal as closure_enumerate's, from the chain, with no
-    element built."""
+@pytest.mark.parametrize("order", ["t1·t2", "t2·t1"])
+def test_classify_refuses_past_the_cap_from_the_order(order, monkeypatch):
+    """A group that must be enumerated gets closure_enumerate's refusal,
+    from the chain, with no element built."""
     _refuse(monkeypatch, groupkit._StabilizerChain, "keys")
     for run in (classify, closure_enumerate):
         with pytest.raises(CapExceeded) as exc:
-            run(huge_f5(), 100)
+            run(products_group(order), 100)
         assert exc.value.count == 120
         assert str(exc.value) == "the group order 120 is past the enumeration cap 100"
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("name", ["reducible@1", "induced", "huge-f5", "products"])
+def test_classify_refuses_a_cap_below_1(name, cap):
+    """On every path, whether or not it builds a chain."""
+    g = products_group("t1·t2") if name == "products" else build(name)
+    with pytest.raises(InvalidParams, match=f"^cap must be at least 1, not {cap}$"):
+        classify(g, cap)
+
+
+# ---------------------------------------------------------------------------
+# past the cap: only the harvest enumerates
+# ---------------------------------------------------------------------------
+
+def sp6_f5():
+    return group(SympSpace.standard(F5, 6), seeded_transvections(5, 6, 8, 1))
+
+
+def sp4_f7_in_f49():
+    """Sp4(F7) on 6 seeded transvections, written over F49."""
+    f7, f49 = field_make(7, 1), field_make(7, 2)
+    s = SympSpace.standard(f49, 4)
+    emb = subfield_embed(f7, f49)
+    return group(s, [SqMatrix(s, tuple(tuple(emb(FieldElement(f7, x)).index for x in row)
+                                       for row in m.rows))
+                     for m in seeded_transvections(7, 4, 6, 1)])
+
+
+@pytest.mark.parametrize("build_g, want", [
+    # the swap, the last generator, exchanges the two blocks
+    (_wreath_f101, ("induced", 2, 2, ((0, 1),) * 6 + ((1, 0),))),
+    (_sp4_f11, ("huge", 1, sp_order(4, 11))),
+    (sp6_f5, ("huge", 1, sp_order(6, 5))),
+    (sp4_f7_in_f49, ("huge", 1, sp_order(4, 7))),
+], ids=["wreath-f101", "sp4-f11", "sp6-f5", "sp4-f7-in-f49"])
+def test_classify_past_the_cap(build_g, want, monkeypatch):
+    """Each group is far past the default cap, and a generator is a
+    transvection, so the verdict needs no element."""
+    _refuse(monkeypatch, classify_mod, "harvest_transvections")
+    _refuse(monkeypatch, groupkit._StabilizerChain, "keys")
+    g = build_g()
+    start = time.perf_counter()
+    v = classify(g)
+    assert time.perf_counter() - start < 5
+    assert g.order() > DEFAULT_CAP
+    assert want == ((v.case, v.block_count, v.block_dim, v.action) if isinstance(v, Induced)
+                    else (v.case, v.subfield_degree, v.transvection_subgroup_order))
+
+
+@pytest.mark.parametrize("name", CRITERION_3 + WREATH)
+def test_verdict_does_not_depend_on_the_cap(name):
+    """At the smallest cap the row search fits, which is below |G|, the
+    verdict is the default cap's."""
+    g = build(name)
+    cap = -(-len(g.chain().table.row_keys) // g.space.n)
+    assert cap < g.order()
+    assert classify(build(name), cap) == classify(g)
 
 
 def test_char_too_small():

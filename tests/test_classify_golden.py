@@ -25,11 +25,10 @@ import pytest
 
 from sympal.cli import main
 from sympal.groupkit import to_fixture
-from test_stabilizer_chain import CRITERION_3, build
+from test_stabilizer_chain import CRITERION_3, WREATH, build
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "classify_golden.json"
 WREATH_FILE = GOLDEN.with_name("classify_wreath.json")
-WREATH = [f"{w}{c}" for w in ("wreath-f7", "wreath-f25") for c in ("", "@1", "@2")]
 
 
 def run(name: str, workdir: pathlib.Path) -> dict:

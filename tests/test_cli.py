@@ -23,6 +23,17 @@ def huge_fixture_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def products_fixture_path(tmp_path):
+    """Sp2(F5) on T1·T2 and T2·T1: no generator is a transvection, so
+    classify must enumerate the group."""
+    s = SympSpace.standard(field_make(5, 1), 2)
+    t1, t2 = make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)
+    path = tmp_path / "products.json"
+    path.write_text(json.dumps(to_fixture(group(s, [t1 * t2, t2 * t1]))))
+    return str(path)
+
+
 def test_classify_ok(huge_fixture_path, capsys):
     rc = main(["classify", "--input", huge_fixture_path, "--json"])
     assert rc == 0
@@ -129,14 +140,17 @@ def test_classify_cap_exceeded(huge_fixture_path):
     assert main(["classify", "--input", huge_fixture_path, "--cap", "10"]) == 3
 
 
-@pytest.mark.parametrize("cap, message", [
-    # |Sp2(F5)| = 120 from the stabilizer chain; no element is enumerated
-    (100, "the group order 120 is past the enumeration cap 100"),
+@pytest.mark.parametrize("fixture, cap, message", [
+    # the group must be enumerated: |Sp2(F5)| = 120 from the stabilizer
+    # chain, refused before any element is built
+    ("products_fixture_path", 100, "the group order 120 is past the enumeration cap 100"),
     # the row search stops at 12 rows, past n·cap = 10, before any order
-    (5, "12 rows reached, more than n·cap = 10, so the group order is past the cap"),
+    ("huge_fixture_path", 5,
+     "12 rows reached, more than n·cap = 10, so the group order is past the cap"),
 ])
-def test_classify_cap_message_says_what_was_counted(huge_fixture_path, capsys, cap, message):
-    assert main(["classify", "--input", huge_fixture_path, "--cap", str(cap)]) == 3
+def test_classify_cap_message_says_what_was_counted(request, capsys, fixture, cap, message):
+    path = request.getfixturevalue(fixture)
+    assert main(["classify", "--input", path, "--cap", str(cap)]) == 3
     assert capsys.readouterr().err == f"cap exceeded: {message}\n"
 
 
@@ -285,11 +299,14 @@ def test_mackey_sweep_runs_dixon_once_per_subgroup_table(tmp_path, capsys, monke
 def _write_docs(tmp_path) -> dict:
     f5 = field_make(5, 1)
     s = SympSpace.standard(f5, 2)
-    huge = to_fixture(group(s, [make_transvection(s, (1, 0), 1),
-                                make_transvection(s, (0, 1), 1)]))
+    t1, t2 = make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)
+    huge = to_fixture(group(s, [t1, t2]))
     f3 = SympSpace.standard(field_make(3, 1), 2)
     docs = {
         "huge": huge,
+        "reducible": to_fixture(group(s, [t1])),
+        # Sp2(F5) with no transvection generator: classify must enumerate it
+        "products": to_fixture(group(s, [t1 * t2, t2 * t1])),
         "f3": to_fixture(group(f3, [make_transvection(f3, (1, 0), 1)])),
         # -I: a group of order 2 with no transvection
         "minus": to_fixture(group(s, [SqMatrix(s, ((4, 0), (0, 4)))])),
@@ -318,9 +335,12 @@ NP = ["np-group", "--n", "2", "--q", "5", "--p", "3", "--ell", "7"]
 
 
 @pytest.mark.parametrize("argv, code, prefix", [
-    (["classify", "--input", "huge"], 0, ""),
+    # exit 0: the prefix is stdout's, and stderr is empty
+    (["classify", "--input", "huge"], 0, "case: huge"),
+    # |Sp2(F5)| = 120 is past the cap, but a generator is a transvection
+    (["classify", "--input", "huge", "--cap", "100"], 0, "case: huge"),
     # CapExceeded
-    (["classify", "--input", "huge", "--cap", "100"], 3, "cap exceeded: "),
+    (["classify", "--input", "products", "--cap", "100"], 3, "cap exceeded: "),
     (NP + ["--classify", "--cap", "10"], 3, "cap exceeded: "),
     # TwistBreaksRegularity
     (["regularity", "--input", "edge", "--twist", "1"], 4, "collision: "),
@@ -346,14 +366,18 @@ NP = ["np-group", "--n", "2", "--q", "5", "--p", "3", "--ell", "7"]
     (["np-group", "--n", "2", "--q", "5", "--p", "0", "--ell", "7"], 2, "precondition failed: "),
     (["np-group", "--n", "2", "--q", "5", "--p", "6", "--ell", "3"], 2, "precondition failed: "),
     (["classify", "--input", "huge", "--cap", "0"], 2, "precondition failed: cap must be"),
+    (["classify", "--input", "reducible", "--cap", "0"], 2, "precondition failed: cap must be"),
     (NP + ["--classify", "--cap", "0"], 2, "precondition failed: cap must be"),
 ])
 def test_exit_code_table(tmp_path, capsys, argv, code, prefix):
     paths = _write_docs(tmp_path)
     argv = [paths.get(a, a) if i and argv[i - 1] == "--input" else a for i, a in enumerate(argv)]
     assert main(argv) == code
-    err = capsys.readouterr().err
-    assert err.startswith(prefix) and (err == "") == (prefix == "")
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and out.startswith(prefix)
+    else:
+        assert err.startswith(prefix) and err != ""
 
 
 @pytest.mark.parametrize("command", ["classify", "regularity", "mackey"])

@@ -292,6 +292,7 @@ def enumerating_normal_closure(g, seeds, cap=DEFAULT_CAP):
 
 CRITERION_3 = [f"{n}{c}" for n in ("reducible", "induced", "huge-f5", "huge-f25")
                for c in ("", "@1", "@2", "@3")]
+WREATH = [f"{w}{c}" for w in ("wreath-f7", "wreath-f25") for c in ("", "@1", "@2")]
 
 
 @pytest.mark.parametrize("name", CRITERION_3 + ["identity"])
