@@ -3,8 +3,9 @@ subgroups, transvection harvesting, normal closures, spinning, and
 irreducibility.
 
 One closure kernel serves every field and size.  Its unit is a key: a
-fixed number of small non-negative integers (slots) packed into 64-bit
-words, sorted by the last slot first (`_Packing`).
+fixed number of small non-negative integers (slots) packed into one
+32-bit word when they fit in it, else into 64-bit words, sorted by the
+last slot first (`_Packing`).
 
 * Rows: a breadth-first search over row keys (`_reach`) collects the rows
   reached from the identity's rows.  A row vector is its n entries, and
@@ -98,21 +99,26 @@ _SIFT_CHUNK = 1 << 14
 class _Packing:
     """Keys of `slots` integers below 2^bits, sorted by the last slot first.
 
-    Slot i sits in word i // per at bit (i % per)·bits, per = 64 // bits.
-    A one-word key is a uint64; a longer one is a void of its words stored
-    big-endian, most significant first, so byte order is numeric order and
-    sort, searchsorted and insert treat both alike.
+    Every slot must be below 2^bits: a larger one carries into the next
+    slot and gives the key of other integers.  Slot i sits in word i // per
+    at bit (i % per)·bits, per = word bits // bits.  The word is a uint32
+    when slots·bits <= 32, else a uint64.  A one-word key is that word; a
+    longer one is a void of its uint64 words stored big-endian, most
+    significant first, so byte order is numeric order and sort,
+    searchsorted and insert treat all three alike.  The layout is the same
+    for both words, so a key's numeric value does not depend on its width.
     """
 
     def __init__(self, slots: int, bits: int):
-        per = 64 // bits
+        self.word = np.dtype(np.uint32 if slots * bits <= 32 else np.uint64)
+        per = 8 * self.word.itemsize // bits
         self.words = -(-slots // per)
-        self.dtype = np.dtype(np.uint64) if self.words == 1 else np.dtype(f"V{8 * self.words}")
-        self.place = [(i // per, np.uint64(i % per * bits)) for i in range(slots)]
-        self.mask = np.uint64((1 << bits) - 1)
+        self.dtype = self.word if self.words == 1 else np.dtype(f"V{8 * self.words}")
+        self.place = [(i // per, self.word.type(i % per * bits)) for i in range(slots)]
+        self.mask = self.word.type((1 << bits) - 1)
 
     def _keys(self, words: np.ndarray) -> np.ndarray:
-        """Keys from an (N, words) uint64 array, least significant word first."""
+        """Keys from an (N, words) array of words, least significant first."""
         if self.words == 1:
             return words[:, 0]
         return np.ascontiguousarray(words[:, ::-1], dtype=">u8").view(self.dtype).ravel()
@@ -121,12 +127,12 @@ class _Packing:
         if self.words == 1:
             return keys[:, None]
         big = np.ascontiguousarray(keys).view(">u8").reshape(len(keys), self.words)
-        return big[:, ::-1].astype(np.uint64)
+        return big[:, ::-1].astype(self.word)
 
     def encode(self, cols: Sequence[np.ndarray]) -> np.ndarray:
-        words = np.zeros((len(cols[0]), self.words), dtype=np.uint64)
+        words = np.zeros((len(cols[0]), self.words), dtype=self.word)
         for col, (j, shift) in zip(cols, self.place):
-            words[:, j] |= col.astype(np.uint64, copy=False) << shift
+            words[:, j] |= col.astype(self.word, copy=False) << shift
         return self._keys(words)
 
     def slots(self, keys: np.ndarray) -> Iterator[np.ndarray]:
@@ -139,7 +145,7 @@ class _Packing:
 
     def from_slots(self, slot_lists) -> np.ndarray:
         """Keys of Python integer sequences, one per key."""
-        return self.encode(list(np.array(slot_lists, dtype=np.uint64).T))
+        return self.encode(list(np.array(slot_lists, dtype=self.word).T))
 
 
 def _in_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -677,12 +683,16 @@ class MatrixGroup:
     def __post_init__(self):
         if not self.generators:
             raise ValueError("need at least one generator")
-        n = self.space.n
+        n, q = self.space.n, self.space.field.order
         for g in self.generators:
             if g.space != self.space:
                 raise ValueError("generator over the wrong space")
             if len(g.rows) != n or any(len(r) != n for r in g.rows):
                 raise ValueError(f"generator is not {n} x {n}")
+            # a row key packs each entry into the bits q - 1 needs, so a
+            # larger entry would carry into the next one (`_Packing`)
+            if not all(0 <= x < q for r in g.rows for x in r):
+                raise ValueError(f"generator has an entry outside [0, {q})")
             if not is_similitude(g):
                 raise ValueError("generator is not an invertible similitude")
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import time
 
 import numpy as np
@@ -304,17 +305,44 @@ def test_small_group_with_multiword_keys():
     assert tuple([ident[1], ident[0]] + ident[2:]) not in elems   # a transposition
 
 
-def test_packing_orders_by_last_slot_first():
-    rng = np.random.default_rng(7)
-    for slots, bits in [(4, 9), (8, 9), (3, 20), (5, 64)]:
-        pack = groupkit._Packing(slots, bits)
-        vals = [tuple(int(x) for x in rng.integers(0, 1 << min(bits, 62), slots))
-                for _ in range(200)]
-        keys = pack.from_slots(vals)
-        assert [tuple(int(c[i]) for c in pack.decode(keys)) for i in range(200)] == vals
-        assert np.array_equal(pack.encode(pack.decode(keys)), keys)
-        order = np.argsort(keys, kind="stable")
-        assert [vals[i][::-1] for i in order] == sorted(v[::-1] for v in vals)
+@pytest.mark.parametrize("slots, bits, dtype", [
+    # slots·bits = 32 is the widest uint32 key, 33 the narrowest uint64
+    # key, and past 64 the key is a void of uint64 words
+    (4, 8, "uint32"), (2, 16, "uint32"), (1, 32, "uint32"), (2, 14, "uint32"),
+    (3, 11, "uint64"), (11, 3, "uint64"), (1, 33, "uint64"), (4, 9, "uint64"),
+    (3, 20, "uint64"),
+    (5, 13, "V16"), (9, 9, "V16"), (8, 9, "V16"), (13, 16, "V32"), (5, 64, "V40"),
+])
+def test_packing_orders_by_last_slot_first(slots, bits, dtype):
+    pack = groupkit._Packing(slots, bits)
+    assert pack.dtype == np.dtype(dtype)
+    rng = random.Random(slots * 100 + bits)
+    top = (1 << bits) - 1
+    vals = [tuple(rng.getrandbits(bits) for _ in range(slots)) for _ in range(300)]
+    vals += [(0,) * slots, (top,) * slots, (top,) + (0,) * (slots - 1),
+             (0,) * (slots - 1) + (top,)]
+    keys = pack.from_slots(vals)
+    assert keys.dtype == pack.dtype
+    assert [tuple(int(c[i]) for c in pack.decode(keys)) for i in range(len(vals))] == vals
+    assert np.array_equal(pack.encode(pack.decode(keys)), keys)
+    order = np.argsort(keys, kind="stable")
+    assert [vals[i][::-1] for i in order] == sorted(v[::-1] for v in vals)
+    if pack.words == 1:   # the bit layout does not depend on the word
+        assert [int(k) for k in keys] == [
+            sum(x << (i * bits) for i, x in enumerate(v)) for v in vals]
+
+
+def test_generator_entries_outside_the_field_are_refused():
+    s = SympSpace.standard(field_make(101, 1), 2)
+    g = group(s, [make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)])
+    # 129 needs 8 bits of a 7-bit row slot: packed, it carries into the
+    # next slot and the row (129, 0) reads as (1, 1)
+    with pytest.raises(ValueError, match=r"outside \[0, 101\)"):
+        g.subgroup([SqMatrix(s, ((129, 0), (0, 1)))])
+    for bad in (((129, 0), (0, 1)), ((1, 101), (0, 1)), ((1, -1), (0, 1))):
+        with pytest.raises(ValueError, match=r"outside \[0, 101\)"):
+            group(s, [SqMatrix(s, bad)])
+    assert g.order() == sp_order(2, 101)
 
 
 def test_sp4_f17_element_search_with_two_word_keys_hits_cap():

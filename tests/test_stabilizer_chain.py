@@ -142,6 +142,45 @@ def test_chain_keys_equal_the_search(name):
     assert g.chain().order == len(want)
 
 
+def _sp2_f101():
+    s = SympSpace.standard(field_make(101, 1), 2)
+    return group(s, [make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)])
+
+
+@pytest.mark.parametrize("name, dtype", [
+    ("huge-f5", "uint32"), ("huge-f25", "uint32"), ("sp2-f101", "uint32"),
+    ("np-4,7,5,11", "uint32"),
+    # the unconjugated induced fixture reaches 48 rows (24 bits a key),
+    # its conjugates 576 or 624 rows (40 bits)
+    ("induced", "uint32"), ("induced@1", "uint64"), ("induced@2", "uint64"),
+    ("induced@3", "uint64"),
+    ("np-8,19,17,103", "V16"),   # 272 rows: 8 slots of 9 bits
+])
+def test_keys_take_the_narrowest_word(name, dtype):
+    g = _sp2_f101() if name == "sp2-f101" else build(name)
+    keys = g.elements()._keys
+    assert keys.dtype == np.dtype(dtype)
+
+
+def test_narrow_keys_sort_as_64_bit_keys():
+    g = _sp2_f101()
+    keys = g.elements()._keys
+    assert len(keys) == sp_order(2, 101) and keys.dtype == np.uint32
+    table = g.chain().table
+    assert len(table.row_keys) == 10_200   # 14 bits a row number
+    rows = table.pack.decode(keys)
+    # the same bit layout in a uint64 word, packed here and not by _Packing
+    shifts = [np.uint64(0), np.uint64(14)]
+    wide = np.zeros(len(keys), dtype=np.uint64)
+    for col, shift in zip(rows, shifts):
+        wide |= col.astype(np.uint64) << shift
+    assert np.array_equal(wide, keys.astype(np.uint64))
+    wide.sort()
+    mask = np.uint64((1 << 14) - 1)
+    for col, shift in zip(rows, shifts):
+        assert np.array_equal((wide >> shift) & mask, col)
+
+
 def test_chain_keys_equal_the_search_on_the_irreducibility_corpus():
     from test_irreducibility import CORPUS
 
