@@ -14,11 +14,11 @@ an irreducible group generated by transvections is Sp_n(F_{ell^d})
 N = <T^G> of any one nontrivial transvection T decides the case, d and
 |H| the same way, and `groupkit.normal_closure` finds it by sifting
 conjugates into a stabilizer chain (see `classify` for the argument).
-So T is the first generator that is a transvection, and G is enumerated
-(`harvest_transvections`) only when no generator is one.  In the induced
-case N = H, and the first block is the N-spin of T's own direction.  The
-cap bounds only that enumeration and the row search of the chains, so a
-group with a transvection generator is decided past it.
+So T is the first generator that is a transvection, else the first
+one `harvest_transvections` sifts out of G's row table.  In the induced
+case N = H, and the first block is the N-spin of T's own direction.  No
+element of G is built, so the cap bounds only the chains' row search,
+and NoTransvection is exact past it.
 
 The induced case is proved on the generators.  `_block_orbit` walks
 the generator orbit of the first block once, breadth first, and checks
@@ -145,10 +145,9 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
 
     The transvection subgroup is N = <T^G>, the normal closure of one
     nontrivial transvection T, in place of H = <transvections of G>.  T is
-    the first generator that is a transvection; only if none is, G is
-    enumerated (so |G| must be within the cap) and T is the first
-    harvested one (first in element order).  Any such T gives the same
-    verdict:
+    the first generator that is a transvection; only if none is, T is the
+    first harvested one (first in element order), found by sifting with
+    no element of G built.  Any such T gives the same verdict:
 
     * Which branch runs.  N lies in H.  If H is reducible, N keeps H's
       invariant subspace.  If H is irreducible, H is Sp_n(F_{ell^d}), which
@@ -171,7 +170,7 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
     if t is None:
         harvested = harvest_transvections(g, cap)
         if not harvested:
-            raise NoTransvection("no nontrivial transvection found within the cap")
+            raise NoTransvection("no nontrivial transvection in the group")
         t = harvested[0][0]
 
     red = is_irreducible(g)
@@ -328,7 +327,7 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
     ctx = space.field.ctx
     change = sandwich_map(space.field, to_blocks, basis)
     action = []
-    for _, entries in elems.entry_chunks():
+    for entries in elems.entry_chunks():
         a = ctx.digit_array(entries)
         mm = (a.reshape(len(a), -1) @ change % ctx.ell).reshape(a.shape)
         if mm[:, m:, :m].any():

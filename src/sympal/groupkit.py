@@ -40,6 +40,10 @@ last slot first (`_Packing`).
   chain.  So `normal_closure` composes each conjugate a^-1·s·a from
   row-image tables and extends by it: no element is built, and a closure
   past the cap has its exact order.
+* Transvections: a transvection of G is determined by its row i, a row
+  of the table, where i leads its direction, so `harvest_transvections`
+  sifts at most one candidate per table row and index: no element of G
+  is built, and the harvest is exact past the cap.
 
 Irreducibility of the natural module needs no enumeration at all: Norton's
 test (`is_irreducible`) spins a few vectors chosen from the kernels of
@@ -77,9 +81,9 @@ from .symplectic import (
 )
 
 DEFAULT_CAP = 2 * 10**7
-# elements per chunk of the array passes (element iteration, the harvest,
-# and extract_induction's block-basis rewrite of the block stabilizer), so
-# their working memory does not grow with the group
+# elements or rows per chunk of the array passes (element iteration, the
+# harvest's table rows, extract_induction's block-basis rewrite of the
+# block stabilizer), so their working memory does not grow with the group
 ARRAY_CHUNK = 4096
 # Rounds of Norton's test before is_irreducible gives up.  Each round decides
 # with probability bounded below by a constant (Holt and Rees), and the test
@@ -148,12 +152,13 @@ class _Packing:
         return self.encode(list(np.array(slot_lists, dtype=self.word).T))
 
 
-def _in_sorted(sorted_keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Membership of each probe key in a sorted key array."""
-    if not len(sorted_keys):
-        return np.zeros(len(probe), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, probe), len(sorted_keys) - 1)
-    return sorted_keys[pos] == probe
+def _find(sorted_keys: np.ndarray, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each probe key is, or would be inserted, in a sorted key
+    array, and whether it is there."""
+    pos = np.searchsorted(sorted_keys, probe)
+    found = pos < len(sorted_keys)
+    found[found] = sorted_keys[pos[found]] == probe[found]
+    return pos, found
 
 
 def _reach(start: np.ndarray, steps: Sequence[Callable[[np.ndarray], np.ndarray]],
@@ -166,10 +171,9 @@ def _reach(start: np.ndarray, steps: Sequence[Callable[[np.ndarray], np.ndarray]
         keys = np.concatenate([step(frontier) for step in steps])
         keys.sort()
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        pos = np.searchsorted(seen, keys)
-        fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
-        frontier = keys[fresh]
-        seen = np.insert(seen, pos[fresh], frontier)
+        pos, found = _find(seen, keys)
+        frontier = keys[~found]
+        seen = np.insert(seen, pos[~found], frontier)
         if len(seen) > limit:
             raise CapExceeded(len(seen), f"{len(seen)} rows reached, more than n·cap = "
                                          f"{limit}, so the group order is past the cap")
@@ -208,8 +212,8 @@ class _RowTable:
         the table to a row of the table (as every element of a group whose
         rows these are does)."""
         keys = self._row_times(self.row_keys, _digit_map(self.spec, m))
-        image = np.searchsorted(self.row_keys, keys)
-        if not np.array_equal(self.row_keys[np.minimum(image, len(keys) - 1)], keys):
+        image, found = _find(self.row_keys, keys)
+        if not found.all():
             raise WitnessCheckFailed("an element maps a reached row out of the row table")
         return image
 
@@ -221,13 +225,18 @@ class _RowTable:
         """Keys of the decoded elements times the generator with this row-image table."""
         return self.pack.encode([image[col] for col in cols])
 
+    def numbers(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The numbers of the rows of a (..., n) array of field element
+        indices, and whether each is a reached row (else it has no number)."""
+        shape = rows.shape[:-1]
+        keys = self.row_pack.encode(list(rows.reshape(-1, rows.shape[-1]).T))
+        pos, found = _find(self.row_keys, keys)
+        return pos.reshape(shape), found.reshape(shape)
+
     def key_of(self, m: Mat) -> Optional[np.ndarray]:
         """The one-key array of m, or None if a row of m is not a reached row."""
-        probe = self.row_pack.from_slots(m)
-        pos = np.searchsorted(self.row_keys, probe)
-        if not np.array_equal(self.row_keys[np.minimum(pos, len(self.row_keys) - 1)], probe):
-            return None
-        return self.pack.encode(list(pos[:, None]))
+        rows, found = self.numbers(np.asarray(m))
+        return self.pack.encode(list(rows[:, None])) if found.all() else None
 
     def entry_array(self, keys: np.ndarray) -> np.ndarray:
         """The (len(keys), n, n) entries of the decoded elements."""
@@ -319,6 +328,15 @@ class _StabilizerChain:
         """Membership of the elements with these base images, one row of
         row numbers each: an element is a member iff it sifts to 1."""
         return self._sift(rows.astype(self.perms.dtype), 0) == len(self.levels)
+
+    def members(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (C, n) row numbers of a (C, n, n) array of matrices, and
+        which are elements: all n rows on the table, and their numbers,
+        the base images, sift to 1."""
+        rows, found = self.table.numbers(mats)
+        member = found.all(axis=1)
+        member[member] = self.contains(rows[member])
+        return rows, member
 
     def _residue(self, perm: np.ndarray, start: int, rows: np.ndarray) -> np.ndarray:
         """The row-image table of perm sifted from level start: its base
@@ -592,19 +610,11 @@ class ElementSet(Sequence):
 
     __hash__ = None
 
-    def subset(self, positions: np.ndarray) -> "ElementSet":
-        """The elements at the increasing positions, as a view over their keys."""
-        return ElementSet(self.space, self._table, self._keys[positions])
-
-    def entry_chunks(self, positions: Optional[np.ndarray] = None
-                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """(positions, entries), ARRAY_CHUNK elements at a time: the
-        positions (default all, in order) and their (C, n, n) entry array."""
-        if positions is None:
-            positions = np.arange(len(self))
-        for lo in range(0, len(positions), ARRAY_CHUNK):
-            pos = positions[lo:lo + ARRAY_CHUNK]
-            yield pos, self._table.entry_array(self._keys[pos])
+    def entry_chunks(self) -> Iterator[np.ndarray]:
+        """The (C, n, n) entry arrays of the elements in order, ARRAY_CHUNK
+        elements at a time."""
+        for lo in range(0, len(self), ARRAY_CHUNK):
+            yield self._table.entry_array(self._keys[lo:lo + ARRAY_CHUNK])
 
     def __contains__(self, m) -> bool:
         """Whether m (a SqMatrix or an n x n array of field element
@@ -615,21 +625,7 @@ class ElementSet(Sequence):
                 or not np.all((0 <= probe) & (probe < self.space.field.order)):
             return False
         key = self._table.key_of(probe)
-        return key is not None and bool(_in_sorted(self._keys, key)[0])
-
-    def indices_with_trace(self, t: int) -> np.ndarray:
-        """Positions of the elements whose trace is the field element t.
-
-        Field addition is digit-wise addition mod ell, so each element's
-        trace digits are sums of per-row diagonal digits.
-        """
-        table = self._table
-        ctx = table.spec.ctx
-        acc = 0
-        for i, col in enumerate(table.pack.slots(self._keys)):
-            acc = acc + ctx.digit_array(table.entries[:, i])[col]
-        hit = np.all(acc % ctx.ell == ctx.digit_array(t), axis=1)
-        return np.nonzero(hit)[0]
+        return key is not None and bool(_find(self._keys, key)[1][0])
 
 
 class MatSequence(Sequence):
@@ -726,9 +722,7 @@ class MatrixGroup:
         row off the table, or that does not sift to 1, raises NotSubgroup."""
         h = MatrixGroup(self.space, tuple(gens))
         chain = self.chain(cap)
-        keys = [chain.table.key_of(m.rows) for m in h.generators]
-        if any(k is None for k in keys) or not chain.contains(
-                np.stack(chain.table.pack.decode(np.concatenate(keys)), axis=1)).all():
+        if not chain.members(np.array([m.rows for m in h.generators]))[1].all():
             raise NotSubgroup("a generator is not an element of the group")
         h._table = chain.table
         return h
@@ -806,36 +800,43 @@ def sp_order(n: int, q: int) -> int:
 
 def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
                           ) -> list[tuple[SqMatrix, TransvectionData]]:
-    """All nontrivial transvections among the enumerated elements.
-
-    A transvection I + c·v(Jv)^T has trace n, and A - I of rank 1.  Both
-    are necessary conditions, so filtering by them drops no transvection:
-    the trace is tested on the keys of all elements at once, then A - I of
-    each candidate, ARRAY_CHUNK at a time, must be nonzero with every 2x2
-    minor zero (field products on digits).  detect_transvection then
-    decides each survivor exactly and gives its canonical data.  Output
-    order follows the deterministic element ordering.
-    """
-    elems = g.elements(cap)
-    ctx = g.space.field.ctx
-    n = g.space.n
-    ident = ctx.digit_array(np.eye(n, dtype=np.int64))
-    # the minor on rows i < k and columns j < l is a_ij·a_kl - a_il·a_kj
-    i, k = np.triu_indices(n, 1)
-    i, k, j, l = i[:, None], k[:, None], i[None, :], k[None, :]
-    survivors = []
-    for pos, entries in elems.entry_chunks(elems.indices_with_trace(n % ctx.ell)):
-        a = (ctx.digit_array(entries) - ident) % ctx.ell
-        rank_one = np.any(a, axis=(1, 2, 3)) & np.all(
-            ctx.product_digits(a[:, i, j], a[:, k, l])
-            == ctx.product_digits(a[:, i, l], a[:, k, j]), axis=(1, 2, 3))
-        survivors.append(pos[rank_one])
+    """All nontrivial transvections of G in element order, with no element
+    of G built.  T = I + lam·v(Jv)^T, v_i = 1 the first nonzero entry of
+    v, has row i r = e_i + u, u = lam·Jv, a table row if T is in G; and
+    x = J^-1·u = lam·v leads at i with x_i = lam.  So each table row r and
+    index i where x = J^-1·(r - e_i) leads at i give one candidate,
+    T = I + (x/x_i)·u^T, ARRAY_CHUNK rows at a time; it is a member iff it
+    sifts to 1 (`_StabilizerChain.members`).  Sorted by key, the members
+    are in element order; detect_transvection decides each exactly, and
+    one it does not find nontrivial raises WitnessCheckFailed."""
+    chain = g.chain(cap)
+    table, spec, n = chain.table, g.space.field, g.space.n
+    ctx = spec.ctx
+    exp, log = (np.frombuffer(t, dtype=np.int64) for t in ctx.exp_log())
+    j_inv_t = linalg.transpose(linalg.inverse(spec, g.space.gram))
+    to_x = _digit_map(spec, j_inv_t)
+    eye, shift = ctx.digit_array(linalg.identity(n)), ctx.digit_array(j_inv_t)
+    found = []
+    for lo in range(0, len(table.entries), ARRAY_CHUNK):
+        r = ctx.digit_array(table.entries[lo:lo + ARRAY_CHUNK])
+        y = (r.reshape(len(r), -1) @ to_x % ctx.ell).reshape(r.shape)
+        x = (y[:, None] - shift) % ctx.ell        # x[row, i] = (r - e_i)·J^-T
+        nonzero = x.any(axis=-1)
+        lead = np.where(nonzero.any(axis=-1), nonzero.argmax(axis=-1), -1)
+        c, i = np.nonzero(lead == np.arange(n))
+        x, u = x[c, i], (r[c] - eye[i]) % ctx.ell
+        lam = ctx.index_array(x[np.arange(len(i)), i])
+        v = ctx.product_digits(x, ctx.digit_array(exp[-log[lam] % len(exp)])[:, None])
+        mats = ctx.index_array((eye + ctx.product_digits(v[:, :, None], u[:, None])) % ctx.ell)
+        rows, member = chain.members(mats)
+        found.append(rows[member])
     out = []
-    if survivors:
-        for m in elems.subset(np.concatenate(survivors)):
-            verdict = detect_transvection(m)
-            if verdict.kind is TransvectionKind.NONTRIVIAL:
-                out.append((m, verdict.data))
+    for m in table.mats(np.sort(table.pack.encode(list(np.concatenate(found).T)))):
+        m = SqMatrix(g.space, m)
+        verdict = detect_transvection(m)
+        if verdict.kind is not TransvectionKind.NONTRIVIAL:
+            raise WitnessCheckFailed("a sifted candidate is not a nontrivial transvection")
+        out.append((m, verdict.data))
     return out
 
 

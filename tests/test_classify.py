@@ -133,7 +133,7 @@ def test_induced_case():
 
 
 # ---------------------------------------------------------------------------
-# routing: G is enumerated only when no generator is a transvection
+# routing: G is harvested only when no generator is a transvection
 # ---------------------------------------------------------------------------
 
 def _counted(monkeypatch, owner, name):
@@ -181,14 +181,15 @@ def test_huge_without_a_transvection_generator_harvests(order, monkeypatch):
 
 @pytest.mark.parametrize("order", ["t1·t2", "t2·t1"])
 def test_classify_refuses_past_the_cap_from_the_order(order, monkeypatch):
-    """A group that must be enumerated gets closure_enumerate's refusal,
-    from the chain, with no element built."""
+    """Enumeration past the cap gets the chain's order, with no element
+    built, while classify harvests with no element built and decides."""
     _refuse(monkeypatch, groupkit._StabilizerChain, "keys")
-    for run in (classify, closure_enumerate):
-        with pytest.raises(CapExceeded) as exc:
-            run(products_group(order), 100)
-        assert exc.value.count == 120
-        assert str(exc.value) == "the group order 120 is past the enumeration cap 100"
+    with pytest.raises(CapExceeded) as exc:
+        closure_enumerate(products_group(order), 100)
+    assert exc.value.count == 120
+    assert str(exc.value) == "the group order 120 is past the enumeration cap 100"
+    v = classify(products_group(order), 100)
+    assert (v.case, v.subfield_degree, v.transvection_subgroup_order) == ("huge", 1, 120)
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -201,7 +202,7 @@ def test_classify_refuses_a_cap_below_1(name, cap):
 
 
 # ---------------------------------------------------------------------------
-# past the cap: only the harvest enumerates
+# past the cap: no path builds an element
 # ---------------------------------------------------------------------------
 
 def sp6_f5():
@@ -237,6 +238,51 @@ def test_classify_past_the_cap(build_g, want, monkeypatch):
     assert g.order() > DEFAULT_CAP
     assert want == ((v.case, v.block_count, v.block_dim, v.action) if isinstance(v, Induced)
                     else (v.case, v.subfield_degree, v.transvection_subgroup_order))
+
+
+def seeded_products_group(ell, n, count):
+    """The products T_i·T_(i+1) of seeded transvections: no generator is
+    a transvection."""
+    ts = seeded_transvections(ell, n, count, 1)
+    return group(ts[0].space, [a * b for a, b in zip(ts, ts[1:])])
+
+
+@pytest.mark.parametrize("ell, n, count", [(11, 4, 6), (5, 6, 8), (13, 4, 6)],
+                         ids=["sp4-f11", "sp6-f5", "sp4-f13"])
+def test_classify_harvests_past_the_cap(ell, n, count, monkeypatch):
+    """Sp_n(F_ell) on products: the harvest finds all ell^n - 1 of its
+    transvections with no element built, and classify decides from the
+    first."""
+    harvests = []
+    inner = classify_mod.harvest_transvections
+    monkeypatch.setattr(classify_mod, "harvest_transvections",
+                        lambda *args: harvests.append(inner(*args)) or harvests[-1])
+    _refuse(monkeypatch, groupkit._StabilizerChain, "keys")
+    _refuse(monkeypatch, groupkit.MatrixGroup, "elements")
+    g = seeded_products_group(ell, n, count)
+    v = classify(g)
+    assert g.order() == sp_order(n, ell) > DEFAULT_CAP
+    assert [len(h) for h in harvests] == [ell ** n - 1]
+    assert (v.case, v.subfield_degree, v.transvection_subgroup_order) == (
+        "huge", 1, sp_order(n, ell))
+
+
+def split_torus():
+    """<diag(2, 1, 1/2, 1), diag(1, 2, 1, 1/2)> in Sp4(F101): 10,000
+    elements on 400 rows, and no transvection."""
+    s = SympSpace.standard(field_make(101, 1), 4)
+    h = pow(2, -1, 101)
+    return group(s, [mat(s, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, h, 0], [0, 0, 0, 1]]),
+                     mat(s, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, h]])])
+
+
+def test_no_transvection_is_exact_past_the_cap(monkeypatch):
+    _refuse(monkeypatch, groupkit._StabilizerChain, "keys")
+    _refuse(monkeypatch, groupkit.MatrixGroup, "elements")
+    g = split_torus()
+    with pytest.raises(NoTransvection, match="^no nontrivial transvection in the group$"):
+        classify(g, 100)
+    assert (g.order(), len(g.chain().table.row_keys)) == (10_000, 400)
 
 
 @pytest.mark.parametrize("name", CRITERION_3 + WREATH)

@@ -23,17 +23,6 @@ def huge_fixture_path(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def products_fixture_path(tmp_path):
-    """Sp2(F5) on T1·T2 and T2·T1: no generator is a transvection, so
-    classify must enumerate the group."""
-    s = SympSpace.standard(field_make(5, 1), 2)
-    t1, t2 = make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)
-    path = tmp_path / "products.json"
-    path.write_text(json.dumps(to_fixture(group(s, [t1 * t2, t2 * t1]))))
-    return str(path)
-
-
 def test_classify_ok(huge_fixture_path, capsys):
     rc = main(["classify", "--input", huge_fixture_path, "--json"])
     assert rc == 0
@@ -141,9 +130,6 @@ def test_classify_cap_exceeded(huge_fixture_path):
 
 
 @pytest.mark.parametrize("fixture, cap, message", [
-    # the group must be enumerated: |Sp2(F5)| = 120 from the stabilizer
-    # chain, refused before any element is built
-    ("products_fixture_path", 100, "the group order 120 is past the enumeration cap 100"),
     # the row search stops at 12 rows, past n·cap = 10, before any order
     ("huge_fixture_path", 5,
      "12 rows reached, more than n·cap = 10, so the group order is past the cap"),
@@ -302,11 +288,16 @@ def _write_docs(tmp_path) -> dict:
     t1, t2 = make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)
     huge = to_fixture(group(s, [t1, t2]))
     f3 = SympSpace.standard(field_make(3, 1), 2)
+    s101 = SympSpace.standard(field_make(101, 1), 4)
     docs = {
         "huge": huge,
         "reducible": to_fixture(group(s, [t1])),
-        # Sp2(F5) with no transvection generator: classify must enumerate it
+        # Sp2(F5) with no transvection generator: classify harvests it
         "products": to_fixture(group(s, [t1 * t2, t2 * t1])),
+        # a split torus of order 10,000 on 400 rows in Sp4(F101): no transvection
+        "torus": to_fixture(group(s101, [
+            SqMatrix(s101, ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 51, 0), (0, 0, 0, 1))),
+            SqMatrix(s101, ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 51)))])),
         "f3": to_fixture(group(f3, [make_transvection(f3, (1, 0), 1)])),
         # -I: a group of order 2 with no transvection
         "minus": to_fixture(group(s, [SqMatrix(s, ((4, 0), (0, 4)))])),
@@ -340,17 +331,24 @@ NP = ["np-group", "--n", "2", "--q", "5", "--p", "3", "--ell", "7"]
     # |Sp2(F5)| = 120 is past the cap, but a generator is a transvection
     (["classify", "--input", "huge", "--cap", "100"], 0, "case: huge"),
     # CapExceeded
-    (["classify", "--input", "products", "--cap", "100"], 3, "cap exceeded: "),
-    (NP + ["--classify", "--cap", "10"], 3, "cap exceeded: "),
+    # 24 rows reached, more than n·cap = 10, while the harvest's row search runs
+    (["classify", "--input", "products", "--cap", "5"], 3, "cap exceeded: "),
+    # the (n,p)-group reaches 12 rows, more than n·cap = 10
+    (NP + ["--classify", "--cap", "5"], 3, "cap exceeded: "),
     # TwistBreaksRegularity
     (["regularity", "--input", "edge", "--twist", "1"], 4, "collision: "),
     # NoTransvection, CharTooSmall, InvalidParams
     (["classify", "--input", "minus"], 2, "precondition failed: no nontrivial transvection"),
+    # |G| = 10,000 is past the cap, and the harvest proves G has no transvection
+    (["classify", "--input", "torus", "--cap", "100"], 2,
+     "precondition failed: no nontrivial transvection"),
     (["classify", "--input", "f3"], 2, "precondition failed: characteristic 3"),
     (["np-group", "--n", "3", "--q", "5", "--p", "3", "--ell", "7"], 2, "precondition failed: "),
     (NP + ["--N1", "4", "--N2", "6"], 2, "precondition failed: N1 and N2 must be coprime"),
     (["find-primes", "--n", "3", "--q-max", "10"], 2, "precondition failed: "),
     (NP + ["--classify"], 2, "classify: precondition failed as expected: "),
+    # |G| = 12 is past the cap, and the harvest still proves G has no transvection
+    (NP + ["--classify", "--cap", "10"], 2, "classify: precondition failed as expected: "),
     # any other SympalError
     (["classify", "--input", "ell4"], 2, "error: 4 is not prime"),
     # parse errors

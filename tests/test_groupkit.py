@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from sympal import groupkit, linalg
-from sympal.errors import CapExceeded, InvalidParams
+from sympal.errors import CapExceeded, InvalidParams, WitnessCheckFailed
 from sympal.ffield import field_make, mult_generator
 from sympal.npgroup import build_chi, build_np_group, np_params
 from sympal.groupkit import (
+    ElementSet,
     MatrixGroup,
     closure_enumerate,
     from_fixture,
@@ -33,6 +34,7 @@ from sympal.symplectic import (
     mat,
     scaling_similitude,
     TransvectionKind,
+    TransvectionVerdict,
 )
 
 F5 = field_make(5, 1)
@@ -119,7 +121,8 @@ def test_element_set_refuses_malformed_probes(probe):
 
 def test_empty_element_view_contains_nothing():
     s, g = sp2_f5()
-    empty = g.elements().subset(np.array([], dtype=np.intp))
+    elems = g.elements()
+    empty = ElementSet(s, elems._table, elems._keys[:0])
     assert len(empty) == 0 and tuple(empty) == ()
     assert (make_transvection(s, (1, 0), 1) in empty) is False
     assert (((0, 1), (4, 0)) in empty) is False
@@ -153,6 +156,29 @@ def test_harvest_empty_for_scaling_group():
     s = SympSpace.standard(F5, 2)
     g = group(s, [scaling_similitude(s, 2)])
     assert harvest_transvections(g) == []
+
+
+def test_harvest_on_a_non_standard_gram():
+    """Candidates are read through J^-T, which a standard Gram matrix
+    hides: there J^-T = J, so a harvest that used J itself would pass on
+    every standard fixture."""
+    x = ((1, 2, 0, 0), (0, 1, 3, 0), (0, 0, 1, 4), (1, 0, 0, 1))
+    j = SympSpace.standard(F5, 4).gram
+    s = SympSpace(F5, 4, linalg.mat_mul(F5, linalg.mat_mul(F5, linalg.transpose(x), j), x))
+    g = group(s, [make_transvection(s, v, 1)
+                  for v in [(1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 3)]])
+    want = [(m, detect_transvection(m).data) for m in g.elements()
+            if detect_transvection(m).kind is TransvectionKind.NONTRIVIAL]
+    assert len(want) == 124 and harvest_transvections(g) == want
+
+
+def test_harvest_refuses_a_member_that_is_not_a_transvection(monkeypatch):
+    """detect_transvection decides every sifted member, and a verdict
+    other than nontrivial is a failed check, not a skipped candidate."""
+    monkeypatch.setattr(groupkit, "detect_transvection",
+                        lambda m: TransvectionVerdict(TransvectionKind.NOT_TRANSVECTION))
+    with pytest.raises(WitnessCheckFailed, match="not a nontrivial transvection"):
+        harvest_transvections(sp2_f5()[1])
 
 
 def test_harvest_conjugation_stable():

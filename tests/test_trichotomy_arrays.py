@@ -20,7 +20,7 @@ from sympal import groupkit, linalg
 from sympal.classify import Induced, InducedExtraction, classify, extract_induction
 from sympal.errors import WitnessCheckFailed
 from sympal.ffield import FieldElement, field_make, mult_generator, subfield_embed
-from sympal.groupkit import DEFAULT_CAP, MatSequence, group, harvest_transvections
+from sympal.groupkit import DEFAULT_CAP, ElementSet, MatSequence, group, harvest_transvections
 from sympal.linalg import Mat
 from sympal.symplectic import (
     SqMatrix,
@@ -32,6 +32,7 @@ from sympal.symplectic import (
     mat,
     random_similitude,
 )
+from test_stabilizer_chain import CRITERION_3 as CHAIN_CRITERION_3, WREATH, build
 
 F5 = field_make(5, 1)
 F25 = field_make(5, 2)
@@ -90,10 +91,10 @@ def reference_extract_induction(g, verdict, cap=DEFAULT_CAP) -> InducedExtractio
 
 
 def reference_harvest(g, cap=DEFAULT_CAP):
-    elems = g.elements(cap)
     out = []
-    for i in elems.indices_with_trace(g.space.n % g.space.field.ell):
-        m = elems[int(i)]
+    for m in g.elements(cap):
+        if m.trace() != g.space.n % g.space.field.ell:   # a transvection has trace n
+            continue
         verdict = detect_transvection(m)
         if verdict.kind is TransvectionKind.NONTRIVIAL:
             out.append((m, verdict.data))
@@ -188,27 +189,27 @@ def test_harvest_matches_reference(name):
 
 def test_small_chunks_give_the_same_results(monkeypatch):
     g, v = case("induced")
-    want_harvest = harvest_transvections(g)
-    monkeypatch.setattr(groupkit, "ARRAY_CHUNK", 997)   # 29 chunks of 28,800 elements
+    conj, _ = case("induced-conj-1")
+    want_harvest = harvest_transvections(conj)
+    assert len(conj.chain().table.row_keys) == 624 < groupkit.ARRAY_CHUNK
+    monkeypatch.setattr(groupkit, "ARRAY_CHUNK", 997)   # 15 chunks of S_1's 14,400 elements
     assert extract_induction(g, v) == reference_extraction("induced")
-    assert harvest_transvections(g) == want_harvest
+    monkeypatch.setattr(groupkit, "ARRAY_CHUNK", 7)     # 90 chunks of 624 table rows
+    assert harvest_transvections(conj) == want_harvest
 
 
-def test_harvest_decides_only_rank_one_candidates(monkeypatch):
-    g, _ = case("induced")
-    calls = []
-    real = groupkit.detect_transvection
+@pytest.mark.parametrize("name", CHAIN_CRITERION_3 + WREATH)
+def test_harvest_builds_no_element(name, monkeypatch):
+    """Candidates come from the row table and are sifted, so no element
+    of G is built, and the result is the per-element oracle's."""
+    want = reference_harvest(build(name))
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
+    def refused(*args, **kwargs):
+        raise AssertionError("an element was built")
 
-    monkeypatch.setattr(groupkit, "detect_transvection", counted)
-    hits = harvest_transvections(g)
-    candidates = g.elements().indices_with_trace(g.space.n % g.space.field.ell)
-    assert len(hits) <= len(calls) < len(candidates)
-    assert all(linalg.rank(g.space.field, linalg.mat_sub(
-        g.space.field, m.rows, linalg.identity(g.space.n))) == 1 for m in calls)
+    monkeypatch.setattr(groupkit._StabilizerChain, "keys", refused)
+    monkeypatch.setattr(groupkit.MatrixGroup, "elements", refused)
+    assert harvest_transvections(build(name)) == want
 
 
 def test_blocks_not_permuted_by_g_are_refused():
@@ -298,6 +299,7 @@ def test_two_extractions_of_one_input_are_equal():
     # views over the same table or array shape with other keys or entries differ
     elems = g.elements()
     assert first.stabilizer != elems
-    assert first.stabilizer != elems.subset(np.arange(len(first.stabilizer)))
+    assert first.stabilizer != ElementSet(v.blocks[0].space, elems._table,
+                                          elems._keys[:len(first.stabilizer)])
     zeros = np.zeros((len(first.block_action), v.block_dim, v.block_dim), dtype=np.int64)
     assert first.block_action != MatSequence(zeros)
