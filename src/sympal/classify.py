@@ -26,12 +26,13 @@ that each generator permutes the blocks; then so does every element, so
 G acts on the blocks and its character is induced from the stabilizer
 S_1 of the first block.  `extract_induction` builds S_1 from Schreier
 generators on G's row table, checks its index against the block count
-from the two stabilizer chains, and enumerates S_1 alone, never G.  Each
-element of S_1 is rewritten in the block basis by one fixed integer
-matrix on its base-ell digits (`sandwich_map`), and its (0, 0) block is
-its matrix on the first block.  The result is two views over arrays,
-S_1's keys and those blocks, so a stabilizer element or block matrix
-costs a decode only when a caller reads it.
+from the two stabilizer chains, and enumerates S_1 alone, never G.  The
+first block column of each element of S_1 in the block basis is one
+F_ell-linear map of its entries, built and applied by the digit layer
+(`ffield._Fq.linear_map`), and its top block is the element's matrix on
+the first block.  The result is two views over arrays, S_1's keys and
+those blocks, so a stabilizer element or block matrix costs a decode
+only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .errors import (
     Singular,
     WitnessCheckFailed,
 )
-from .ffield import FieldSpec
 from .groupkit import (
     DEFAULT_CAP,
     ElementSet,
@@ -63,7 +63,6 @@ from .groupkit import (
     sp_order,
     spin,
 )
-from .linalg import Mat
 from .symplectic import (
     Subspace,
     TransvectionKind,
@@ -268,20 +267,6 @@ class InducedExtraction:
     block_action: MatSequence
 
 
-def sandwich_map(spec: FieldSpec, left: Mat, right: Mat) -> np.ndarray:
-    """x -> left·x·right on the n·n·degree entry digits of an n x n matrix x.
-
-    The map is F_q-linear in x, so F_ell-linear on its digits: entry (i, j)
-    of x, times left[a][i]·right[j][b], goes to entry (a, b), so block
-    ((i, j), (a, b)) is the digit matrix of multiplication by that product.
-    """
-    ctx, n, d = spec.ctx, len(left), spec.degree
-    lhs = ctx.digit_array(left).transpose(1, 0, 2)[:, None, :, None]     # [i, ., a, .]
-    rhs = ctx.digit_array(right)[None, :, None]                           # [., j, ., b]
-    blocks = ctx.mul_matrix(ctx.index_array(ctx.product_digits(lhs, rhs)))
-    return blocks.transpose(0, 1, 4, 2, 3, 5).reshape(n * n * d, n * n * d)
-
-
 def extract_induction(g: MatrixGroup, verdict: Induced,
                       cap: int = DEFAULT_CAP) -> InducedExtraction:
     """Stabilizer S_1 of the first block with its block representation,
@@ -298,12 +283,13 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
     the count.  Only S_1 is enumerated, so G may lie past the cap.
 
     Let B be the matrix whose columns are the blocks' reduced-echelon
-    bases, concatenated.  Each element A of S_1 is rewritten as
-    M = B^-1·A·B, a fixed F_ell-linear map of A's entry digits
-    (`sandwich_map`), ARRAY_CHUNK elements at a time.  M's first block
-    column must be zero below its (0, 0) block, which is A's matrix on the
-    first block in that block's basis.  The result holds S_1's keys and
-    the (0, 0) blocks as arrays (see InducedExtraction).
+    bases, concatenated, and B_0 its first m columns, the first block's
+    basis.  Each element A of S_1 is mapped to the first block column of
+    B^-1·A·B, the n x m matrix B^-1·A·B_0, by one F_ell-linear map of A's
+    entry digits (`ffield._Fq.linear_map`), ARRAY_CHUNK elements at a
+    time.  It must be zero below its top m x m block, which is A's matrix
+    on the first block in that block's basis.  The result holds S_1's keys
+    and those blocks as arrays (see InducedExtraction).
     """
     space = g.space
     n, m, h = space.n, verdict.block_dim, len(verdict.blocks)
@@ -325,14 +311,13 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
         raise WitnessCheckFailed("stabilizer index does not equal block count")
     elems = stab.elements(cap)
     ctx = space.field.ctx
-    change = sandwich_map(space.field, to_blocks, basis)
+    change = ctx.linear_map(to_blocks, tuple(row[:m] for row in basis))   # A -> B^-1·A·B_0
     action = []
     for entries in elems.entry_chunks():
-        a = ctx.digit_array(entries)
-        mm = (a.reshape(len(a), -1) @ change % ctx.ell).reshape(a.shape)
-        if mm[:, m:, :m].any():
+        column = ctx.apply_map(change, entries)
+        if column[:, m:].any():
             raise WitnessCheckFailed("a stabilizer element moves the first block")
-        action.append(ctx.index_array(mm[:, :m, :m]))
+        action.append(column[:, :m])
     return InducedExtraction(elems, verdict.block_count, MatSequence(np.concatenate(action)))
 
 

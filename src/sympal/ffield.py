@@ -8,10 +8,14 @@ bit-exact.
 
 The digit layer of `_Fq` is the one home of this encoding for array code:
 multiplication is F_ell-bilinear on digits, given by `mul_tensor` (the
-digits of x^a·x^b, built from the modulus alone), and `digit_array`,
-`index_array`, `mul_matrix` and `product_digits` serve the closure kernel,
-the transvection harvest, extract_induction's block-basis rewrite of the
-block stabilizer and the power table.
+digits of x^a·x^b, built from the modulus alone).  Every F_q-linear map
+of matrix entries the library needs is x -> left·x·right for fixed
+matrices, so F_ell-linear on the entries' digits: `linear_map` builds it
+as one integer array and `apply_map` maps a batch of encoded matrices by
+it.  They give row·g in the closure kernel, the harvest's (r - e_i)·J^-T,
+extract_induction's first block column B^-1·A·B_0 and each doubling step
+of the power table; the harvest builds its candidates with
+`product_digits`.  No other module knows the digit layout.
 
 Scalar arithmetic in an extension field is table lookups on logarithms,
 with no digit tuple in sight.  `exp_log` builds, from the digit layer,
@@ -389,6 +393,26 @@ class _Fq:
         outer = outer.reshape(outer.shape[:-2] + (self.r * self.r,))
         return outer @ self.mul_tensor.reshape(self.r * self.r, self.r) % self.ell
 
+    def linear_map(self, left, right) -> np.ndarray:
+        """x -> left·x·right on the entry digits of an i x j matrix x, for
+        encoded matrices left (a x i) and right (j x b).  The map is
+        F_q-linear in x, so F_ell-linear on its digits: entry (i, j) of x,
+        times left[a][i]·right[j][b], goes to entry (a, b).  So the result,
+        an (i, j, r, a, b, r) array, holds at [i, j, :, a, b, :] the digit
+        matrix of multiplication by that product.  A row vector is a 1 x j
+        matrix, so row -> row·g is linear_map([[1]], g)."""
+        lhs = self.digit_array(left).transpose(1, 0, 2)[:, None, :, None]   # [i, ., a, .]
+        rhs = self.digit_array(right)[None, :, None]                         # [., j, ., b]
+        blocks = self.mul_matrix(self.index_array(self.product_digits(lhs, rhs)))
+        return np.ascontiguousarray(blocks.transpose(0, 1, 4, 2, 3, 5))
+
+    def apply_map(self, m: np.ndarray, x) -> np.ndarray:
+        """The (N, a, b) encoded images under a `linear_map` m of a batch of
+        N encoded matrices x, each of the i·j entries m maps."""
+        flat = m.reshape(-1, m.shape[3] * m.shape[4] * m.shape[5])
+        d = self.digit_array(x).reshape(len(x), len(flat))
+        return self.index_array((d @ flat % self.ell).reshape((len(x),) + m.shape[3:]))
+
     # -- scalar arithmetic on indices --
     #
     # In an extension field every operand is a log in [0, q-1), so a sum
@@ -478,7 +502,7 @@ class _Fq:
         log[0] = -1.  The first call also builds the Zech table `_zech`.
 
         Powers are built by doubling: with g^0, ..., g^(k-1) known, the
-        next k powers are those times g^k, a digit-matrix product on
+        next k powers are those times g^k, one `linear_map` applied to
         _POWER_CHUNK powers at a time, so the digit arrays stay small.  1 + x
         differs from x only in the constant digit, so Z = log[1 + exp] is
         one pass over exp.  Each table is checked exactly: exp must be a
@@ -491,11 +515,10 @@ class _Fq:
             exp = np.empty(n, dtype=np.int64)
             exp[0] = k = 1
             while k < n:
-                step = self.mul_matrix(self._raw_mul(int(exp[k - 1]), g))
+                step = self.linear_map([[1]], [[self._raw_mul(int(exp[k - 1]), g)]])
                 for lo in range(0, min(k, n - k), _POWER_CHUNK):
                     hi = min(lo + _POWER_CHUNK, k, n - k)
-                    exp[k + lo:k + hi] = self.index_array(
-                        self.digit_array(exp[lo:hi]) @ step % self.ell)
+                    exp[k + lo:k + hi] = self.apply_map(step, exp[lo:hi]).ravel()
                 k = min(2 * k, n)
             if self._raw_mul(int(exp[-1]), g) != 1:
                 raise WitnessCheckFailed("generator order mismatch")

@@ -11,9 +11,9 @@ last slot first (`_Packing`).
   reached from the identity's rows.  A row vector is its n entries, and
   row·g is an F_ell-linear map of the entries' base-ell digits, one
   integer matrix product per generator, so no field needs multiplication
-  tables.  The digit arithmetic is the field context's
-  (`ffield._Fq.digit_array`, `mul_matrix`, ...); the row table holds
-  rows, keys and images, and no field arithmetic of its own.  Sorted row
+  tables.  The map is the field context's (`ffield._Fq.linear_map` of the
+  1 x 1 identity and g, applied by `apply_map`); the row table holds
+  rows, keys and images, and no digit arithmetic of its own.  Sorted row
   keys number the rows in increasing reversed-coordinate order, and each
   generator gets a table from a row's number to the number of row·g.
   More than n·cap rows raise CapExceeded, since every row is row i of
@@ -40,10 +40,11 @@ last slot first (`_Packing`).
   chain.  So `normal_closure` composes each conjugate a^-1·s·a from
   row-image tables and extends by it: no element is built, and a closure
   past the cap has its exact order.
-* Transvections: a transvection of G is determined by its row i, a row
-  of the table, where i leads its direction, so `harvest_transvections`
-  sifts at most one candidate per table row and index: no element of G
-  is built, and the harvest is exact past the cap.
+* Transvections: a transvection of G whose direction leads at i fixes
+  the first i base points, and is determined by its row i, a point of
+  level i's orbit, so `harvest_transvections` sifts at most one
+  candidate per orbit point of each level: no element of G is built, and
+  the harvest is exact past the cap.
 
 Irreducibility of the natural module needs no enumeration at all: Norton's
 test (`is_irreducible`) spins a few vectors chosen from the kernels of
@@ -82,7 +83,7 @@ from .symplectic import (
 
 DEFAULT_CAP = 2 * 10**7
 # elements or rows per chunk of the array passes (element iteration, the
-# harvest's table rows, extract_induction's block-basis rewrite of the
+# harvest's orbit points, extract_induction's block-basis rewrite of the
 # block stabilizer), so their working memory does not grow with the group
 ARRAY_CHUNK = 4096
 # Rounds of Norton's test before is_irreducible gives up.  Each round decides
@@ -180,38 +181,30 @@ def _reach(start: np.ndarray, steps: Sequence[Callable[[np.ndarray], np.ndarray]
     return seen
 
 
-def _digit_map(spec: FieldSpec, g: Mat) -> np.ndarray:
-    """row -> row·g on the rows' n·degree entry digits: block (i, j) is the
-    digit matrix of multiplication by g_ij."""
-    n, d = len(g), spec.degree
-    return spec.ctx.mul_matrix(g).transpose(0, 2, 1, 3).reshape(n * d, n * d)
-
-
 class _RowTable:
     """The rows of <gens>, numbered."""
 
     def __init__(self, space: SympSpace, gens: Sequence[Mat], cap: int):
         spec, n = space.field, space.n
-        self.spec = spec
+        self.ctx = spec.ctx
         self.row_pack = _Packing(n, max((spec.order - 1).bit_length(), 1))
-        steps = [lambda keys, m=_digit_map(spec, g): self._row_times(keys, m) for g in gens]
+        steps = [lambda keys, m=self.ctx.linear_map([[1]], g):
+                 self._row_times(np.stack(self.row_pack.decode(keys), axis=1), m) for g in gens]
         ident = linalg.identity(n)
         self.row_keys = _reach(np.sort(self.row_pack.from_slots(ident)), steps, n * cap)
         self.entries = np.stack(self.row_pack.decode(self.row_keys), axis=1).astype(np.int64)
         self.pack = _Packing(n, max((len(self.row_keys) - 1).bit_length(), 1))
         self.identity = self.key_of(ident)
 
-    def _row_times(self, keys: np.ndarray, m: np.ndarray) -> np.ndarray:
-        ctx = self.spec.ctx
-        x = ctx.digit_array(np.stack(self.row_pack.decode(keys), axis=1))
-        y = x.reshape(len(keys), -1) @ m % ctx.ell
-        return self.row_pack.encode(list(ctx.index_array(y.reshape(x.shape)).T))
+    def _row_times(self, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Keys of row·g for an (N, n) array of rows, m = linear_map([[1]], g)."""
+        return self.row_pack.encode(list(self.ctx.apply_map(m, rows)[:, 0].T))
 
     def image_of(self, m: Mat) -> np.ndarray:
         """The row-image table of the matrix m, which must map every row of
         the table to a row of the table (as every element of a group whose
         rows these are does)."""
-        keys = self._row_times(self.row_keys, _digit_map(self.spec, m))
+        keys = self._row_times(self.entries, self.ctx.linear_map([[1]], m))
         image, found = _find(self.row_keys, keys)
         if not found.all():
             raise WitnessCheckFailed("an element maps a reached row out of the row table")
@@ -220,10 +213,6 @@ class _RowTable:
     def mat(self, rows: np.ndarray) -> Mat:
         """The matrix whose rows have these numbers."""
         return tuple(map(tuple, self.entries[rows].tolist()))
-
-    def times(self, cols: Sequence[np.ndarray], image: np.ndarray) -> np.ndarray:
-        """Keys of the decoded elements times the generator with this row-image table."""
-        return self.pack.encode([image[col] for col in cols])
 
     def numbers(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The numbers of the rows of a (..., n) array of field element
@@ -802,34 +791,34 @@ def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
                           ) -> list[tuple[SqMatrix, TransvectionData]]:
     """All nontrivial transvections of G in element order, with no element
     of G built.  T = I + lam·v(Jv)^T, v_i = 1 the first nonzero entry of
-    v, has row i r = e_i + u, u = lam·Jv, a table row if T is in G; and
-    x = J^-1·u = lam·v leads at i with x_i = lam.  So each table row r and
-    index i where x = J^-1·(r - e_i) leads at i give one candidate,
-    T = I + (x/x_i)·u^T, ARRAY_CHUNK rows at a time; it is a member iff it
-    sifts to 1 (`_StabilizerChain.members`).  Sorted by key, the members
-    are in element order; detect_transvection decides each exactly, and
-    one it does not find nontrivial raises WitnessCheckFailed."""
+    v, has rows e_0..e_(i-1), so it fixes the first i base points, and row
+    i r = e_i + u, u = lam·Jv: if T is in G, r is a point of level i's
+    orbit.  And x = J^-1·u = lam·v is zero before i with x_i = lam.  So
+    each orbit point r of level i where x = J^-1·(r - e_i) is zero before
+    i and x_i is not gives one candidate, T = I + (x/x_i)·u^T, ARRAY_CHUNK
+    points at a time; it is a member iff it sifts to 1
+    (`_StabilizerChain.members`).  Sorted by key, the members are in
+    element order; detect_transvection decides each exactly, and one it
+    does not find nontrivial raises WitnessCheckFailed."""
     chain = g.chain(cap)
     table, spec, n = chain.table, g.space.field, g.space.n
     ctx = spec.ctx
     exp, log = (np.frombuffer(t, dtype=np.int64) for t in ctx.exp_log())
-    j_inv_t = linalg.transpose(linalg.inverse(spec, g.space.gram))
-    to_x = _digit_map(spec, j_inv_t)
-    eye, shift = ctx.digit_array(linalg.identity(n)), ctx.digit_array(j_inv_t)
+    to_x = ctx.linear_map([[1]], linalg.transpose(linalg.inverse(spec, g.space.gram)))
+    eye = ctx.digit_array(linalg.identity(n))
     found = []
-    for lo in range(0, len(table.entries), ARRAY_CHUNK):
-        r = ctx.digit_array(table.entries[lo:lo + ARRAY_CHUNK])
-        y = (r.reshape(len(r), -1) @ to_x % ctx.ell).reshape(r.shape)
-        x = (y[:, None] - shift) % ctx.ell        # x[row, i] = (r - e_i)·J^-T
-        nonzero = x.any(axis=-1)
-        lead = np.where(nonzero.any(axis=-1), nonzero.argmax(axis=-1), -1)
-        c, i = np.nonzero(lead == np.arange(n))
-        x, u = x[c, i], (r[c] - eye[i]) % ctx.ell
-        lam = ctx.index_array(x[np.arange(len(i)), i])
-        v = ctx.product_digits(x, ctx.digit_array(exp[-log[lam] % len(exp)])[:, None])
-        mats = ctx.index_array((eye + ctx.product_digits(v[:, :, None], u[:, None])) % ctx.ell)
-        rows, member = chain.members(mats)
-        found.append(rows[member])
+    for i, lev in enumerate(chain.levels):
+        for lo in range(0, len(lev.orbit), ARRAY_CHUNK):
+            r = ctx.digit_array(table.entries[lev.orbit[lo:lo + ARRAY_CHUNK]])
+            u = (r - eye[i]) % ctx.ell
+            x = ctx.apply_map(to_x, ctx.index_array(u))[:, 0]     # x = (r - e_i)·J^-T
+            keep = ~x[:, :i].any(axis=1) & (x[:, i] != 0)
+            lam_inv = ctx.digit_array(exp[-log[x[keep, i]] % len(exp)])
+            v = ctx.product_digits(ctx.digit_array(x[keep]), lam_inv[:, None])
+            outer = ctx.product_digits(v[:, :, None], u[keep, None])
+            mats = ctx.index_array((eye + outer) % ctx.ell)
+            rows, member = chain.members(mats)
+            found.append(rows[member])
     out = []
     for m in table.mats(np.sort(table.pack.encode(list(np.concatenate(found).T)))):
         m = SqMatrix(g.space, m)

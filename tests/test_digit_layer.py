@@ -11,8 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from sympal import ffield, groupkit, linalg
-from sympal.classify import sandwich_map
+from sympal import ffield, linalg
 from sympal.ffield import factorize, field_make
 
 DIGIT_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 4), (5, 3)]
@@ -103,14 +102,27 @@ def _random_mat(rng, q, rows, cols):
 @pytest.mark.parametrize("ell, r", [(5, 1), (5, 2), (5, 3)])
 @pytest.mark.parametrize("n", [2, 4])
 def test_digit_maps_agree_with_mat_mul(ell, r, n):
+    """linear_map in the three shapes the library builds, each against
+    mat_mul: row·g (a 1 x n row), the square sandwich left·x·right, and
+    left·x·right with an n x m right factor (extract_induction's first
+    block column).  apply_map maps a batch of matrices at once."""
     spec = field_make(ell, r)
     ctx = spec.ctx
     rng = random.Random(1000 * n + r)
     for _ in range(5):
-        g, left, right, x = (_random_mat(rng, spec.order, n, n) for _ in range(4))
-        rows = ctx.digit_array(x).reshape(n, n * r) @ groupkit._digit_map(spec, g) % ell
-        assert linalg.mat_mul(spec, x, g) == tuple(map(tuple, ctx.index_array(
-            rows.reshape(n, n, r)).tolist()))
-        y = ctx.digit_array(x).reshape(n * n * r) @ sandwich_map(spec, left, right) % ell
-        assert linalg.mat_mul(spec, left, linalg.mat_mul(spec, x, right)) == tuple(map(
-            tuple, ctx.index_array(y.reshape(n, n, r)).tolist()))
+        g, left, right, x, y = (_random_mat(rng, spec.order, n, n) for _ in range(5))
+        narrow = _random_mat(rng, spec.order, n, n // 2)
+        row_map = ctx.linear_map([[1]], g)
+        assert row_map.shape == (1, n, r, 1, n, r)
+        rows = ctx.apply_map(row_map, np.array(x))
+        assert rows.shape == (n, 1, n)
+        assert linalg.mat_mul(spec, x, g) == tuple(map(tuple, rows[:, 0].tolist()))
+        for rhs in (right, narrow):
+            b = len(rhs[0])
+            sandwich = ctx.linear_map(left, rhs)
+            assert sandwich.shape == (n, n, r, n, b, r)
+            batch = [x, y, g]
+            got = ctx.apply_map(sandwich, np.array(batch))
+            assert got.shape == (len(batch), n, b)
+            assert [linalg.mat_mul(spec, left, linalg.mat_mul(spec, z, rhs)) for z in batch] \
+                == [tuple(map(tuple, image)) for image in got.tolist()]

@@ -194,7 +194,7 @@ def test_small_chunks_give_the_same_results(monkeypatch):
     assert len(conj.chain().table.row_keys) == 624 < groupkit.ARRAY_CHUNK
     monkeypatch.setattr(groupkit, "ARRAY_CHUNK", 997)   # 15 chunks of S_1's 14,400 elements
     assert extract_induction(g, v) == reference_extraction("induced")
-    monkeypatch.setattr(groupkit, "ARRAY_CHUNK", 7)     # 90 chunks of 624 table rows
+    monkeypatch.setattr(groupkit, "ARRAY_CHUNK", 7)     # 86 chunks of 588 orbit points
     assert harvest_transvections(conj) == want_harvest
 
 
