@@ -5,8 +5,9 @@ A number is kept in one canonical form: the integer coefficients of
 cyclotomic polynomial Phi_n, constant term first -- over a positive
 integer denominator coprime to them.  Character values are algebraic
 integers, so in practice the denominator is 1 and everything runs on
-integer tuples: equality and hashing compare tuples, addition adds them,
-and multiplication is a convolution followed by reduction mod Phi_n.
+integer tuples: equality and hashing compare tuples (a rational value
+hashes as the int or Fraction it equals), addition adds them, and
+multiplication is a convolution followed by reduction mod Phi_n.
 Galois action and embedding map zeta^j to its image and reduce.  A
 Fraction enters only when a caller multiplies by one (an inner product's
 1/|G|).  Phi_n is computed by peeling Phi_d out of x^n - 1 for the
@@ -175,6 +176,9 @@ class Cyc:
         return self.coeffs == other.coeffs and self.den == other.den
 
     def __hash__(self):
+        # a rational value equals its int or Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(self.coeffs[0] if self.den == 1 else Fraction(self.coeffs[0], self.den))
         return hash((self.n, self.coeffs, self.den))
 
     def is_zero(self) -> bool:

@@ -22,12 +22,16 @@ Their entries are counts of coset representatives, so they are
 nonnegative integers.  L reads N's induction terms at each class of H.
 R adds, for each gamma in H\\G/N, the induction terms of the meet
 H cap gamma N gamma^-1 inside H, sent to N's class of gamma^-1 x gamma.
-Integer matrices commute with the coordinates of the power basis of
-Q(zeta_n).  So a side's values are the matrix times chi's array of
-coefficients, one row per class.  The array holds Python ints (Fractions
-for a fractional value) in numpy object arrays, which cannot overflow.
-L chi = R chi is therefore exact equality of the Cyc values, and no Cyc
-is built.
+The irreducible characters of N are a basis of its class functions, so
+Mackey's formula holds for every chi on N exactly when L = R.  That is
+decided once per (N, H), when the pair is built: equal matrices are kept
+as one array, and a check on such a pair reads no chi.  Only when L and R
+differ is chi read.  Integer matrices commute with the coordinates of
+the power basis of Q(zeta_n), so a side's values are the matrix times
+chi's array of coefficients, one row per class.  The array holds Python
+ints (Fractions for a fractional value) in numpy object arrays, which
+cannot overflow.  L chi = R chi is therefore exact equality of the Cyc
+values, and no Cyc is built.
 
 Character tables come from Dixon's method: split the simultaneous
 eigenvectors of the class-sum matrices over a prime field F_P with
@@ -524,12 +528,17 @@ def mackey_check(g: FiniteGroup, h: Subgroup, n: Subgroup,
                  chi: ClassFunction) -> bool:
     """Res_H Ind_N^G chi = sum over H\\G/N of Ind_{H cap gNg^-1}^H Res chi^g.
 
-    Both sides are _transport's integer matrices applied to chi's values."""
+    Both sides are _transport's integer matrices applied to chi's values.
+    When the two are one array (L = R), the formula holds for every class
+    function on N and chi's values are not read; otherwise both products
+    are compared."""
     _check_parent(g, h)
     _check_parent(g, n)
     if chi.group is not n.group:
         raise NotSubgroup("character is not on the given subgroup")
     left, right = _transport(g, h, n)
+    if left is right:
+        return True
     v = np.array([x.reduced() for x in chi.values], dtype=object)
     return np.array_equal(left.dot(v), right.dot(v))
 
@@ -537,7 +546,8 @@ def mackey_check(g: FiniteGroup, h: Subgroup, n: Subgroup,
 def _transport(g: FiniteGroup, h: Subgroup, n: Subgroup) -> tuple[np.ndarray, np.ndarray]:
     """(L, R): integer matrices from the classes of n.group to those of
     h.group, with Res_H Ind_N^G chi = L chi and the Mackey sum = R chi on
-    chi's class values.  Remembered on n, keyed by h."""
+    chi's class values.  They are compared once: if equal, R is L, the
+    same array.  Remembered on n, keyed by h."""
     pair = n.transport.get(h)
     if pair is None:
         kh, kn = len(h.group.classes), len(n.group.classes)
@@ -558,7 +568,9 @@ def _transport(g: FiniteGroup, h: Subgroup, n: Subgroup) -> tuple[np.ndarray, np
             for c, terms in enumerate(_induction_terms(h.group, meet)):
                 for j, k in terms:
                     right[c][to_n[j]] += k
-        pair = n.transport[h] = (np.array(left, dtype=object), np.array(right, dtype=object))
+        left = np.array(left, dtype=object)
+        right = left if np.array_equal(left, right) else np.array(right, dtype=object)
+        pair = n.transport[h] = (left, right)
     return pair
 
 

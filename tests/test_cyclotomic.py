@@ -79,6 +79,20 @@ def test_equality_mod_phi_not_vectorwise():
     assert hash(s) == hash(zero(3))
 
 
+@pytest.mark.parametrize("n", [1, 3, 6, 12])
+def test_rational_values_hash_as_the_numbers_they_equal(n):
+    # x == y must give hash(x) == hash(y), across Cyc, int and Fraction
+    for value in (3, 0, -2, Fraction(1, 2), Fraction(-7, 3)):
+        x = rational(n, value)
+        assert x == value and hash(x) == hash(value)
+    assert rational(n, 6) * Fraction(1, 2) == 3
+    assert hash(rational(n, 6) * Fraction(1, 2)) == hash(3)
+    assert {3: "x"}.get(rational(n, Fraction(6, 2))) == "x"
+    assert {Fraction(1, 2): "h"}.get(rational(n, Fraction(2, 4))) == "h"
+    assert len({rational(n, Fraction(6, 2)), 3}) == 1
+    assert len({rational(n, Fraction(1, 2)), Fraction(1, 2), 3}) == 2
+
+
 # ---------------------------------------------------------------------------
 # property: the canonical integer form against complex evaluation
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from sympal import mackey
 from sympal.cli import main
-from sympal.cyclotomic import rational
+from sympal.cyclotomic import Cyc, rational
 from sympal.errors import FieldTooLarge, HypothesisFailed, InvalidParams, NotSubgroup
 from sympal.mackey import (
     ClassFunction,
@@ -325,8 +325,23 @@ def test_mackey_check_agrees_with_the_induce_oracle(build):
                 lhs, rhs = _mackey_sides(g, h, n, chi)
                 assert mackey_check(g, h, n, chi) == (lhs == rhs) is True
                 left, right = mackey._transport(g, h, n)
+                assert left is right   # L = R is kept as one array
                 assert left.dot(v).tolist() == [list(x.reduced()) for x in lhs.values]
                 assert right.dot(v).tolist() == [list(x.reduced()) for x in rhs.values]
+
+
+def test_mackey_check_on_equal_sides_reads_no_character(monkeypatch):
+    # L = R proves the formula for every class function on N, so no value
+    # of chi is read
+    g = symmetric_group(4)
+    subs = all_subgroups(g)
+    tables = {n: character_table(n.group, g.exponent) for n in subs}
+
+    def refuse(self):
+        raise AssertionError("a character value was read")
+
+    monkeypatch.setattr(Cyc, "reduced", refuse)
+    assert all(mackey_check(g, h, n, chi) for n in subs for h in subs for chi in tables[n])
 
 
 def test_mackey_check_is_exact_on_rational_values():
