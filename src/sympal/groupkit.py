@@ -796,9 +796,7 @@ def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
     orbit.  And x = J^-1·u = lam·v is zero before i with x_i = lam.  So
     each orbit point r of level i where x = J^-1·(r - e_i) is zero before
     i and x_i is not gives one candidate, T = I + (x/x_i)·u^T, ARRAY_CHUNK
-    points at a time.  For i < n - 1 its row n - 1 is looked up first, and
-    only candidates with that row on the table are built whole; one is a
-    member iff all its rows are table rows and it sifts to 1
+    points at a time; it is a member iff it sifts to 1
     (`_StabilizerChain.members`).  Sorted by key, the members are in
     element order; detect_transvection decides each exactly, and one it
     does not find nontrivial raises WitnessCheckFailed."""
@@ -817,12 +815,7 @@ def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
             keep = ~x[:, :i].any(axis=1) & (x[:, i] != 0)
             lam_inv = ctx.digit_array(exp[-log[x[keep, i]] % len(exp)])
             v = ctx.product_digits(ctx.digit_array(x[keep]), lam_inv[:, None])
-            u = u[keep]
-            if i < n - 1:   # keep T whose row n-1, e_(n-1) + v_(n-1)·u, is a table row
-                last = (eye[-1] + ctx.product_digits(v[:, -1, None], u)) % ctx.ell
-                on = table.numbers(ctx.index_array(last))[1]
-                v, u = v[on], u[on]
-            outer = ctx.product_digits(v[:, :, None], u[:, None])
+            outer = ctx.product_digits(v[:, :, None], u[keep, None])
             mats = ctx.index_array((eye + outer) % ctx.ell)
             rows, member = chain.members(mats)
             found.append(rows[member])
