@@ -29,7 +29,11 @@ last slot first (`_Packing`).
 * Chains: a chain is the trivial chain extended by its generators.
   `_StabilizerChain.extend` sifts elements given as row-image tables: a
   residue of 1 means a member, and otherwise the residue joins the chain
-  by incremental Schreier-Sims (Seress 2003, ch. 4).  The chain works on
+  by incremental Schreier-Sims (Seress 2003, ch. 4).  A group's chain
+  carries the order bound |Sp_n(F_q)|·|<mu(gens)>| and stops sifting
+  Schreier generators once its orbit lengths multiply to it (the
+  known-order stop); an `extend` that grows the group drops the bound, so
+  every Schreier generator left is then sifted.  The chain works on
   row numbers only: each residue, transversal element and tree shortcut
   it stores is composed from the tables it holds, and field arithmetic
   (`_RowTable.image_of`) makes only the tables of generators and seeds.
@@ -66,8 +70,16 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import CapExceeded, InvalidParams, NotSubgroup, WitnessCheckFailed, exact_int
-from .ffield import FieldSpec, poly_factors
+from .errors import (
+    CapExceeded,
+    InvalidParams,
+    NotSimilitude,
+    NotSubgroup,
+    Singular,
+    WitnessCheckFailed,
+    exact_int,
+)
+from .ffield import FieldSpec, factorize, poly_factors
 from .linalg import Mat, Vec
 from .symplectic import (
     SqMatrix,
@@ -77,7 +89,7 @@ from .symplectic import (
     TransvectionKind,
     detect_transvection,
     identity_mat,
-    is_similitude,
+    multiplier_of,
     standard_gram,
 )
 
@@ -92,8 +104,12 @@ ARRAY_CHUNK = 4096
 NORTON_ROUNDS = 256
 # Shortcut tree labels tried per orbit extension of a stabilizer chain level
 _SHORTCUTS = 16
-# Schreier generators sifted per batch: a batch with a nontrivial residue
-# is the only one sifted again once the residue has joined the chain
+# Schreier generators sifted per batch: the first batch is _FIRST_SIFT, and
+# each batch that sifts to 1 doubles the next, up to _SIFT_CHUNK.  Small
+# first batches let a chain that reaches its order bound stop early; a
+# batch with a nontrivial residue is the only one sifted again once the
+# residue has joined the chain
+_FIRST_SIFT = 64
 _SIFT_CHUNK = 1 << 14
 
 
@@ -272,13 +288,22 @@ class _StabilizerChain:
     of elements is stripped by gathers.  The chain is permutation code
     only: the generators come as row-image tables, so a subgroup's chain
     lives on its group's table, and every row it stores is composed from
-    them by gathers.  It starts as the trivial chain and `extend` adds the
-    generators; `images` lists those that grew the group.
+    them by gathers.  It starts as the trivial chain and adds the
+    generators as `extend` does; `images` lists those that grew the group.
+
+    `bound`, if given, is a proven upper bound on |<images>|.  The product
+    of the orbit lengths is a lower bound, since each orbit lies in its
+    basic orbit, so once it reaches the bound every orbit is a full basic
+    orbit, the levels are a base and strong generating set, and
+    Schreier-Sims stops with the Schreier generators not yet sifted left
+    untested (the known-order stop, Seress 2003, ch. 4).
     """
 
-    def __init__(self, table: _RowTable, images: Sequence[np.ndarray]):
+    def __init__(self, table: _RowTable, images: Sequence[np.ndarray],
+                 bound: Optional[int] = None):
         self.table = table
         self.images: list[np.ndarray] = []
+        self.bound = bound
         degree = len(table.row_keys)
         # row numbers as int32 halve the memory traffic of the gathers
         rowtype = np.int32 if degree < 2**31 else np.int64
@@ -286,7 +311,7 @@ class _StabilizerChain:
         self.perms = np.empty((8, degree), dtype=rowtype)
         self._count = 0
         self.levels = [_Level(b, self.base, degree) for b in self.base]
-        self.extend(*images)
+        self._close(self._join(images))
 
     @property
     def order(self) -> int:
@@ -299,19 +324,34 @@ class _StabilizerChain:
         down to the first whose point it moves, and `images` lists the
         element.  Then those orbits grow and Schreier-Sims runs again,
         sifting only the Schreier generators not yet tested (Seress 2003,
-        ch. 4)."""
+        ch. 4).  A group that grows may pass the order bound, so it is
+        dropped, and every Schreier generator is sifted."""
+        lowest = self._join(perms)
+        if lowest < 0:
+            return False
+        self.bound = None
+        self._close(lowest)
+        return True
+
+    def _join(self, perms: Sequence[np.ndarray]) -> int:
+        """Sift each element and add its residue, if nontrivial, to the
+        generators; the deepest level whose generators grew, -1 if none."""
         lowest = -1
         for perm in perms:
             x = perm[self.base][None, :].astype(self.perms.dtype)
             if self._sift(x, 0)[0] < len(self.levels):
                 lowest = max(lowest, self._add_generator(self._residue(perm, 0, x[0]), 0))
                 self.images.append(perm)
+        return lowest
+
+    def _close(self, lowest: int) -> None:
+        """Grow the orbits of the levels down to `lowest` and run
+        Schreier-Sims; nothing if lowest < 0."""
         if lowest < 0:
-            return False
+            return
         for lev in self.levels[:lowest + 1]:
             self._grow(lev)
         self._schreier_sims()
-        return True
 
     def contains(self, rows: np.ndarray) -> np.ndarray:
         """Membership of the elements with these base images, one row of
@@ -459,16 +499,17 @@ class _StabilizerChain:
 
     def _schreier_sims(self) -> None:
         """Sift Schreier generators deepest level first until every one
-        sifts to 1; once level i is done, the levels from i on are a base
-        and strong generating set of the group its generators make (Holt,
-        Eick and O'Brien 2005, ch. 4)."""
+        sifts to 1, or the order reaches the bound; once level i is done,
+        the levels from i on are a base and strong generating set of the
+        group its generators make (Holt, Eick and O'Brien 2005, ch. 4)."""
         n = len(self.levels)
         i = n - 1
-        while i >= 0:
+        chunk = _FIRST_SIFT
+        while i >= 0 and self.order != self.bound:
             lev = self.levels[i]
             if lev.untested is None:
                 lev.untested = np.nonzero(~lev.tested)
-            o, s = (a[:_SIFT_CHUNK] for a in lev.untested)
+            o, s = (a[:chunk] for a in lev.untested)
             if not len(o):
                 i -= 1
                 continue
@@ -478,6 +519,7 @@ class _StabilizerChain:
             lev.tested[o[passed], s[passed]] = True
             if passed.all():
                 lev.untested = tuple(a[len(o):] for a in lev.untested)
+                chunk = min(2 * chunk, _SIFT_CHUNK)
                 continue
             lev.untested = None
             failed = np.nonzero(~passed)[0]
@@ -488,11 +530,15 @@ class _StabilizerChain:
                 self._grow(grown)
             i = j
         # the order is exact only if every orbit is closed under its level's
-        # generators and every Schreier generator of each level has sifted
+        # generators and either every Schreier generator of each level has
+        # sifted or the order has reached its bound, which it cannot pass
+        if self.bound is not None and self.order > self.bound:
+            raise WitnessCheckFailed("the stabilizer chain's order passes its bound")
+        complete = self.order == self.bound
         for lev in self.levels:
             images = self.perms[np.array(lev.gens, dtype=np.intp)[:, None], lev.orbit]
-            if lev.tested.shape != (len(lev.orbit), len(lev.gens)) or not lev.tested.all() \
-                    or np.any(lev.where[images] < 0):
+            if lev.tested.shape != (len(lev.orbit), len(lev.gens)) \
+                    or not (complete or lev.tested.all()) or np.any(lev.where[images] < 0):
                 raise WitnessCheckFailed("the stabilizer chain is not closed")
 
     def _transversal_action(self, lev: _Level, rows: np.ndarray) -> np.ndarray:
@@ -664,11 +710,15 @@ class MatrixGroup:
     # the row table the chain lives on; a subgroup's is its group's
     _table: Optional[_RowTable] = field(default=None, init=False, compare=False)
     _chain: Optional[_StabilizerChain] = field(default=None, init=False, compare=False)
+    # the generators' multipliers, as field element indices; the conjugates
+    # normal_closure adds need none, since mu(a^-1·s·a) = mu(s)
+    _multipliers: tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.generators:
             raise ValueError("need at least one generator")
         n, q = self.space.n, self.space.field.order
+        multipliers = []
         for g in self.generators:
             if g.space != self.space:
                 raise ValueError("generator over the wrong space")
@@ -678,8 +728,11 @@ class MatrixGroup:
             # larger entry would carry into the next one (`_Packing`)
             if not all(0 <= x < q for r in g.rows for x in r):
                 raise ValueError(f"generator has an entry outside [0, {q})")
-            if not is_similitude(g):
-                raise ValueError("generator is not an invertible similitude")
+            try:
+                multipliers.append(multiplier_of(g))
+            except (Singular, NotSimilitude):
+                raise ValueError("generator is not an invertible similitude") from None
+        self._multipliers = tuple(multipliers)
 
     def elements(self, cap: int = DEFAULT_CAP) -> ElementSet:
         if self.cache is not None and len(self.cache) <= cap:
@@ -690,13 +743,20 @@ class MatrixGroup:
     def chain(self, cap: int = DEFAULT_CAP) -> _StabilizerChain:
         """The group's stabilizer chain, built on first use.  Only a row
         search is bounded: more than n·cap rows raise CapExceeded.  A cap
-        below 1 raises InvalidParams."""
+        below 1 raises InvalidParams.
+
+        The chain stops at the order bound |Sp_n(F_q)|·|<mu(gens)>|: the
+        multiplier mu is a homomorphism G -> F_q^x whose kernel G ∩ Sp(V)
+        has at most |Sp_n(F_q)| elements and whose image is the cyclic
+        group the generators' multipliers generate."""
         check_cap(cap)
         if self._chain is None:
             if self._table is None:
                 self._table = _RowTable(self.space, [m.rows for m in self.generators], cap)
+            spec = self.space.field
+            bound = sp_order(self.space.n, spec.order) * _unit_group_order(spec, self._multipliers)
             self._chain = _StabilizerChain(
-                self._table, [self._table.image_of(m.rows) for m in self.generators])
+                self._table, [self._table.image_of(m.rows) for m in self.generators], bound)
         return self._chain
 
     def order(self, cap: int = DEFAULT_CAP) -> int:
@@ -776,6 +836,16 @@ def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
 
 def group_order(g: MatrixGroup, cap: int = DEFAULT_CAP) -> int:
     return len(g.elements(cap))
+
+
+def _unit_group_order(spec: FieldSpec, units: Sequence[int]) -> int:
+    """The order of the subgroup of F_q^x the units generate: the least
+    divisor d of q - 1 with u^d = 1 for every unit u."""
+    ctx, d = spec.ctx, spec.order - 1
+    for p in factorize(d):
+        while d % p == 0 and all(ctx.pow(u, d // p) == 1 for u in units):
+            d //= p
+    return d
 
 
 def sp_order(n: int, q: int) -> int:

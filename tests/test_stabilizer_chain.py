@@ -40,7 +40,9 @@ from sympal.symplectic import (
     identity_mat,
     make_transvection,
     mat,
+    multiplier_of,
     random_similitude,
+    scaling_similitude,
 )
 
 F5 = field_make(5, 1)
@@ -97,7 +99,11 @@ def _criterion_3(name):
 
 
 def _conjugate(gens, seed):
-    a = random_similitude(gens[0].space, random.Random(seed))
+    return _conjugate_by(gens, random.Random(seed))
+
+
+def _conjugate_by(gens, rng):
+    a = random_similitude(gens[0].space, rng)
     ai = a.inv()
     return [a * m * ai for m in gens]
 
@@ -114,9 +120,17 @@ def _wreath(name):
     return _induced_gens(SympSpace.standard(field_make(7, 1), 4))
 
 
+def _similitudes(name):
+    """Sp2(F5) and a scaling similitude: multiplier 2, which generates
+    F5^x, gives GSp2(F5); multiplier 4, of order 2, a group of order 240."""
+    c = {"gsp2-f5": 2, "sp2-f5-mu4": 4}[name]
+    return _criterion_3("huge-f5") + [scaling_similitude(SympSpace.standard(F5, 2), c)]
+
+
 def build(name):
     """The named group; `name@seed` conjugates the generators of a
-    criterion-3 or wreath fixture by a seeded random similitude."""
+    criterion-3, wreath or similitude fixture by a seeded random
+    similitude."""
     if name.startswith("np-"):
         g, _ = build_np_group(build_chi(np_params(*map(int, name[3:].split(",")))))
         return g
@@ -124,13 +138,16 @@ def build(name):
         s = SympSpace.standard(F5, 4)
         return group(s, [make_transvection(s, (0, 0, 0, 1), 2)])
     base, _, seed = name.partition("@")
-    gens = _wreath(base) if base.startswith("wreath-") else _criterion_3(base)
+    gens = (_wreath(base) if base.startswith("wreath-") else
+            _similitudes(base) if base in ("gsp2-f5", "sp2-f5-mu4") else _criterion_3(base))
     return group(gens[0].space, _conjugate(gens, int(seed)) if seed else gens)
 
 
-CASES = ([f"{n}{c}" for n in ("reducible", "induced", "huge-f5", "huge-f25")
-          for c in ("", "@1", "@2", "@3")]
-         + ["huge-f25", "wreath-f25", "np-4,7,5,11", "np-8,19,17,103", "one-transvection"])
+CRITERION_3 = [f"{n}{c}" for n in ("reducible", "induced", "huge-f5", "huge-f25")
+               for c in ("", "@1", "@2", "@3")]
+WREATH = [f"{w}{c}" for w in ("wreath-f7", "wreath-f25") for c in ("", "@1", "@2")]
+CASES = CRITERION_3 + ["huge-f25", "wreath-f25", "np-4,7,5,11", "np-8,19,17,103",
+                       "one-transvection"]
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +279,123 @@ def test_huge_verdict_searches_rows_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the known-order stop
+# ---------------------------------------------------------------------------
+
+def sifts_to_one(chain, keys):
+    """Whether every element with these keys sifts to 1, ARRAY_CHUNK at a
+    time."""
+    n = len(chain.levels)
+    for lo in range(0, len(keys), ARRAY_CHUNK):
+        rows = np.stack(chain.table.pack.decode(keys[lo:lo + ARRAY_CHUNK]), axis=1)
+        if not np.all(chain._sift(rows.astype(chain.perms.dtype), 0) == n):
+            return False
+    return True
+
+
+def untested(chain):
+    """The number of Schreier generators the chain left unsifted."""
+    return sum(int((~lev.tested).sum()) for lev in chain.levels)
+
+
+AT_THE_BOUND = ([f"huge-f5{c}" for c in ("", "@1", "@2", "@3")]
+                + [f"huge-f25{c}" for c in ("", "@1", "@2", "@3")]
+                + ["gsp2-f5@1", "sp2-f5-mu4"])
+
+
+@pytest.mark.parametrize("name", AT_THE_BOUND)
+def test_a_chain_at_its_order_bound_stops_and_is_complete(name):
+    g = build(name)
+    chain = g.chain()
+    q = g.space.field.order
+    # <mu(gens)>, closed under products
+    mus = {multiplier_of(m) for m in g.generators}
+    powers = frontier = {1}
+    while frontier:
+        frontier = {g.space.field.ctx.mul(a, mu) for a in frontier for mu in mus} - powers
+        powers = powers | frontier
+    assert chain.order == chain.bound == sp_order(g.space.n, q) * len(powers)
+    assert untested(chain) > 0
+    keys = closure_enumerate(g)._keys
+    assert np.array_equal(keys, reference_keys(chain.table, chain.images, DEFAULT_CAP))
+    assert sifts_to_one(chain, keys)
+    # a similitude whose multiplier is outside <mu(gens)> maps the rows
+    # (every nonzero vector) to rows, and does not sift to 1
+    outside = [c for c in range(1, q) if c not in powers]
+    assert (name == "gsp2-f5@1") == (not outside)
+    for c in outside[:2]:
+        rows, found = chain.table.numbers(np.array(scaling_similitude(g.space, c).rows))
+        assert found.all()
+        assert not chain.contains(rows[None])[0]
+
+
+@pytest.mark.parametrize("name", ["induced", "induced@1", "induced@2", "induced@3"]
+                         + WREATH + ["np-4,7,5,11", "np-8,19,17,103"])
+def test_a_chain_below_its_order_bound_sifts_every_schreier_generator(name):
+    chain = build(name).chain()
+    assert chain.order < chain.bound
+    assert untested(chain) == 0
+
+
+def test_extending_a_stopped_chain_drops_the_bound():
+    """huge-f5@1 stops at 120 with Schreier generators unsifted; a scaling
+    with multiplier 2 grows it to GSp2(F5), past that bound, so every
+    Schreier generator left is sifted."""
+    g = build("huge-f5@1")
+    chain = g.chain()
+    assert chain.order == chain.bound == 120 and untested(chain) > 0
+    assert chain.extend(chain.table.image_of(scaling_similitude(g.space, 2).rows))
+    assert chain.bound is None
+    assert chain.order == 480 and untested(chain) == 0
+    keys = chain.keys()
+    assert np.array_equal(keys, reference_keys(chain.table, chain.images, DEFAULT_CAP))
+    # both tables hold the 24 nonzero vectors, so the keys number the same rows
+    assert np.array_equal(keys, build("gsp2-f5").elements()._keys)
+
+
+def test_unsifted_schreier_generators_below_the_bound_are_refused():
+    chain = build("induced@1").chain()
+    assert chain.order < chain.bound and untested(chain) == 0
+    lev = next(lev for lev in chain.levels if lev.tested.size)
+    lev.tested[-1, -1] = False
+    lev.untested = (np.zeros(0, dtype=np.intp),) * 2   # as if the level were done
+    with pytest.raises(WitnessCheckFailed):
+        chain._schreier_sims()
+
+
+def test_a_bound_below_the_order_is_refused():
+    """GSp2(F5) has 480 elements; no product of its orbit lengths is 479."""
+    g = build("gsp2-f5@1")
+    table = g.chain().table
+    images = [table.image_of(m.rows) for m in g.generators]
+    assert groupkit._StabilizerChain(table, images, 480).order == 480
+    with pytest.raises(WitnessCheckFailed):
+        groupkit._StabilizerChain(table, images, 479)
+
+
+def test_sp2_closures_sift_few_schreier_generators(monkeypatch):
+    """The benchmark's Sp2(F101) and Sp2(F125) closures, their generators
+    conjugated by random similitudes drawn in turn from random.Random(1),
+    reach the order bound after a few hundred sifted rows; sifting every
+    Schreier generator takes 16,868 and 53,616."""
+    rng = random.Random(1)
+    groups = []
+    f125 = field_make(5, 3)
+    for spec, t in ((field_make(101, 1), 1), (f125, mult_generator(f125).index)):
+        s = SympSpace.standard(spec, 2)
+        groups.append(group(s, _conjugate_by(
+            [make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), t)], rng)))
+    sifted = []
+    inner = groupkit._StabilizerChain._sift
+    monkeypatch.setattr(groupkit._StabilizerChain, "_sift",
+                        lambda chain, x, start: sifted.append(len(x)) or inner(chain, x, start))
+    for g in groups:
+        sifted.clear()
+        assert g.order() == sp_order(2, g.space.field.order)
+        assert sum(sifted) <= 1000
+
+
+# ---------------------------------------------------------------------------
 # orders past the cap
 # ---------------------------------------------------------------------------
 
@@ -332,11 +466,6 @@ def enumerating_normal_closure(g, seeds, cap=DEFAULT_CAP):
                     grown = True
         if not grown:
             return k
-
-
-CRITERION_3 = [f"{n}{c}" for n in ("reducible", "induced", "huge-f5", "huge-f25")
-               for c in ("", "@1", "@2", "@3")]
-WREATH = [f"{w}{c}" for w in ("wreath-f7", "wreath-f25") for c in ("", "@1", "@2")]
 
 
 @pytest.mark.parametrize("name", CRITERION_3 + ["identity"])
