@@ -15,10 +15,10 @@ N = <T^G> of any one nontrivial transvection T decides the case, d and
 |H| the same way, and `groupkit.normal_closure` finds it by sifting
 conjugates into a stabilizer chain (see `classify` for the argument).
 So T is the first generator that is a transvection, else the first
-one `harvest_transvections` sifts out of G's row table.  In the induced
-case N = H, and the first block is the N-spin of T's own direction.  No
-element of G is built, so the cap bounds only the chains' row search,
-and NoTransvection is exact past it.
+member `transvection_keys` sifts out of G's row table, the only one
+decoded and checked.  In the induced case N = H, and the first block is
+the N-spin of T's own direction.  No element of G is built, so the cap
+bounds only the chains' row search, and NoTransvection is exact past it.
 
 The induced case is proved on the generators.  `_block_orbit` walks
 the generator orbit of the first block once, breadth first, and checks
@@ -56,12 +56,14 @@ from .groupkit import (
     MatrixGroup,
     MatSequence,
     check_cap,
+    decode_transvections,
     group_order,   # unused here; perfbench/tracing.py patches this namespace
-    harvest_transvections,
+    harvest_transvections,   # the same
     is_irreducible,
     normal_closure,
     sp_order,
     spin,
+    transvection_keys,
 )
 from .symplectic import (
     Subspace,
@@ -146,7 +148,8 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
     nontrivial transvection T, in place of H = <transvections of G>.  T is
     the first generator that is a transvection; only if none is, T is the
     first harvested one (first in element order), found by sifting with
-    no element of G built.  Any such T gives the same verdict:
+    no element of G built; only it is decoded and checked with
+    detect_transvection.  Any such T gives the same verdict:
 
     * Which branch runs.  N lies in H.  If H is reducible, N keeps H's
       invariant subspace.  If H is irreducible, H is Sp_n(F_{ell^d}), which
@@ -167,10 +170,10 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
     t = next((m for m in g.generators
               if detect_transvection(m).kind is TransvectionKind.NONTRIVIAL), None)
     if t is None:
-        harvested = harvest_transvections(g, cap)
-        if not harvested:
+        keys = transvection_keys(g, cap)
+        if not len(keys):
             raise NoTransvection("no nontrivial transvection in the group")
-        t = harvested[0][0]
+        t = decode_transvections(g, keys[:1], cap)[0][0]
 
     red = is_irreducible(g)
     if not red.irreducible:

@@ -112,7 +112,8 @@ def multiplicative_order(a: int, modulus: int) -> int:
 # Coefficients are element indices and arithmetic goes through the field's
 # context, so the same helpers serve F_ell (field construction runs them over
 # the prime field, before the extension exists) and F_q (factoring the
-# characteristic polynomials of the irreducibility test).
+# characteristic polynomials of the irreducibility test).  `poly_roots` is
+# for prime fields only: Dixon's eigenvalues, by evaluation at every point.
 
 def _poly_trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -260,6 +261,24 @@ def poly_factors(spec: "FieldSpec", f, rng) -> list[list[int]]:
         raise ZeroArgument("the zero polynomial has no factorization")
     out = [p for d, g in _distinct_degree(f, ctx) for p in _equal_degree(g, d, ctx, rng)]
     return sorted(out, key=lambda p: (len(p), p))
+
+
+def poly_roots(spec: "FieldSpec", f) -> list[int]:
+    """The distinct roots in F_ell of a nonzero polynomial over a prime
+    field (constant term first), in increasing order: f is evaluated at
+    every point of F_ell by Horner's rule, all points one coefficient at a
+    time."""
+    if spec.degree != 1:
+        raise SpecMismatch("poly_roots needs a prime field")
+    ell = spec.ell
+    f = _poly_trim([c % ell for c in f])
+    if not f:
+        raise ZeroArgument("the zero polynomial has a root everywhere")
+    points = range(ell)
+    values = [f[-1]] * ell
+    for c in reversed(f[:-1]):
+        values = [(v * t + c) % ell for v, t in zip(values, points)]
+    return [t for t, v in zip(points, values) if not v]
 
 
 def _rootless_monic_polys(ell: int, degree: int) -> Iterator[list[int]]:

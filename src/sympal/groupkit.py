@@ -46,9 +46,10 @@ last slot first (`_Packing`).
   past the cap has its exact order.
 * Transvections: a transvection of G whose direction leads at i fixes
   the first i base points, and is determined by its row i, a point of
-  level i's orbit, so `harvest_transvections` sifts at most one
-  candidate per orbit point of each level: no element of G is built, and
-  the harvest is exact past the cap.
+  level i's orbit, so `transvection_keys` sifts at most one candidate
+  per orbit point of each level: no element of G is built, and the
+  harvest is exact past the cap.  `harvest_transvections` decodes and
+  checks every member it finds; `classify` decodes only the first.
 
 Irreducibility of the natural module needs no enumeration at all: Norton's
 test (`is_irreducible`) spins a few vectors chosen from the kernels of
@@ -389,9 +390,11 @@ class _StabilizerChain:
         return t
 
     def _store(self, perm: np.ndarray) -> int:
-        """Add perm and its inverse to the table; the id of perm."""
+        """Add perm and its inverse to the table; the id of perm.  A full
+        table grows by half, not double: a row is a whole permutation."""
         if self._count + 2 > len(self.perms):
-            self.perms = np.concatenate([self.perms, np.empty_like(self.perms)])
+            more = np.empty((len(self.perms) // 2, self.perms.shape[1]), dtype=self.perms.dtype)
+            self.perms = np.concatenate([self.perms, more])
         k = self._count
         self.perms[k] = perm
         self.perms[k + 1][perm] = np.arange(len(perm))
@@ -857,19 +860,18 @@ def sp_order(n: int, q: int) -> int:
     return out
 
 
-def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
-                          ) -> list[tuple[SqMatrix, TransvectionData]]:
-    """All nontrivial transvections of G in element order, with no element
-    of G built.  T = I + lam·v(Jv)^T, v_i = 1 the first nonzero entry of
-    v, has rows e_0..e_(i-1), so it fixes the first i base points, and row
-    i r = e_i + u, u = lam·Jv: if T is in G, r is a point of level i's
+def transvection_keys(g: MatrixGroup, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """The sorted keys, on G's row table, of the candidates for G's
+    nontrivial transvections that are members, with no element of G built.
+    T = I + lam·v(Jv)^T, v_i = 1 the first nonzero entry of v, has rows
+    e_0..e_(i-1), so it fixes the first i base points, and row i
+    r = e_i + u, u = lam·Jv: if T is in G, r is a point of level i's
     orbit.  And x = J^-1·u = lam·v is zero before i with x_i = lam.  So
     each orbit point r of level i where x = J^-1·(r - e_i) is zero before
     i and x_i is not gives one candidate, T = I + (x/x_i)·u^T, ARRAY_CHUNK
     points at a time; it is a member iff it sifts to 1
     (`_StabilizerChain.members`).  Sorted by key, the members are in
-    element order; detect_transvection decides each exactly, and one it
-    does not find nontrivial raises WitnessCheckFailed."""
+    element order."""
     chain = g.chain(cap)
     table, spec, n = chain.table, g.space.field, g.space.n
     ctx = spec.ctx
@@ -889,14 +891,30 @@ def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
             mats = ctx.index_array((eye + outer) % ctx.ell)
             rows, member = chain.members(mats)
             found.append(rows[member])
+    return np.sort(table.pack.encode(list(np.concatenate(found).T)))
+
+
+def decode_transvections(g: MatrixGroup, keys: np.ndarray, cap: int = DEFAULT_CAP
+                         ) -> list[tuple[SqMatrix, TransvectionData]]:
+    """The elements with these keys on G's row table, each with its
+    transvection data; detect_transvection decides each exactly, and one it
+    does not find nontrivial raises WitnessCheckFailed."""
     out = []
-    for m in table.mats(np.sort(table.pack.encode(list(np.concatenate(found).T)))):
+    for m in g.chain(cap).table.mats(keys):
         m = SqMatrix(g.space, m)
         verdict = detect_transvection(m)
         if verdict.kind is not TransvectionKind.NONTRIVIAL:
             raise WitnessCheckFailed("a sifted candidate is not a nontrivial transvection")
         out.append((m, verdict.data))
     return out
+
+
+def harvest_transvections(g: MatrixGroup, cap: int = DEFAULT_CAP
+                          ) -> list[tuple[SqMatrix, TransvectionData]]:
+    """All nontrivial transvections of G in element order, with no element
+    of G built: `transvection_keys`, decoded and checked by
+    `decode_transvections`."""
+    return decode_transvections(g, transvection_keys(g, cap), cap)
 
 
 def normal_closure(g: MatrixGroup, seeds: Sequence[SqMatrix],

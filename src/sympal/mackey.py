@@ -39,18 +39,20 @@ P = 1 mod exponent, read the degrees off the orthogonality relation,
 and lift the values back to the cyclotomic field through the
 eigenvalue-multiplicity discrete Fourier inversion.  The linear algebra
 runs on `linalg` over `field_make(P, 1)`; the eigenvalues of a class
-matrix on an eigenspace are the roots of its characteristic polynomial
-(`linalg.charpoly`, factored by `ffield.poly_factors`).  A prime P above
-`ffield.FIELD_LIMIT` raises FieldTooLarge.
+matrix on an eigenspace are the distinct roots in F_P of its
+characteristic polynomial (`linalg.charpoly`), found by evaluating it at
+every point of F_P (`ffield.poly_roots`; P is about 2|G|).  The method
+is deterministic.  A prime P above `ffield.FIELD_LIMIT` raises
+FieldTooLarge.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,7 +60,7 @@ import numpy as np
 from . import linalg
 from .cyclotomic import Cyc, rational, root, zero
 from .errors import HypothesisFailed, InvalidParams, NotSubgroup, WitnessCheckFailed
-from .ffield import field_make, is_prime, multiplicative_order, poly_factors
+from .ffield import field_make, is_prime, multiplicative_order, poly_roots
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +594,14 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
     """All irreducible characters, values in Q(zeta_cyc_order).
 
     Deterministic order: by degree, then by reduced value vectors.
+
+    A class matrix splits an eigenspace of dimension d into its
+    eigenspaces there, one per root in F_P of its characteristic
+    polynomial.  Unless their dimensions sum to d (a factor with no root,
+    or a repeated root with too small an eigenspace), the matrix does not
+    split over F_P and WitnessCheckFailed is raised; so it is for a
+    multiplicity lift above the degree, and for degrees whose squares do
+    not sum to |G|.
     """
     e = g.exponent
     n_cyc = cyc_order if cyc_order is not None else e
@@ -602,7 +612,6 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
     p = _dixon_prime(e, g.order)
     fp = field_make(p, 1)   # FieldTooLarge beyond FIELD_LIMIT
     w = fp.ctx.pow(fp.ctx.generator(), (p - 1) // e)
-    rng = random.Random(0)
 
     # class-sum structure constants: (A_i)_{jk} = #{x in C_i : x^-1 z_k in C_j}
     mats = []
@@ -629,12 +638,13 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
             vt = linalg.transpose(v)
             r = linalg.transpose(tuple(linalg.solve(fp, vt, linalg.mat_vec(fp, a, row))
                                        for row in v))
-            for f in poly_factors(fp, linalg.charpoly(fp, r), rng):
-                if len(f) > 2:
-                    raise WitnessCheckFailed("a class matrix does not split over F_P")
-                lam = fp.ctx.neg(f[0])
-                shifted = linalg.mat_sub(fp, r, linalg.scalar_mat(d, lam))
-                new_spaces.append(linalg.mat_mul(fp, linalg.nullspace(fp, shifted, d), v))
+            parts = [linalg.nullspace(fp, linalg.mat_sub(fp, r, linalg.scalar_mat(d, lam)), d)
+                     for lam in poly_roots(fp, linalg.charpoly(fp, r))]
+            # eigenspaces of distinct eigenvalues are independent, so they
+            # fill V only if r is diagonalizable over F_P
+            if sum(map(len, parts)) != d:
+                raise WitnessCheckFailed("a class matrix does not split over F_P")
+            new_spaces.extend(linalg.mat_mul(fp, ns, v) for ns in parts)
         spaces = new_spaces
     if len(spaces) != k or any(len(v) != 1 for v in spaces):
         raise WitnessCheckFailed("class-matrix eigenspaces did not fully split")
@@ -648,10 +658,12 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
             cls.append(g.class_of[x])
             x = g.mul(x, z)
         power_classes.append(cls)
-    root_powers = {}
+    # for each element order o, row u of dft[o] holds w_o^(-u s) for s < o
+    dft = {}
     for o in set(g.element_orders):
         wo = pow(w, e // o, p)
-        root_powers[o] = [pow(wo, t, p) for t in range(o)]
+        wt = [pow(wo, t, p) for t in range(o)]
+        dft[o] = [[wt[-u * s % o] for s in range(o)] for u in range(o)]
 
     id_class = g.class_of[0]
     chars = []
@@ -672,14 +684,13 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
         values = []
         for cls in power_classes:
             o = len(cls)
-            wt = root_powers[o]
             o_inv = pow(o, -1, p)
+            x = [chi_p[c] for c in cls]
             # value = sum_u m_u zeta^(u n_cyc / o), m_u the multiplicity of
             # the eigenvalue w_o^u of z
             vec = [0] * n_cyc
-            for u in range(o):
-                m_u = sum(chi_p[c] * wt[(-u * s_) % o] for s_, c in enumerate(cls))
-                m_u = m_u * o_inv % p
+            for u, row in enumerate(dft[o]):
+                m_u = sum(map(mul, x, row)) * o_inv % p
                 if m_u > deg:
                     raise WitnessCheckFailed("multiplicity lift out of range")
                 vec[u * (n_cyc // o)] = m_u

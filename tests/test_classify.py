@@ -23,12 +23,15 @@ from sympal.errors import (
     InvalidParams,
     NoOrderMatch,
     NoTransvection,
+    WitnessCheckFailed,
 )
 from sympal.ffield import FieldElement, field_make, mult_generator, subfield_embed
 from sympal.groupkit import DEFAULT_CAP, closure_enumerate, group, group_order, sp_order
 from sympal.symplectic import (
     SqMatrix,
     SympSpace,
+    TransvectionKind,
+    TransvectionVerdict,
     make_transvection,
     mat,
     random_similitude,
@@ -154,7 +157,7 @@ def _refuse(monkeypatch, owner, name):
 def test_verdicts_on_a_transvection_generator_enumerate_nothing(name, monkeypatch):
     """A generator is a transvection, so no branch harvests or builds an
     element: the induced blocks come from that generator's direction."""
-    _refuse(monkeypatch, classify_mod, "harvest_transvections")
+    _refuse(monkeypatch, classify_mod, "transvection_keys")
     _refuse(monkeypatch, groupkit._StabilizerChain, "keys")
     case = "reducible" if name.startswith("reducible") else (
         "huge" if name.startswith("huge") else "induced")
@@ -172,11 +175,21 @@ def products_group(order):
 @pytest.mark.parametrize("order", ["t1·t2", "t2·t1"])
 def test_huge_without_a_transvection_generator_harvests(order, monkeypatch):
     """T comes from the harvest."""
-    harvests = _counted(monkeypatch, classify_mod, "harvest_transvections")
+    harvests = _counted(monkeypatch, classify_mod, "transvection_keys")
     v = classify(products_group(order))
     assert isinstance(v, Huge)
     assert (v.subfield_degree, v.transvection_subgroup_order) == (1, 120)
     assert len(harvests) == 1
+
+
+def test_classify_refuses_a_harvested_member_that_is_not_a_transvection(monkeypatch):
+    """The one member classify decodes is still decided by
+    detect_transvection, and a verdict other than nontrivial is a failed
+    check."""
+    monkeypatch.setattr(groupkit, "detect_transvection",
+                        lambda m: TransvectionVerdict(TransvectionKind.NOT_TRANSVECTION))
+    with pytest.raises(WitnessCheckFailed, match="not a nontrivial transvection"):
+        classify(products_group("t1·t2"))
 
 
 @pytest.mark.parametrize("order", ["t1·t2", "t2·t1"])
@@ -229,7 +242,7 @@ def sp4_f7_in_f49():
 def test_classify_past_the_cap(build_g, want, monkeypatch):
     """Each group is far past the default cap, and a generator is a
     transvection, so the verdict needs no element."""
-    _refuse(monkeypatch, classify_mod, "harvest_transvections")
+    _refuse(monkeypatch, classify_mod, "transvection_keys")
     _refuse(monkeypatch, groupkit._StabilizerChain, "keys")
     g = build_g()
     start = time.perf_counter()
@@ -251,18 +264,20 @@ def seeded_products_group(ell, n, count):
                          ids=["sp4-f11", "sp6-f5", "sp4-f13"])
 def test_classify_harvests_past_the_cap(ell, n, count, monkeypatch):
     """Sp_n(F_ell) on products: the harvest finds all ell^n - 1 of its
-    transvections with no element built, and classify decides from the
-    first."""
+    transvections with no element built, and classify decodes and checks
+    only the first, with one detect_transvection call."""
     harvests = []
-    inner = classify_mod.harvest_transvections
-    monkeypatch.setattr(classify_mod, "harvest_transvections",
+    inner = classify_mod.transvection_keys
+    monkeypatch.setattr(classify_mod, "transvection_keys",
                         lambda *args: harvests.append(inner(*args)) or harvests[-1])
+    detected = _counted(monkeypatch, groupkit, "detect_transvection")
     _refuse(monkeypatch, groupkit._StabilizerChain, "keys")
     _refuse(monkeypatch, groupkit.MatrixGroup, "elements")
     g = seeded_products_group(ell, n, count)
     v = classify(g)
     assert g.order() == sp_order(n, ell) > DEFAULT_CAP
     assert [len(h) for h in harvests] == [ell ** n - 1]
+    assert len(detected) == 1
     assert (v.case, v.subfield_degree, v.transvection_subgroup_order) == (
         "huge", 1, sp_order(n, ell))
 

@@ -22,6 +22,7 @@ from sympal.ffield import (
     mult_generator,
     multiplicative_order,
     poly_factors,
+    poly_roots,
     subfield_embed,
 )
 
@@ -283,6 +284,44 @@ def test_field_moduli_are_their_own_factorization():
 def test_factor_rejects_zero():
     with pytest.raises(ZeroArgument):
         poly_factors(field_make(5, 1), [0, 0], random.Random(0))
+
+
+def _brute_roots(f, ell):
+    return [t for t in range(ell) if sum(c * t ** i for i, c in enumerate(f)) % ell == 0]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 13, 53])
+def test_roots_agree_with_brute_force(ell):
+    spec = field_make(ell, 1)
+    rng = random.Random(ell)
+    for _ in range(40):
+        f = [1]
+        for _ in range(rng.randrange(0, 5)):
+            f = _mul(f, [rng.randrange(ell), 1], spec.ctx)
+        if rng.random() < 0.5:
+            f = _mul(f, [rng.randrange(ell) for _ in range(3)] + [rng.randrange(1, ell)], spec.ctx)
+        assert poly_roots(spec, f) == _brute_roots(f, ell), f
+
+
+@pytest.mark.parametrize("ell", [5, 7, 13])
+def test_roots_edge_cases(ell):
+    spec = field_make(ell, 1)
+    # (x - 2)^3 (x - 3): a repeated root counts once
+    f = _mul(_mul(_mul([ell - 2, 1], [ell - 2, 1], spec.ctx), [ell - 2, 1], spec.ctx),
+             [ell - 3, 1], spec.ctx)
+    assert poly_roots(spec, f) == [2, 3]
+    # x^2 - r for r a non-square: no root
+    r = next(r for r in range(2, ell) if pow(r, (ell - 1) // 2, ell) == ell - 1)
+    assert poly_roots(spec, [ell - r, 0, 1]) == []
+    # x^3 + x: a root at 0
+    assert poly_roots(spec, [0, 1, 0, 1]) == _brute_roots([0, 1, 0, 1], ell)
+    assert poly_roots(spec, [0, 1, 0, 1])[0] == 0
+    # a nonzero constant has no root, trailing zeros are ignored
+    assert poly_roots(spec, [3, 0, 0]) == []
+    with pytest.raises(ZeroArgument):
+        poly_roots(spec, [0, ell])
+    with pytest.raises(SpecMismatch):
+        poly_roots(field_make(ell, 2), [0, 1])
 
 
 # moduli of the scan over every monic polynomial in lex order, recorded

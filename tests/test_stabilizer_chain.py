@@ -373,6 +373,17 @@ def test_a_bound_below_the_order_is_refused():
         groupkit._StabilizerChain(table, images, 479)
 
 
+@pytest.mark.parametrize("build_g", [lambda: sp4(7), lambda: _sp4_f11(),
+                                     lambda: build("induced@1"), lambda: build("wreath-f7@2")],
+                         ids=["sp4-f7", "sp4-f11", "induced@1", "wreath-f7@2"])
+def test_the_permutation_table_grows_by_half(build_g):
+    """A row of the table is a whole permutation, so a full table grows by
+    half, not double."""
+    chain = build_g().chain()
+    assert chain._count > 8
+    assert len(chain.perms) <= max(8, -(-3 * chain._count // 2))
+
+
 def test_sp2_closures_sift_few_schreier_generators(monkeypatch):
     """The benchmark's Sp2(F101) and Sp2(F125) closures, their generators
     conjugated by random similitudes drawn in turn from random.Random(1),

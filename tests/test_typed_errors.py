@@ -91,11 +91,18 @@ def test_build_chi_rejects_a_non_primitive_root(monkeypatch):
 
 
 def test_dixon_split_check_raises_typed_error(monkeypatch):
-    real = mackey.poly_factors
+    real = mackey.poly_roots
     # dropping an eigenvalue leaves the class-matrix eigenspaces unsplit
-    monkeypatch.setattr(mackey, "poly_factors", lambda spec, f, rng: real(spec, f, rng)[1:])
+    monkeypatch.setattr(mackey, "poly_roots", lambda spec, f: real(spec, f)[1:])
     with pytest.raises(WitnessCheckFailed):
         mackey.character_table(mackey.symmetric_group(3))
+
+
+def test_dixon_prime_without_the_roots_of_unity_raises_typed_error(monkeypatch):
+    # zeta_3 is not in F_5, so C3's class matrices do not split over it
+    monkeypatch.setattr(mackey, "_dixon_prime", lambda exponent, order: 5)
+    with pytest.raises(WitnessCheckFailed, match="does not split"):
+        mackey.character_table(mackey.cyclic_group(3))
 
 
 def test_class_functions_on_different_groups_raise_typed_error():
