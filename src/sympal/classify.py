@@ -8,6 +8,15 @@ decomposition from an irreducible H-submodule and the generator orbit of
 its conjugates.  Witnesses are verified, never trusted: a failed witness
 check signals an enumeration bug, not a mathematical possibility.
 
+Both irreducibility questions are one deterministic spin, because the
+group holds a nontrivial transvection T with direction v.  A proper
+invariant subspace W satisfies T·W = W, so it holds v or lies in v^perp;
+in the second case the proper invariant W^perp holds v.  So a group of
+similitudes holding T is irreducible iff the spin of v is V, and a proper
+spin is itself the reducibility witness.  Norton's randomized test
+(`groupkit.is_irreducible`) stays for groups with no transvection; no
+verdict path calls it.
+
 H is not built from all the transvections.  In characteristic ell >= 5
 an irreducible group generated by transvections is Sp_n(F_{ell^d})
 (McLaughlin 1967), which is quasisimple, so the normal closure
@@ -59,7 +68,7 @@ from .groupkit import (
     decode_transvections,
     group_order,   # unused here; perfbench/tracing.py patches this namespace
     harvest_transvections,   # the same
-    is_irreducible,
+    is_irreducible,   # the same
     normal_closure,
     sp_order,
     spin,
@@ -117,13 +126,28 @@ def recognize_sp_over_subfield(h: MatrixGroup, cap: int = DEFAULT_CAP) -> int:
 
     H must be irreducible and generated by transvections in characteristic
     at least 5; under those hypotheses the match exists.  NoOrderMatch
-    signals violated preconditions or cap artifacts.
+    signals violated preconditions or cap artifacts.  Irreducibility is
+    proved by one spin: H is irreducible iff the direction of a nontrivial
+    transvection generator spins to V (see `classify`), so a generating set
+    without one raises NoOrderMatch too.
     """
     if h.space.field.ell < 5:
         raise CharTooSmall(f"characteristic {h.space.field.ell} < 5")
-    if not is_irreducible(h):
+    found = _first_transvection(h.generators)
+    if found is None:
+        raise NoOrderMatch("no generator is a nontrivial transvection")
+    if spin(h.space, h.generators, found[1]).dim < h.space.n:
         raise NoOrderMatch("subgroup is not irreducible")
     return _match_sp_order(h, cap)
+
+
+def _first_transvection(gens):
+    """The first nontrivial transvection among gens and its direction."""
+    for m in gens:
+        verdict = detect_transvection(m)
+        if verdict.kind is TransvectionKind.NONTRIVIAL:
+            return m, verdict.data.direction
+    return None
 
 
 def _match_sp_order(h: MatrixGroup, cap: int) -> int:
@@ -149,7 +173,11 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
     the first generator that is a transvection; only if none is, T is the
     first harvested one (first in element order), found by sifting with
     no element of G built; only it is decoded and checked with
-    detect_transvection.  Any such T gives the same verdict:
+    detect_transvection.  Both irreducibility tests spin T's direction v
+    (the module docstring gives the lemma): G is reducible iff the G-spin
+    of v is proper, and that spin is the witness; N is irreducible iff its
+    spin of v is V, and otherwise that spin is the first block.  Any such T
+    gives the same verdict:
 
     * Which branch runs.  N lies in H.  If H is reducible, N keeps H's
       invariant subspace.  If H is irreducible, H is Sp_n(F_{ell^d}), which
@@ -167,25 +195,27 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
     """
     check_cap(cap)
     _check_preconditions(g)
-    t = next((m for m in g.generators
-              if detect_transvection(m).kind is TransvectionKind.NONTRIVIAL), None)
-    if t is None:
+    found = _first_transvection(g.generators)
+    if found is None:
         keys = transvection_keys(g, cap)
         if not len(keys):
             raise NoTransvection("no nontrivial transvection in the group")
-        t = decode_transvections(g, keys[:1], cap)[0][0]
+        t, data = decode_transvections(g, keys[:1], cap)[0]
+        found = t, data.direction
+    t, v = found
+    space = g.space
 
-    red = is_irreducible(g)
-    if not red.irreducible:
-        w = red.witness
-        if not (0 < w.dim < g.space.n) or not all(stabilizes(m, w) for m in g.generators):
+    w = spin(space, g.generators, v)
+    if w.dim < space.n:
+        if not all(stabilizes(m, w) for m in g.generators):
             raise WitnessCheckFailed("invalid reducibility witness")
         return Reducible(w)
 
     h = normal_closure(g, [t], cap)
-    if is_irreducible(h).irreducible:
+    b = spin(space, h.generators, v)
+    if b.dim == space.n:
         return Huge(_match_sp_order(h, cap), h.order(cap))
-    return _build_induced(g, h.generators, detect_transvection(t).data.direction)
+    return _build_induced(g, b)
 
 
 def _block_orbit(g: MatrixGroup, w: Subspace):
@@ -214,10 +244,9 @@ def _block_orbit(g: MatrixGroup, w: Subspace):
     return blocks, reps, tuple(map(tuple, perms))
 
 
-def _build_induced(g: MatrixGroup, h_gens, seed) -> Induced:
-    """Blocks = generator orbit of the spin of a transvection direction."""
+def _build_induced(g: MatrixGroup, w: Subspace) -> Induced:
+    """Blocks = generator orbit of w, the spin of a transvection direction."""
     space = g.space
-    w = spin(space, h_gens, seed)
     blocks, _, action = _block_orbit(g, w)
     h, m = len(blocks), w.dim
     if h * m != space.n:

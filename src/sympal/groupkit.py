@@ -51,9 +51,15 @@ last slot first (`_Packing`).
   harvest is exact past the cap.  `harvest_transvections` decodes and
   checks every member it finds; `classify` decodes only the first.
 
-Irreducibility of the natural module needs no enumeration at all: Norton's
-test (`is_irreducible`) spins a few vectors chosen from the kernels of
-polynomials in random algebra elements, and decides exactly at every size.
+Irreducibility of the natural module needs no enumeration at all.  On
+every verdict path it is one deterministic `spin`: a group of similitudes
+holding a nontrivial transvection with direction v is irreducible iff v
+spins to V, since a proper invariant W holds v or W^perp does (see
+`classify`); the (n,p)-groups spin the eigenlines of their diagonal
+generator (`npgroup._assert_irreducible`).  Norton's randomized test
+(`is_irreducible`) is kept for groups with no transvection: it spins a few
+vectors chosen from the kernels of polynomials in random algebra
+elements, and decides exactly at every size.
 """
 
 from __future__ import annotations

@@ -23,7 +23,11 @@ from .ffield import (
     mult_generator,
     multiplicative_order,
 )
-from .groupkit import MatrixGroup, is_irreducible
+from .groupkit import (
+    MatrixGroup,
+    is_irreducible,   # unused here; perfbench/tracing.py patches this namespace
+    spin,
+)
 from .linalg import Mat
 from .symplectic import SqMatrix, SympSpace
 
@@ -175,7 +179,7 @@ def build_np_group(chi: ChiQ) -> tuple[MatrixGroup, Mat]:
     ctx = spec.ctx
     n = params.n
     diag = [ctx.pow(chi.zeta_index, e) for e in chi.torsion_exponents()]
-    if len(set(diag)) != n:
+    if not induced_irreducible_criterion(diag):
         raise NotIrreducible("conjugate characters collide on the torsion part")
     d_rows = tuple(tuple(diag[i] if i == j else 0 for j in range(n))
                    for i in range(n))
@@ -192,10 +196,24 @@ def build_np_group(chi: ChiQ) -> tuple[MatrixGroup, Mat]:
 
 
 def _assert_irreducible(g: MatrixGroup):
-    """Prove the module irreducible (groupkit's exact test, at every size);
-    the distinct-character criterion alone is not taken as proof."""
-    if not is_irreducible(g):
-        raise NotIrreducible("the induced module has a proper invariant subspace")
+    """Prove <D, F> irreducible by n spins; the distinct-character
+    criterion alone is not taken as proof.
+
+    D must be diagonal with pairwise distinct entries.  Then every
+    D-invariant subspace is a sum of the lines <e_i> (the Lagrange
+    polynomials in D project onto them), so every nonzero invariant
+    subspace holds some e_i and its spin.  Hence the module is irreducible
+    iff every e_i spins to V.  Each failure raises NotIrreducible.
+    """
+    space = g.space
+    n = space.n
+    d = g.generators[0].rows
+    if (any(d[i][j] for i in range(n) for j in range(n) if i != j)
+            or not induced_irreducible_criterion([d[i][i] for i in range(n)])):
+        raise NotIrreducible("D is not diagonal with pairwise distinct entries")
+    for e in linalg.identity(n):
+        if spin(space, g.generators, e).dim < n:
+            raise NotIrreducible("the induced module has a proper invariant subspace")
 
 
 def twist_unramified(g: MatrixGroup, alpha: int) -> MatrixGroup:
@@ -203,18 +221,13 @@ def twist_unramified(g: MatrixGroup, alpha: int) -> MatrixGroup:
 
     Expects generators in build_np_group order (D, F).  The torsion
     restrictions are unchanged, so irreducibility survives; this is
-    re-proved by the exact irreducibility test.
+    re-proved by `_assert_irreducible`'s spins of the lines <e_i>.
     """
     space = g.space
-    ctx = space.field.ctx
     if alpha == 0:
         raise InvalidParams("twist scalar must be nonzero")
     d, f = g.generators
     tf = SqMatrix(space, linalg.mat_scalar(space.field, f.rows, alpha))
     twisted = MatrixGroup(space, (d, tf))
-    # torsion restrictions are untouched by the twist, so the distinctness
-    # criterion still applies; the exact test proves it as well
-    if not induced_irreducible_criterion([d.rows[i][i] for i in range(space.n)]):
-        raise NotIrreducible("torsion characters collide")
     _assert_irreducible(twisted)
     return twisted

@@ -1,6 +1,7 @@
 """The trichotomy classifier and its witnesses."""
 
 import importlib
+import json
 import random
 import time
 
@@ -16,7 +17,7 @@ from sympal.classify import (
     recognize_sp_over_subfield,
     serialize_verdict,
 )
-from sympal import groupkit
+from sympal import groupkit, npgroup
 from sympal.errors import (
     CapExceeded,
     CharTooSmall,
@@ -37,6 +38,7 @@ from sympal.symplectic import (
     random_similitude,
     scaling_similitude,
 )
+from test_classify_golden import GOLDEN, WREATH_FILE, recorded
 from test_stabilizer_chain import (
     CRITERION_3,
     WREATH,
@@ -114,16 +116,20 @@ def test_huge_case_f25():
 
 @pytest.mark.parametrize("build", [huge_f5, huge_f25])
 def test_huge_verdict_runs_one_irreducibility_test_per_group(build, monkeypatch):
+    # each test is one spin of T's direction: under G, then under N = <T^G>
     calls = []
-    real = classify_mod.is_irreducible
+    real = classify_mod.spin
 
-    def counted(g, *args, **kwargs):
-        calls.append(g)
-        return real(g, *args, **kwargs)
+    def counted(space, gens, seed):
+        calls.append((gens, seed))
+        return real(space, gens, seed)
 
-    monkeypatch.setattr(classify_mod, "is_irreducible", counted)
-    assert isinstance(classify(build()), Huge)
-    assert len(calls) == 2   # G, then its transvection subgroup H
+    monkeypatch.setattr(classify_mod, "spin", counted)
+    g = build()
+    assert isinstance(classify(g), Huge)
+    assert len(calls) == 2
+    assert calls[0] == (g.generators, (1, 0))
+    assert calls[1][1] == (1, 0) and calls[1][0] != g.generators
 
 
 def test_induced_case():
@@ -333,6 +339,23 @@ def test_subfield_recognition_embedded():
 def test_subfield_recognition_rejects_reducible():
     with pytest.raises(NoOrderMatch):
         recognize_sp_over_subfield(reducible_group())
+
+
+def test_no_verdict_path_runs_nortons_test(monkeypatch):
+    # every verdict path proves irreducibility by spinning a transvection's
+    # direction (or, for the (n,p)-groups, the lines <e_i>), with the same
+    # verdicts and witnesses as the golden files
+    def refuse(*args, **kwargs):
+        raise AssertionError("Norton's randomized test ran on a verdict path")
+
+    for module in (groupkit, classify_mod, npgroup):
+        monkeypatch.setattr(module, "is_irreducible", refuse)
+    for want in recorded(GOLDEN) + recorded(WREATH_FILE):
+        verdict = json.loads(json.dumps(serialize_verdict(classify(build(want["name"])))))
+        assert verdict == json.loads(want["stdout"]), want["name"]
+    assert recognize_sp_over_subfield(embedded_sp2f5_in_f25()) == 1
+    g, _ = npgroup.build_np_group(npgroup.build_chi(npgroup.np_params(4, 7, 5, 11)))
+    assert npgroup.twist_unramified(g, 3).generators[0] == g.generators[0]
 
 
 def test_is_huge_on_all_three_cases():

@@ -16,6 +16,8 @@ from sympal.npgroup import build_chi, build_np_group, np_params
 from sympal.symplectic import (
     SqMatrix,
     SympSpace,
+    TransvectionKind,
+    detect_transvection,
     make_transvection,
     mat,
     random_similitude,
@@ -44,7 +46,15 @@ def oracle_irreducible(g) -> bool:
 
 
 def assert_agrees(g, seeds=(0,)):
+    """Norton's test, and the transvection lemma when a generator is a
+    nontrivial transvection T with direction v: a proper invariant W has
+    T·W = W, so W holds v or W^perp does, and G is irreducible iff v spins
+    to V.  Returns the oracle's verdict."""
     want = oracle_irreducible(g)
+    t = next((d for d in map(detect_transvection, g.generators)
+              if d.kind is TransvectionKind.NONTRIVIAL), None)
+    if t is not None:
+        assert (spin(g.space, g.generators, t.data.direction).dim == g.space.n) == want
     for seed in seeds:
         res = is_irreducible(g, seed)
         assert res.irreducible == want

@@ -6,7 +6,7 @@ import sympal.errors
 from sympal import npgroup
 from sympal.errors import InvalidParams, NotIrreducible
 from sympal.ffield import field_make, multiplicative_order
-from sympal.groupkit import IrreducibilityResult, group_order, is_irreducible
+from sympal.groupkit import group, group_order, is_irreducible, spin
 from sympal.linalg import mat_mul, scalar_mat
 from sympal.npgroup import (
     build_chi,
@@ -153,7 +153,12 @@ def test_n4_group_over_a_large_field_is_proved_irreducible():
     assert not hasattr(sympal.errors, "UnverifiedIrreducibility")
 
 
-def test_reducible_verdict_is_not_swallowed(monkeypatch):
-    monkeypatch.setattr(npgroup, "is_irreducible", lambda g: IrreducibilityResult(False))
-    with pytest.raises(NotIrreducible):
-        build_np_group(fixture_2357())
+def test_reducible_verdict_is_not_swallowed():
+    # F^2 permutes the lines <e_i> in the two cycles (e_1 e_3)(e_2 e_4), so
+    # <D, F^2> keeps <e_1, e_3>: a reducible module, which is refused
+    g, _ = build_np_group(build_chi(np_params(4, 7, 5, 11)))
+    d, f = g.generators
+    f2 = f * f
+    assert spin(g.space, [d, f2], (1, 0, 0, 0)).dim == 2
+    with pytest.raises(NotIrreducible, match="proper invariant subspace"):
+        npgroup._assert_irreducible(group(g.space, [d, f2]))

@@ -10,12 +10,12 @@ import time
 import pytest
 
 import sympal
-from sympal import ffield, groupkit, mackey, npgroup
+from sympal import ffield, groupkit, linalg, mackey, npgroup
 from sympal.classify import Huge, is_huge
-from sympal.errors import InvalidParams, WitnessCheckFailed
+from sympal.errors import InvalidParams, NoOrderMatch, NotIrreducible, WitnessCheckFailed
 from sympal.ffield import field_make, one
 from sympal.groupkit import group
-from sympal.symplectic import SympSpace, make_transvection
+from sympal.symplectic import SqMatrix, Subspace, SympSpace, make_transvection
 
 CHECKED = sorted(m.name for m in pkgutil.iter_modules(sympal.__path__))
 
@@ -114,6 +114,36 @@ def test_class_functions_on_different_groups_raise_typed_error():
         mackey.inner_product(a, b)
     with pytest.raises(InvalidParams):
         mackey.character_order(mackey.regular_character(mackey.symmetric_group(3), 6))
+
+
+def test_subfield_recognition_without_a_transvection_generator_raises_typed_error():
+    classify_mod = importlib.import_module("sympal.classify")
+    s = SympSpace.standard(field_make(5, 1), 2)
+    t1, t2 = make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)
+    with pytest.raises(NoOrderMatch, match="transvection"):
+        classify_mod.recognize_sp_over_subfield(group(s, [t1 * t2, t2 * t1]))
+
+
+def test_np_irreducibility_proof_refuses_what_it_cannot_prove():
+    g, _ = npgroup.build_np_group(npgroup.build_chi(npgroup.np_params(4, 7, 5, 11)))
+    d, f = g.generators
+    scalar = SqMatrix(g.space, linalg.scalar_mat(4, d.rows[0][0]))   # one entry, repeated
+    with pytest.raises(NotIrreducible, match="distinct"):
+        npgroup._assert_irreducible(group(g.space, [scalar, f]))
+    # F^2 permutes the lines <e_i> in two cycles, so <e_1, e_3> is invariant
+    with pytest.raises(NotIrreducible, match="proper invariant subspace"):
+        npgroup._assert_irreducible(group(g.space, [d, f * f]))
+
+
+def test_classify_checks_the_reducibility_witness(monkeypatch):
+    classify_mod = importlib.import_module("sympal.classify")
+    s = SympSpace.standard(field_make(5, 1), 2)
+    g = group(s, [make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)])
+    # the line of T's direction, which the second generator moves
+    monkeypatch.setattr(classify_mod, "spin",
+                        lambda space, gens, seed: Subspace.from_vectors(space, [seed]))
+    with pytest.raises(WitnessCheckFailed, match="invalid reducibility witness"):
+        classify_mod.classify(g)
 
 
 def test_norton_rounds_are_bounded(monkeypatch):
