@@ -172,17 +172,17 @@ def run_mackey(args) -> int:
 
     g, sweep, p, bound = _read(args.input, _sweep_doc, "sweep document")
 
-    dixon: dict = {}    # multiplication table -> its character table
-    tables: dict = {}   # subgroup -> its character table
+    by_table: dict = {}   # multiplication table -> its character table
+    tables: dict = {}     # subgroup -> its character table
 
     def table(s):
-        # conjugate subgroups often have equal tables, and equal tables have
-        # equal characters: run Dixon once per table, attach the values to
-        # each subgroup's own group
+        # conjugate subgroups often have equal multiplication tables, and
+        # equal tables have equal characters: compute the characters once
+        # per table, attach the values to each subgroup's own group
         if s not in tables:
-            ct = dixon.get(s.group.table)
+            ct = by_table.get(s.group.table)
             if ct is None:
-                ct = dixon[s.group.table] = mk.character_table(s.group, g.exponent)
+                ct = by_table[s.group.table] = mk.character_table(s.group, g.exponent)
             tables[s] = [mk.ClassFunction(s.group, c.cyc_order, c.values) for c in ct]
         return tables[s]
 

@@ -5,13 +5,19 @@ A number is kept in one canonical form: the integer coefficients of
 cyclotomic polynomial Phi_n, constant term first -- over a positive
 integer denominator coprime to them.  Character values are algebraic
 integers, so in practice the denominator is 1 and everything runs on
-integer tuples: equality and hashing compare tuples (a rational value
-hashes as the int or Fraction it equals), addition adds them, and
-multiplication is a convolution followed by reduction mod Phi_n.
-Galois action and embedding map zeta^j to its image and reduce.  A
-Fraction enters only when a caller multiplies by one (an inner product's
-1/|G|).  Phi_n is computed by peeling Phi_d out of x^n - 1 for the
-proper divisors d.
+integer tuples: equality at one order compares tuples, addition adds
+them, and multiplication is a convolution followed by reduction mod
+Phi_n.  Galois action and embedding map zeta^j to its image and reduce.
+A Fraction enters only when a caller multiplies by one (an inner
+product's 1/|G|).  Phi_n is computed by peeling Phi_d out of x^n - 1 for
+the proper divisors d.
+
+Numbers of different orders n and n' compare inside Q(zeta_lcm(n, n')),
+so equality is equality of complex values.  The hash agrees with it: a
+rational value hashes as the int or Fraction it equals, and any other
+value as its canonical form at its conductor, the least d with the
+number in Q(zeta_d), found by descending one prime at a time and kept
+on the instance after the first hash.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from math import gcd, lcm
 from operator import add, neg, sub
 
 from .errors import WitnessCheckFailed
+from .ffield import factorize
 
 
 @lru_cache(maxsize=None)
@@ -72,6 +79,52 @@ def _reduce_mod_phi(coeffs, n: int) -> tuple:
     return tuple(work[:deg])
 
 
+@lru_cache(maxsize=None)
+def _split_coprime(n: int, p: int) -> tuple[tuple[int, int], ...]:
+    """For n = p m with p prime to m: (j a mod p, j b mod m) for j < phi(n),
+    where zeta_n^j = zeta_p^(j a) zeta_m^(j b), zeta_p = zeta_n^m and
+    zeta_m = zeta_n^p (a m + b p = 1 mod n)."""
+    m = n // p
+    a, b = pow(m, -1, p), pow(p, -1, m)
+    return tuple((j * a % p, j * b % m) for j in range(_phi_terms(n)[0]))
+
+
+def _descend(n: int, coeffs: tuple, p: int):
+    """The coefficients in Q(zeta_(n/p)) of the number with these
+    coefficients in Q(zeta_n), or None if it does not lie there."""
+    m = n // p
+    if m % p == 0:
+        # Phi_n(x) = Phi_m(x^p): the power basis is zeta_m^q zeta_n^i, i < p
+        if any(any(coeffs[i::p]) for i in range(1, p)):
+            return None
+        return coeffs[::p]
+    # x = sum_a A_a zeta_p^a with A_a in Q(zeta_m); since the zeta_p^a sum
+    # to 0, x lies in Q(zeta_m) exactly when A_1 = ... = A_(p-1)
+    parts = [[0] * m for _ in range(p)]
+    for c, (a, b) in zip(coeffs, _split_coprime(n, p)):
+        if c:
+            parts[a][b] += c
+    first = _reduce_mod_phi(parts[1], m)
+    if any(_reduce_mod_phi(part, m) != first for part in parts[2:]):
+        return None
+    return tuple(map(sub, _reduce_mod_phi(parts[0], m), first))
+
+
+def _at_conductor(n: int, coeffs: tuple) -> tuple[int, tuple]:
+    """(d, coefficients in Q(zeta_d)) for the least d with the number in
+    Q(zeta_d).  The d that hold it are closed under gcd, so descending by
+    any prime that keeps the number reaches the least one."""
+    descended = True
+    while descended:
+        descended = False
+        for p in factorize(n):
+            down = _descend(n, coeffs, p)
+            if down is not None:
+                n, coeffs, descended = n // p, down, True
+                break
+    return n, coeffs
+
+
 class Cyc:
     """An element of Q(zeta_n) in canonical form (see the module docstring).
 
@@ -81,7 +134,7 @@ class Cyc:
     the coefficients, 1 when they are all zero).
     """
 
-    __slots__ = ("n", "coeffs", "den")
+    __slots__ = ("n", "coeffs", "den", "_hash")
 
     def __new__(cls, n: int, coeffs) -> "Cyc":
         coeffs = list(coeffs)
@@ -169,17 +222,28 @@ class Cyc:
         return tuple(Fraction(c, self.den) for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Cyc):
+            if self.n != other.n:
+                m = lcm(self.n, other.n)
+                return self.embed(m) == other.embed(m)
+            return self.coeffs == other.coeffs and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and Fraction(self.coeffs[0], self.den) == other
-        if not isinstance(other, Cyc) or self.n != other.n:
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.den == other.den
+        return NotImplemented
 
     def __hash__(self):
-        # a rational value equals its int or Fraction, so it hashes as one
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # a rational value equals its int or Fraction, so it hashes as one;
+        # any other value as its form at its conductor, the same at every n
         if self.is_rational():
-            return hash(self.coeffs[0] if self.den == 1 else Fraction(self.coeffs[0], self.den))
-        return hash((self.n, self.coeffs, self.den))
+            h = hash(self.coeffs[0] if self.den == 1 else Fraction(self.coeffs[0], self.den))
+        else:
+            h = hash((_at_conductor(self.n, self.coeffs), self.den))
+        _set_hash(self, h)
+        return h
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -194,7 +258,7 @@ class Cyc:
 
 
 _new = object.__new__
-_set_n, _set_coeffs, _set_den = (Cyc.__dict__[a].__set__ for a in Cyc.__slots__)
+_set_n, _set_coeffs, _set_den, _set_hash = (Cyc.__dict__[a].__set__ for a in Cyc.__slots__)
 
 
 def _make(n: int, coeffs: tuple[int, ...], den: int) -> Cyc:

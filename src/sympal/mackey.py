@@ -33,17 +33,22 @@ ints (Fractions for a fractional value) in numpy object arrays, which
 cannot overflow.  L chi = R chi is therefore exact equality of the Cyc
 values, and no Cyc is built.
 
-Character tables come from Dixon's method: split the simultaneous
-eigenvectors of the class-sum matrices over a prime field F_P with
-P = 1 mod exponent, read the degrees off the orthogonality relation,
-and lift the values back to the cyclotomic field through the
+The character table of an abelian group is its homomorphisms to the
+roots of unity, each kept as one exponent mod the cyclotomic order per
+element and built by extending along a chain of cyclic steps.  It is
+certified without a field: every vector is additive on a generating set
+and the |G| vectors are distinct, so they are all of the characters.
+Any other group's table comes from Dixon's method: split the
+simultaneous eigenvectors of the class-sum matrices over a prime field
+F_P with P = 1 mod exponent, read the degrees off the orthogonality
+relation, and lift the values back to the cyclotomic field through the
 eigenvalue-multiplicity discrete Fourier inversion.  The linear algebra
 runs on `linalg` over `field_make(P, 1)`; the eigenvalues of a class
 matrix on an eigenspace are the distinct roots in F_P of its
 characteristic polynomial (`linalg.charpoly`), found by evaluating it at
-every point of F_P (`ffield.poly_roots`; P is about 2|G|).  The method
-is deterministic.  A prime P above `ffield.FIELD_LIMIT` raises
-FieldTooLarge.
+every point of F_P (`ffield.poly_roots`; P is about 2|G|).  Both methods
+are deterministic.  A Dixon prime P above `ffield.FIELD_LIMIT` raises
+FieldTooLarge; abelian tables never reach it.
 """
 
 from __future__ import annotations
@@ -577,7 +582,7 @@ def _transport(g: FiniteGroup, h: Subgroup, n: Subgroup) -> tuple[np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# character tables (Dixon's method)
+# character tables (abelian groups directly, others by Dixon's method)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -594,6 +599,93 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
     """All irreducible characters, values in Q(zeta_cyc_order).
 
     Deterministic order: by degree, then by reduced value vectors.
+    ValueError unless cyc_order (default: the exponent) is a multiple of
+    the exponent.  An abelian group (every class a singleton) gets its
+    table from _abelian_table, any other from _dixon_table; both raise
+    WitnessCheckFailed when their certificate fails.
+    """
+    n_cyc = cyc_order if cyc_order is not None else g.exponent
+    if n_cyc % g.exponent:
+        raise ValueError("cyclotomic order must be a multiple of the exponent")
+    if len(g.classes) == g.order:
+        chars = _abelian_table(g, n_cyc)
+    else:
+        chars = _dixon_table(g, n_cyc)
+    chars.sort(key=lambda c: (c.degree.rational_value(),
+                              tuple(v.reduced() for v in c.values)))
+    return chars
+
+
+def _abelian_exponents(g: FiniteGroup, n_cyc: int) -> tuple[list[int], list[list[int]]]:
+    """(gens, chars): generators of the abelian group g, and its |G|
+    homomorphisms to the n_cyc-th roots of unity, each as a list of
+    exponents mod n_cyc, one per element.
+
+    From H = {0}: take the least x outside H and the least j with x^j in
+    H; each chi on H extends to <H, x> in j ways, chi(h x^t) = chi(h) + t b
+    for t < j and each b with j b = chi(x^j) mod n_cyc.  Such b exist: x^j
+    has order o / j, o the order of x, so chi(x^j) is a multiple of
+    n_cyc j / o, and o divides n_cyc."""
+    t, m = g.table, g.order
+    in_h = [False] * m
+    in_h[0] = True
+    elems, gens, chars = [0], [], [[0] * m]
+    for x in range(1, m):
+        if in_h[x]:
+            continue
+        gens.append(x)
+        powers = [0, x]   # x^0, ..., x^j
+        while not in_h[powers[-1]]:
+            powers.append(t[powers[-1]][x])
+        j, xj = len(powers) - 1, powers[-1]
+        cosets = [[t[h][xt] for h in elems] for xt in powers[1:-1]]
+        step = n_cyc // j
+        new = []
+        for chi in chars:
+            a = chi[xj]
+            if a % j:
+                raise WitnessCheckFailed("no root of a character value on an abelian group")
+            for k in range(j):
+                b = a // j + k * step
+                ext = chi[:]
+                for s, coset in enumerate(cosets, 1):
+                    for h, y in zip(elems, coset):
+                        ext[y] = (chi[h] + s * b) % n_cyc
+                new.append(ext)
+        chars = new
+        for coset in cosets:
+            elems += coset
+            for y in coset:
+                in_h[y] = True
+    return gens, chars
+
+
+def _abelian_table(g: FiniteGroup, n_cyc: int) -> list[ClassFunction]:
+    """The linear characters of the abelian group g, unsorted.
+
+    Certificate (WitnessCheckFailed otherwise): the generators generate
+    G, each exponent vector has chi(a s) = chi(a) + chi(s) for every
+    element a and generator s, so it is a homomorphism, and the |G|
+    vectors are pairwise distinct.  G has exactly |G| characters, so the
+    table is complete."""
+    gens, chars = _abelian_exponents(g, n_cyc)
+    t, m = g.table, g.order
+    if len(_generated(g, gens)) != m:
+        raise WitnessCheckFailed("abelian generators do not generate the group")
+    for s in gens:
+        col = [t[a][s] for a in range(m)]
+        for chi in chars:
+            cs = chi[s]
+            if any(chi[b] != (chi[a] + cs) % n_cyc for a, b in enumerate(col)):
+                raise WitnessCheckFailed("an abelian character is not a homomorphism")
+    if len(chars) != m or len(set(map(tuple, chars))) != m:
+        raise WitnessCheckFailed("abelian characters are not |G| distinct homomorphisms")
+    # every class is a singleton, so class i is element i
+    return [ClassFunction(g, n_cyc, tuple(root(n_cyc, k) for k in chi)) for chi in chars]
+
+
+def _dixon_table(g: FiniteGroup, n_cyc: int) -> list[ClassFunction]:
+    """The irreducible characters of g by Dixon's method, unsorted.
 
     A class matrix splits an eigenspace of dimension d into its
     eigenspaces there, one per root in F_P of its characteristic
@@ -604,9 +696,6 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
     not sum to |G|.
     """
     e = g.exponent
-    n_cyc = cyc_order if cyc_order is not None else e
-    if n_cyc % e:
-        raise ValueError("cyclotomic order must be a multiple of the exponent")
     k = len(g.classes)
     reps = [cls[0] for cls in g.classes]
     p = _dixon_prime(e, g.order)
@@ -698,8 +787,6 @@ def character_table(g: FiniteGroup, cyc_order: Optional[int] = None
         chars.append(ClassFunction(g, n_cyc, tuple(values)))
     if degree_sq_sum != g.order:
         raise WitnessCheckFailed("degrees do not sum to |G|")
-    chars.sort(key=lambda c: (c.degree.rational_value(),
-                              tuple(v.reduced() for v in c.values)))
     return chars
 
 
@@ -710,9 +797,9 @@ def linear_characters(g: FiniteGroup, cyc_order: Optional[int] = None
 
 
 @lru_cache(maxsize=None)
-def _zeta_exponents(n: int) -> dict[Cyc, int]:
-    """zeta_n^j -> j for j < n."""
-    return {root(n, j): j for j in range(n)}
+def _zeta_exponents(n: int) -> dict[tuple[int, ...], int]:
+    """The coefficients of zeta_n^j -> j for j < n."""
+    return {root(n, j).coeffs: j for j in range(n)}
 
 
 def character_order(chi: ClassFunction) -> int:
@@ -724,8 +811,11 @@ def character_order(chi: ClassFunction) -> int:
         raise InvalidParams("order is for linear characters")
     n = chi.cyc_order
     order = 1
+    zetas = _zeta_exponents(n)
     for value in chi.values:
-        j = _zeta_exponents(n).get(value)
+        # values are in Q(zeta_n) and roots have denominator 1, so a
+        # value is zeta_n^j exactly when its coefficients are
+        j = zetas.get(value.coeffs) if value.den == 1 else None
         if j is None:
             raise InvalidParams(f"value {value!r} is not a power of zeta_{n}")
         order = lcm(order, n // gcd(j, n))

@@ -267,8 +267,8 @@ def test_mackey_permutation_group_input(tmp_path, capsys):
     ({"group": {"permutations": [[1, 0, 2, 3], [1, 2, 3, 0]]}, "sweep": "mackey"}, 13),
     ({"group": {"semidirect": [7, 3]}, "sweep": "prop-nh", "p": 7}, 4),
 ])
-def test_mackey_sweep_runs_dixon_once_per_subgroup_table(tmp_path, capsys, monkeypatch,
-                                                         sweep, tables):
+def test_mackey_sweep_builds_each_subgroup_table_once(tmp_path, capsys, monkeypatch,
+                                                      sweep, tables):
     # S4 has 30 subgroups with 13 distinct multiplication tables; 7:3 has 10
     # subgroups with 4 (orders 1, 3, 7, 21)
     seen = []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympal.cyclotomic import Cyc, cyclotomic_poly, rational, root, zero
+from sympal.cyclotomic import Cyc, _at_conductor, cyclotomic_poly, rational, root, zero
 
 
 def test_cyclotomic_polys():
@@ -157,5 +157,68 @@ def test_equality_is_equality_of_values(case, multiplier):
             shift[i + j] += m * p
     same = Cyc(n, [u + v for u, v in zip_longest(a, shift, fillvalue=0)])
     assert same == x and hash(same) == hash(x)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+# ---------------------------------------------------------------------------
+# one number in several fields: equality in Q(zeta_lcm), hash at the conductor
+# ---------------------------------------------------------------------------
+
+def test_conductor_is_the_least_field_holding_the_number():
+    # zeta_n^j has order o = n / gcd(n, j); for o = 2 mod 4 it lies in Q(zeta_(o/2))
+    for n in (1, 3, 4, 6, 8, 12, 15, 20, 24, 30, 36):
+        for j in range(n):
+            o = n // gcd(n, j)
+            d, coeffs = _at_conductor(n, root(n, j).coeffs)
+            assert d == (o // 2 if o % 4 == 2 else o)
+            assert Cyc(d, coeffs).embed(n) == root(n, j)
+    sqrt2 = root(8, 1) + root(8, 7)
+    sqrt5 = rational(5, 1) + (root(5, 1) + root(5, 4)) * 2
+    for x, d in ((sqrt2, 8), (sqrt5, 5)):
+        for k in (1, 2, 3, 6):
+            assert _at_conductor(d * k, x.embed(d * k).coeffs)[0] == d
+
+
+def test_roots_of_unity_are_equal_across_orders():
+    z3, z6_2, z12_4 = root(3, 1), root(6, 2), root(12, 4)
+    assert z3 == z6_2 == z12_4 and z12_4 == z3
+    assert hash(z3) == hash(z6_2) == hash(z12_4)
+    assert len({z3, z6_2, z12_4}) == 1
+    assert {z6_2: "z"}.get(z12_4) == "z"
+    # zeta_6 = -zeta_3^2 is in Q(zeta_3) but is not zeta_3
+    assert root(6, 1) == -root(3, 2) and root(6, 1) != z3
+    assert root(12, 3) != root(6, 1) and root(12, 3) == root(4, 1)
+    assert len({root(n, j) for n in (1, 3, 6, 12) for j in range(n)}) == 12
+
+
+def test_rational_values_are_equal_across_orders():
+    # rational(6, 3) == 3 == rational(12, 3) once held without the first equality
+    threes = [rational(n, 3) for n in (1, 3, 6, 12)]
+    assert all(a == b for a in threes for b in threes)
+    assert len(set(threes) | {3}) == 1
+    halves = [rational(n, Fraction(1, 2)) for n in (1, 3, 6, 12)]
+    assert len(set(halves + threes)) == 2
+    assert rational(6, 3) != rational(12, 4)
+
+
+def test_equality_across_orders_is_transitive():
+    # sqrt(-3) = 2 zeta_3 + 1 in Q(zeta_3), Q(zeta_6) and Q(zeta_12)
+    forms = [rational(n, 1) + root(n, n // 3) * 2 for n in (3, 6, 12)]
+    assert all(a == b and hash(a) == hash(b) for a in forms for b in forms)
+    assert len(set(forms)) == 1
+    others = [rational(n, 1) + root(n, 2 * n // 3) * 2 for n in (3, 6, 12)]   # -sqrt(-3)
+    assert not any(a == b for a in forms for b in others)
+    assert len(set(forms + others)) == 2
+
+
+@given(cases(), st.sampled_from((1, 2, 3, 4, 6)), st.sampled_from(ORDERS))
+@settings(max_examples=300, deadline=None)
+def test_equality_across_orders_is_equality_of_values(case, k, n2):
+    n, a, b = case
+    x, y = Cyc(n, a), Cyc(n2, b)
+    up = x.embed(k * n)
+    assert up == x and x == up and hash(up) == hash(x)
+    assert (x == y) == close(value(n, a), value(n2, b))
     if x == y:
         assert hash(x) == hash(y)

@@ -109,8 +109,20 @@ def test_bad_table_rejected():
         FiniteGroup(table)
 
 
+def abelian_product(*orders) -> FiniteGroup:
+    """C_n1 x C_n2 x ..., from its coordinate generators."""
+    gens = [tuple(int(i == k) for i in range(len(orders))) for k in range(len(orders))]
+    return mackey.group_from_elements(
+        gens, lambda a, b: tuple((x + y) % n for x, y, n in zip(a, b, orders)),
+        (0,) * len(orders))[0]
+
+
 # oracle degrees from standard tables
 DEGREE_CASES = [
+    (cyclic_group(1), [1]),
+    (cyclic_group(12), [1] * 12),
+    (abelian_product(2, 2), [1] * 4),
+    (abelian_product(2, 6), [1] * 12),
     (S3, [1, 1, 2]),
     (dihedral_group(4), [1, 1, 1, 1, 2]),
     (quaternion_group(), [1, 1, 1, 1, 2]),
@@ -150,6 +162,32 @@ def test_dixon_prime_beyond_field_limit_is_refused(monkeypatch):
     monkeypatch.setattr(mackey, "_dixon_prime", lambda exponent, order: 1_000_003)
     with pytest.raises(FieldTooLarge):
         character_table(S3)
+    # an abelian table needs no field
+    assert len(character_table(cyclic_group(3))) == 3
+
+
+def _abelian_groups() -> list[FiniteGroup]:
+    out = [cyclic_group(n) for n in range(1, 31)]
+    out += [abelian_product(*ns) for ns in ((2, 2), (2, 4), (2, 6), (3, 3), (2, 2, 2))]
+    for g in (symmetric_group(4), sl2_3(), semidirect_cyclic(7, 3),
+              semidirect_cyclic(13, 4), alternating_group(5)):
+        out += [s.group for s in all_subgroups(g) if len(s.group.classes) == s.order]
+    return out
+
+
+def test_abelian_tables_equal_dixon_tables():
+    # the homomorphisms to roots of unity against Dixon's method, value for
+    # value, at the exponent and at a multiple of it
+    def values(chars):
+        chars.sort(key=lambda c: tuple(v.reduced() for v in c.values))
+        return [[(v.n, v.coeffs, v.den) for v in c.values] for c in chars]
+
+    for g in _abelian_groups():
+        for n_cyc in (g.exponent, 6 * g.exponent):
+            direct = values(mackey._abelian_table(g, n_cyc))
+            assert direct == values(mackey._dixon_table(g, n_cyc))
+            assert [[(v.n, v.coeffs, v.den) for v in c.values]
+                    for c in character_table(g, n_cyc)] == direct
 
 
 def test_subgroup_enumeration():

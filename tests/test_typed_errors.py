@@ -99,10 +99,32 @@ def test_dixon_split_check_raises_typed_error(monkeypatch):
 
 
 def test_dixon_prime_without_the_roots_of_unity_raises_typed_error(monkeypatch):
-    # zeta_3 is not in F_5, so C3's class matrices do not split over it
+    # zeta_3 is not in F_5 (5 != 1 mod 3), so the class matrices of 7:3
+    # do not split over it; an abelian group would not reach Dixon at all
     monkeypatch.setattr(mackey, "_dixon_prime", lambda exponent, order: 5)
     with pytest.raises(WitnessCheckFailed, match="does not split"):
-        mackey.character_table(mackey.cyclic_group(3))
+        mackey.character_table(mackey.semidirect_cyclic(7, 3))
+
+
+@pytest.mark.parametrize("forge,message", [
+    # one exponent off: that vector is no longer a homomorphism
+    (lambda gens, chars: chars[1].__setitem__(2, chars[1][2] + 1), "not a homomorphism"),
+    # a homomorphism twice: the vectors are no longer |G| distinct ones
+    (lambda gens, chars: chars.__setitem__(2, list(chars[1])), "distinct"),
+    # no generator: additivity on the generators would prove nothing
+    (lambda gens, chars: gens.clear(), "do not generate"),
+])
+def test_abelian_table_certificate_raises_typed_error(monkeypatch, forge, message):
+    real = mackey._abelian_exponents
+
+    def forged(g, n_cyc):
+        gens, chars = real(g, n_cyc)
+        forge(gens, chars)
+        return gens, chars
+
+    monkeypatch.setattr(mackey, "_abelian_exponents", forged)
+    with pytest.raises(WitnessCheckFailed, match=message):
+        mackey.character_table(mackey.cyclic_group(6))
 
 
 def test_class_functions_on_different_groups_raise_typed_error():
