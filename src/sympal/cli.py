@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from math import gcd
+from typing import Optional
 
 from .classify import classify, serialize_verdict
 from .errors import (
@@ -280,8 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built by the first main call, not at import: a build costs about 1 ms
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -10,7 +10,10 @@ The subgroup constructors (Subgroup.generated, conjugate_subgroup,
 intersect, subgroup_of, whole_group, trivial_subgroup, all_subgroups)
 return one interned Subgroup per (parent, element set), so a subgroup's
 table, conjugacy classes, normality and coset data are built once, and
-class functions on it stay tied to the one group object.  Induction is
+class functions on it stay tied to the one group object.  The lattice is
+found by joining each subgroup found with every cyclic subgroup not
+nested with it, since every subgroup is a join of cyclic ones; each join
+is closed one whole coset of the known subgroup at a time.  Induction is
 the left-coset representative formula; which coset conjugates land in
 which class of the subgroup is counted once per subgroup.
 
@@ -20,18 +23,21 @@ Ind_N^G chi is L chi and the double-coset sum is R chi, where L and R
 take a vector of values on the classes of N to one on the classes of H.
 Their entries are counts of coset representatives, so they are
 nonnegative integers.  L reads N's induction terms at each class of H.
-R adds, for each gamma in H\\G/N, the induction terms of the meet
-H cap gamma N gamma^-1 inside H, sent to N's class of gamma^-1 x gamma.
-The irreducible characters of N are a basis of its class functions, so
-Mackey's formula holds for every chi on N exactly when L = R.  That is
-decided once per (N, H), when the pair is built: equal matrices are kept
-as one array, and a check on such a pair reads no chi.  Only when L and R
-differ is chi read.  Integer matrices commute with the coordinates of
-the power basis of Q(zeta_n), so a side's values are the matrix times
-chi's array of coefficients, one row per class.  The array holds Python
-ints (Fractions for a fractional value) in numpy object arrays, which
-cannot overflow.  L chi = R chi is therefore exact equality of the Cyc
-values, and no Cyc is built.
+R is the left-coset formula for each gamma in H\\G/N, counted in G:
+for each least representative r of a left coset of the meet
+M = H cap gamma N gamma^-1 in H, and each class representative x of H,
+it adds 1 at N's class of (r gamma)^-1 x (r gamma) when that lies in N.
+r and r' share a coset of M exactly when r gamma N = r' gamma N, so no
+subgroup is built for M.  The irreducible characters of N are a basis
+of its class functions, so Mackey's formula holds for every chi on N
+exactly when L = R.  That is decided once per (N, H), when the pair is
+built: equal matrices are kept as one array, and a check on such a pair
+reads no chi.  Only when L and R differ is chi read.  Integer matrices
+commute with the coordinates of the power basis of Q(zeta_n), so a
+side's values are the matrix times chi's array of coefficients, one row
+per class.  The array holds Python ints (Fractions for a fractional
+value) in numpy object arrays, which cannot overflow.  L chi = R chi is
+therefore exact equality of the Cyc values, and no Cyc is built.
 
 The character table of an abelian group is its homomorphisms to the
 roots of unity, each kept as one exponent mod the cyclotomic order per
@@ -78,6 +84,8 @@ class FiniteGroup:
     def __init__(self, table: Sequence[Sequence[int]], check: bool = True):
         self.table = tuple(tuple(r) for r in table)
         self.order = len(self.table)
+        if not self.order:
+            raise ValueError("multiplication table is empty")
         if check:
             self._verify()
         self.inv = tuple(self.table[a].index(0) for a in range(self.order))
@@ -100,9 +108,9 @@ class FiniteGroup:
         return self.mul(self.mul(g, x), self.inv[g])
 
     def _order_of(self, a: int) -> int:
-        o, x = 1, a
+        o, x, t = 1, a, self.table
         while x != 0:
-            x = self.mul(x, a)
+            x = t[x][a]
             o += 1
         return o
 
@@ -141,12 +149,13 @@ class FiniteGroup:
                     raise ValueError("multiplication is not associative")
 
     def _conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        t, inv = self.table, self.inv
         seen = [False] * self.order
         out = []
         for a in range(self.order):
             if seen[a]:
                 continue
-            orbit = sorted({self.conj(g, a) for g in range(self.order)})
+            orbit = sorted({t[row[a]][gi] for row, gi in zip(t, inv)})
             for x in orbit:
                 seen[x] = True
             out.append(tuple(orbit))
@@ -278,7 +287,7 @@ class Subgroup:
             raise NotSubgroup("subgroup must contain the identity")
         pos = {x: i for i, x in enumerate(elems)}
         try:
-            table = [[pos[parent.mul(a, b)] for b in elems] for a in elems]
+            table = [[pos[parent.table[a][b]] for b in elems] for a in elems]
         except KeyError:
             raise NotSubgroup("subset is not closed under multiplication")
         self.elements = tuple(elems)
@@ -288,6 +297,7 @@ class Subgroup:
         self.normal: Optional[bool] = None   # remembered by is_normal
         self.induction: Optional[tuple] = None   # by _induction_terms
         self.transport: dict[Subgroup, tuple] = {}   # by _transport
+        self.leads: Optional[list[int]] = None   # by _coset_leads
 
     @property
     def order(self) -> int:
@@ -337,28 +347,63 @@ def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     """Is h normal in g?  Remembered on h."""
     _check_parent(g, h)
     if h.normal is None:
-        h.normal = all(h.contains(g.conj(x, a)) for a in h.elements for x in range(g.order))
+        t = g.table
+        h.normal = all(t[row[a]][xi] in h.index_of for a in h.elements
+                       for row, xi in zip(t, g.inv))
     return h.normal
 
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup, found as joins of cyclic subgroups (ascending order)."""
-    gens: dict[frozenset, tuple[int, ...]] = {}   # element set -> generators
-    for x in range(g.order):
-        gens.setdefault(_generated(g, [x]), (x,))
+    """Every subgroup (ascending order, then elements), interned.
+
+    Every subgroup is a join of cyclic ones, so joining each subgroup
+    found with every cyclic <x> that neither holds it nor lies in it
+    reaches them all.  <x> is read off the powers of x."""
+    t, m = g.table, g.order
+    cyclic: dict[frozenset, int] = {}   # element set of <x> -> its least x
+    for x in range(m):
+        powers, y = [0], x
+        while y:
+            powers.append(y)
+            y = t[y][x]
+        cyclic.setdefault(frozenset(powers), x)
+    # a subgroup with more than m / p elements, p the least prime factor
+    # of m, is the whole group
+    big = m // next(p for p in range(2, m + 1) if m % p == 0) if m > 1 else 0
+    gens = {z: (x,) for z, x in cyclic.items()}   # element set -> generators
     todo = list(gens)
     while todo:
         a = todo.pop()
-        for b in list(gens):
-            if a <= b or b <= a:
+        block = sorted(a)
+        for z, x in cyclic.items():
+            if x in a or a <= z:
                 continue
-            join = _generated(g, gens[a] + gens[b])
+            join = _join(t, block, gens[a] + (x,), big)
             if join not in gens:
-                gens[join] = gens[a] + gens[b]
+                gens[join] = gens[a] + (x,)
                 todo.append(join)
     subs = [_interned(g, s) for s in gens]
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs
+
+
+def _join(t, block: list[int], gens: tuple[int, ...], big: int) -> frozenset:
+    """The element set of <gens>, gens holding generators of the subgroup
+    whose elements are block: a union of left cosets w*block, grown one
+    whole coset at a time, so each coset costs one membership test per
+    generator (Dimino's method).  Past big elements it is the whole group."""
+    elems = set(block)
+    reps = [0]
+    rows = [t[s] for s in gens]
+    for w in reps:
+        for row in rows:
+            y = row[w]
+            if y not in elems:
+                reps.append(y)
+                elems.update(map(t[y].__getitem__, block))
+                if len(elems) > big:
+                    return frozenset(range(len(t)))
+    return frozenset(elems)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +504,7 @@ def _induction_terms(g: FiniteGroup, h: Subgroup) -> tuple[tuple[tuple[int, int]
             x = cls[0]
             counts: dict[int, int] = {}
             for r in reps:
-                y = g.mul(g.mul(g.inv[r], x), r)
+                y = g.table[g.table[g.inv[r]][x]][r]
                 if h.contains(y):
                     c = h.group.class_of[h.index_of[y]]
                     counts[c] = counts.get(c, 0) + 1
@@ -491,16 +536,29 @@ def double_cosets(g: FiniteGroup, h: Subgroup, n: Subgroup) -> list[int]:
     """Least-index representatives of H\\G/N."""
     _check_parent(g, h)
     _check_parent(g, n)
-    covered = [False] * g.order
+    t, lead = g.table, _coset_leads(g, n)
+    covered = [False] * g.order   # at the least element of each coset xN
     reps = []
     for r in range(g.order):
-        if not covered[r]:
+        if not covered[lead[r]]:
             reps.append(r)
-            for a in h.elements:
-                ar = g.mul(a, r)
-                for b in n.elements:
-                    covered[g.mul(ar, b)] = True
+            for a in h.elements:   # HrN is the union of the cosets arN
+                covered[lead[t[a][r]]] = True
     return reps
+
+
+def _coset_leads(g: FiniteGroup, n: Subgroup) -> list[int]:
+    """For each element x of g, the least element of its left coset xN.
+    Remembered on n."""
+    if n.leads is None:
+        t = g.table
+        lead = [-1] * g.order
+        for x in range(g.order):
+            if lead[x] < 0:
+                for b in n.elements:
+                    lead[t[x][b]] = x
+        n.leads = lead
+    return n.leads
 
 
 def conjugate_subgroup(g: FiniteGroup, n: Subgroup, gamma: int) -> Subgroup:
@@ -564,19 +622,32 @@ def _transport(g: FiniteGroup, h: Subgroup, n: Subgroup) -> tuple[np.ndarray, np
         for c, cls in enumerate(h.group.classes):
             for j, k in ind[g.class_of[h.elements[cls[0]]]]:
                 left[c][j] = k
+        t, inv = g.table, g.inv
+        n_class = [-1] * g.order   # N's class of each element of G, -1 off N
+        for i, x in enumerate(n.elements):
+            n_class[x] = n.group.class_of[i]
+        lead = _coset_leads(g, n)
+        h_reps = [h.elements[cls[0]] for cls in h.group.classes]
         for gamma in double_cosets(g, h, n):
-            # H cap gamma N gamma^-1 as a subgroup of H: index in H -> gamma^-1 x gamma
-            pulled = {i: y for i, x in enumerate(h.elements)
-                      if n.contains(y := g.conj(g.inv[gamma], x))}
-            meet = _interned(h.group, pulled.keys())
-            # chi^gamma at a class of the meet is chi at the class of gamma^-1 x gamma
-            to_n = [n.group.class_of[n.index_of[pulled[meet.elements[cls[0]]]]]
-                    for cls in meet.group.classes]
-            for c, terms in enumerate(_induction_terms(h.group, meet)):
-                for j, k in terms:
-                    right[c][to_n[j]] += k
+            # r, r' in H lie in one left coset of the meet H cap gamma N
+            # gamma^-1 exactly when r gamma N = r' gamma N, so the first r
+            # to reach each such coset are its least coset representatives
+            seen = set()
+            for r in h.elements:
+                s = t[r][gamma]
+                if lead[s] in seen:
+                    continue
+                seen.add(lead[s])
+                # r^-1 x r in the meet, x the representative of H's class
+                # c, is counted at N's class of s^-1 x s, s = r gamma
+                si = t[inv[s]]
+                for c, x in enumerate(h_reps):
+                    j = n_class[t[si[x]][s]]
+                    if j >= 0:
+                        right[c][j] += 1
+        same = left == right
         left = np.array(left, dtype=object)
-        right = left if np.array_equal(left, right) else np.array(right, dtype=object)
+        right = left if same else np.array(right, dtype=object)
         pair = n.transport[h] = (left, right)
     return pair
 

@@ -1,11 +1,14 @@
 """CLI exit-code contract and document round trips."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from sympal import mackey
+from sympal import cli, mackey
 from sympal.cli import main
 from sympal.ffield import field_make
 from sympal.groupkit import from_fixture, group, to_fixture
@@ -244,6 +247,17 @@ def test_mackey_sweep(tmp_path, capsys):
     assert time.perf_counter() - t0 < 10
 
 
+def test_mackey_refuses_an_empty_multiplication_table(tmp_path, capsys):
+    # no group has an empty table; read as one, the sweep would pass on 0 checks
+    with pytest.raises(ValueError, match="empty"):
+        mackey.FiniteGroup([])
+    doc = tmp_path / "empty.json"
+    doc.write_text(json.dumps({"group": {"table": []}, "sweep": "mackey"}))
+    assert main(["mackey", "--input", str(doc), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed sweep document: ")
+
+
 def test_mackey_semidirect_refuses_a_composite_modulus(tmp_path, capsys):
     doc = tmp_path / "c9.json"
     doc.write_text(json.dumps({"group": {"semidirect": [9, 2]}, "sweep": "mackey"}))
@@ -421,3 +435,42 @@ def test_mackey_sweeps_the_cyclic_group_as_a_semidirect_product(tmp_path, capsys
     assert main(["mackey", "--input", str(path), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["counterexamples"] == 0 and out["checks"] == checks
+
+
+def test_consecutive_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "s3.json"
+    doc.write_text(json.dumps({"group": {"permutations": [[1, 0, 2], [1, 2, 0]]},
+                               "sweep": "mackey"}))
+    calls = [["mackey", "--input", str(doc), "--json"],
+             ["find-primes", "--n", "2", "--q-max", "10", "--json"],
+             ["mackey"],   # no --input: argparse exits 2
+             ["mackey", "--input", str(doc), "--json"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    # each call with a parser of its own, as a fresh process builds it
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(argv))
+    assert [code for code, _ in fresh] == [0, 0, 2, 0]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert [run(argv) for argv in calls] == fresh
+    assert built == [1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built by the first main call, not at import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sympal.cli as c; print(c._PARSER is None)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout == "True\n"

@@ -329,6 +329,56 @@ def _relabelled(g: FiniteGroup, seed: int) -> FiniteGroup:
     return FiniteGroup(table)
 
 
+def _lattice_oracle(g: FiniteGroup) -> list[tuple[int, tuple[int, ...]]]:
+    """(order, elements) of every subgroup, sorted: the cyclic subgroups,
+    then the join of every pair of known subgroups that are not nested,
+    each closed from scratch by breadth-first products."""
+    def closure(gens) -> frozenset:
+        elems, frontier = {0}, [0]
+        while frontier:
+            frontier = [y for y in {g.mul(x, s) for x in frontier for s in gens}
+                        if y not in elems]
+            elems.update(frontier)
+        return frozenset(elems)
+
+    gens: dict[frozenset, tuple[int, ...]] = {}
+    for x in range(g.order):
+        gens.setdefault(closure([x]), (x,))
+    todo = list(gens)
+    while todo:
+        a = todo.pop()
+        for b in list(gens):
+            if a <= b or b <= a:
+                continue
+            join = closure(gens[a] + gens[b])
+            if join not in gens:
+                gens[join] = gens[a] + gens[b]
+                todo.append(join)
+    return sorted((len(s), tuple(sorted(s))) for s in gens)
+
+
+LATTICE_GROUPS = {
+    "S3": lambda: symmetric_group(3), "S4": lambda: symmetric_group(4),
+    "D4": lambda: dihedral_group(4), "Q8": quaternion_group, "SL2(3)": sl2_3,
+    "7:3": lambda: semidirect_cyclic(7, 3), "13:4": lambda: semidirect_cyclic(13, 4),
+    "A5": lambda: alternating_group(5), "D15": lambda: dihedral_group(15),
+    "C30": lambda: cyclic_group(30), "S5": lambda: symmetric_group(5),
+}
+
+
+@pytest.mark.parametrize("build", LATTICE_GROUPS.values(), ids=LATTICE_GROUPS)
+def test_all_subgroups_agrees_with_the_pairwise_join_oracle(build):
+    for g in (build(), _relabelled(build(), 1), _relabelled(build(), 2)):
+        subs = all_subgroups(g)
+        assert [(s.order, s.elements) for s in subs] == _lattice_oracle(g)
+        assert all(s is mackey._interned(g, s.elements) for s in subs)
+
+
+def test_lattice_sizes_of_a5_and_s5():
+    assert len(all_subgroups(alternating_group(5))) == 59
+    assert len(all_subgroups(symmetric_group(5))) == 156
+
+
 def _mackey_sides(g, h, n, chi) -> tuple[ClassFunction, ClassFunction]:
     """Both sides of Mackey's formula on H, through the public induce and
     restrict: Res_H Ind_N^G chi, and the sum over H\\G/N of
@@ -351,8 +401,10 @@ def _mackey_sides(g, h, n, chi) -> tuple[ClassFunction, ClassFunction]:
 @pytest.mark.parametrize("build", [
     lambda: symmetric_group(3), lambda: symmetric_group(4), lambda: dihedral_group(4),
     quaternion_group, sl2_3, lambda: semidirect_cyclic(7, 3),
-    lambda: _relabelled(symmetric_group(4), 3),
-], ids=["S3", "S4", "D4", "Q8", "SL2(3)", "7:3", "S4-relabelled"])
+    lambda: _relabelled(symmetric_group(4), 3), lambda: semidirect_cyclic(13, 4),
+    lambda: _relabelled(sl2_3(), 1), lambda: alternating_group(5),
+], ids=["S3", "S4", "D4", "Q8", "SL2(3)", "7:3", "S4-relabelled", "13:4",
+        "SL2(3)-relabelled", "A5"])
 def test_mackey_check_agrees_with_the_induce_oracle(build):
     g = build()
     subs = all_subgroups(g)
@@ -366,6 +418,23 @@ def test_mackey_check_agrees_with_the_induce_oracle(build):
                 assert left is right   # L = R is kept as one array
                 assert left.dot(v).tolist() == [list(x.reduced()) for x in lhs.values]
                 assert right.dot(v).tolist() == [list(x.reduced()) for x in rhs.values]
+
+
+def test_mackey_sweep_builds_no_meet_subgroup(monkeypatch, tmp_path, capsys):
+    # R counts coset conjugates in G directly: no subgroup of any H is
+    # interned, so no meet H cap gamma N gamma^-1 has a table built
+    lattices = []
+    real = mackey.all_subgroups
+    monkeypatch.setattr(mackey, "all_subgroups",
+                        lambda g: lattices.append(real(g)) or lattices[-1])
+    doc = tmp_path / "s4.json"
+    doc.write_text(json.dumps({"group": {"permutations": [[1, 0, 2, 3], [1, 2, 3, 0]]},
+                               "sweep": "mackey"}))
+    assert main(["mackey", "--input", str(doc), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["checks"], out["counterexamples"]) == (2850, 0)
+    (subs,) = lattices
+    assert len(subs) == 30 and all(not h.group.interned for h in subs)
 
 
 def test_mackey_check_on_equal_sides_reads_no_character(monkeypatch):
