@@ -4,8 +4,10 @@
 #
 # The construction wants a prime pair (q, p) with ord_p(q) = n, p = 1 mod n,
 # and p not dividing q^(n/2) - 1, plus an odd coefficient prime ell.  The
-# resulting group <D, F> is monomial, irreducible, and preserves a unique
-# alternating form.
+# resulting group <D, F> is monomial and irreducible, and it preserves the
+# standard alternating form <e_i, e_{n/2+i}> = 1: q^(n/2) = -1 mod p and
+# chi(q) = -1 give D and F multiplier 1 on it, which the build checks.  By
+# Schur the form is unique up to a scalar.
 
 from sympal.groupkit import group_order
 from sympal.npgroup import build_chi, build_np_group, find_np_primes, np_params, twist_unramified

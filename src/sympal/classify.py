@@ -80,7 +80,6 @@ from .symplectic import (
     detect_transvection,
     identity_mat,
     is_nonsingular_subspace,
-    is_similitude,
     stabilizes,
 )
 
@@ -111,14 +110,6 @@ class Huge:
 
 
 Classification = Union[Reducible, Induced, Huge]
-
-
-def _check_preconditions(g: MatrixGroup):
-    if g.space.field.ell < 5:
-        raise CharTooSmall(f"characteristic {g.space.field.ell} < 5")
-    for m in g.generators:
-        if not is_similitude(m):
-            raise WitnessCheckFailed("generator outside GSp(V)")
 
 
 def recognize_sp_over_subfield(h: MatrixGroup, cap: int = DEFAULT_CAP) -> int:
@@ -194,7 +185,9 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
       the others follow in the order of its generator orbit.
     """
     check_cap(cap)
-    _check_preconditions(g)
+    # MatrixGroup has already refused any generator outside GSp(V)
+    if g.space.field.ell < 5:
+        raise CharTooSmall(f"characteristic {g.space.field.ell} < 5")
     found = _first_transvection(g.generators)
     if found is None:
         keys = transvection_keys(g, cap)

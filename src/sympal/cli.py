@@ -203,21 +203,21 @@ def run_mackey(args) -> int:
                         counterexamples += 1
     elif sweep == "prop-nh":
         norms = [s for s in subs if mk.is_normal(g, s) and 0 < s.order < g.order]
+        induced = [(h, s_char, mk.induce(g, h, s_char)) for h in subs for s_char in table(h)]
         for n in norms:
             for chi in linear(n):
                 target = mk.induce(g, n, chi)
-                for h in subs:
-                    for s_char in table(h):
-                        if mk.induce(g, h, s_char) != target:
-                            continue
-                        try:
-                            rep = mk.verify_prop_nh(g, n, h, chi, s_char, p)
-                        except HypothesisFailed:
-                            skipped += 1
-                            continue
-                        checks += 1
-                        if not rep.holds:
-                            counterexamples += 1
+                for h, s_char, ind in induced:
+                    if ind != target:
+                        continue
+                    try:
+                        rep = mk.verify_prop_nh(g, n, h, chi, s_char, p)
+                    except HypothesisFailed:
+                        skipped += 1
+                        continue
+                    checks += 1
+                    if not rep.holds:
+                        counterexamples += 1
     else:   # res-nontrivial
         norms = [s for s in subs if mk.is_normal(g, s) and 0 < s.order < g.order]
         for n in norms:

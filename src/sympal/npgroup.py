@@ -2,11 +2,26 @@
 
 Construction data: a prime pair (q, p) with ord_p(q) = n and p = 1 mod n,
 an auxiliary odd prime ell, and the character chi sending a generator of
-the torsion part to a primitive p-th root of unity and q to -1.  The
-induced representation has a diagonal generator D (the n Galois-conjugate
-characters) and a monomial n-cycle F with corner entry chi(q) = -1; the
-pair preserves a unique-up-to-scalar alternating form, found by solving
-the invariance equations directly.
+the torsion part to a primitive p-th root of unity zeta and q to -1.  On
+the basis e_0, ..., e_{n-1}, the induced representation has a diagonal
+generator D = diag(d_0, ..., d_{n-1}), d_i = zeta^(q^i) (the n
+Galois-conjugate characters), and a monomial n-cycle F with corner entry
+chi(q) = -1.
+
+<D, F> preserves the standard alternating form J, <e_i, e_{m+i}> = 1 for
+i < m = n/2, and `build_np_group` checks that D and F have multiplier 1 on it:
+
+- D^T J D = J.  ord_p(q) = 2m gives q^m = -1 mod p, so
+  d_i d_{m+i} = zeta^(q^i (1 + q^m)) = 1 for every i < m.
+- F^T J F = J.  F sends e_i to e_{i+1} for i < n - 1, so it shifts the
+  pairs (e_i, e_{m+i}) to (e_{i+1}, e_{m+i+1}) for i < m - 1.  The last
+  pair wraps around: <F e_{m-1}, F e_{n-1}> = <e_m, chi(q) e_0> = -chi(q),
+  which is 1 because chi(q) = -1.
+- J is the only invariant form up to a scalar (Schur).  `_assert_irreducible`
+  proves <D, F> irreducible and D's eigenvalues pairwise distinct in the
+  field.  So a G-endomorphism of V is diagonal and, commuting with the
+  n-cycle F, a scalar.  A second invariant form J' gives the
+  G-endomorphism J^-1 J', hence J' = cJ.
 """
 
 from __future__ import annotations
@@ -14,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import InvalidParams, NoInvariantForm, NotIrreducible
+from .errors import InvalidParams, NoInvariantForm, NotIrreducible, NotSimilitude, Singular
 from .ffield import (
     FieldSpec,
     factorize,
@@ -29,7 +44,7 @@ from .groupkit import (
     spin,
 )
 from .linalg import Mat
-from .symplectic import SqMatrix, SympSpace
+from .symplectic import SqMatrix, SympSpace, multiplier_of
 
 
 @dataclass(frozen=True)
@@ -122,65 +137,19 @@ def induced_irreducible_criterion(chars) -> bool:
     return len(set(chars)) == len(chars)
 
 
-def _skew_unknowns(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _solve_invariant_form(spec: FieldSpec, gens: list[Mat]) -> Mat:
-    """An alternating nonsingular J with A^T J A = J for every generator.
-
-    The unknowns are the strictly-upper entries of J (skew, zero
-    diagonal); each generator contributes one linear condition per matrix
-    position.  Irreducibility makes the solution space one-dimensional,
-    so a nonsingular solution is a basis vector or none exists.
-    """
-    ctx = spec.ctx
-    n = len(gens[0])
-    unknowns = _skew_unknowns(n)
-    pos = {uv: k for k, uv in enumerate(unknowns)}
-
-    def j_entry(i, j, vec):
-        if i == j:
-            return 0
-        if i < j:
-            return vec[pos[(i, j)]]
-        return ctx.neg(vec[pos[(j, i)]])
-
-    rows = []
-    for a in gens:
-        # condition: sum_{k,l} a[k][i] J[k][l] a[l][j] - J[i][j] = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                row = [0] * len(unknowns)
-                for (k, l), idx in pos.items():
-                    # J[k][l] contributes +a[k][i]a[l][j], J[l][k] = -J[k][l]
-                    # contributes -a[l][i]a[k][j]
-                    c = ctx.sub(ctx.mul(a[k][i], a[l][j]),
-                                ctx.mul(a[l][i], a[k][j]))
-                    row[idx] = c
-                row[pos[(i, j)]] = ctx.sub(row[pos[(i, j)]], 1)
-                rows.append(tuple(row))
-    sols = linalg.nullspace(spec, tuple(rows), len(unknowns))
-    for vec in sols:
-        j = tuple(tuple(j_entry(i, jj, vec) for jj in range(n)) for i in range(n))
-        if linalg.det(spec, j) != 0:
-            return j
-    raise NoInvariantForm("no nonsingular invariant alternating form")
-
-
 def build_np_group(chi: ChiQ) -> tuple[MatrixGroup, Mat]:
-    """The matrix group <D, F> with its preserved alternating form.
+    """The matrix group <D, F> on the standard symplectic space, with its
+    Gram matrix, the form <D, F> preserves (see the module docstring).
 
-    Basis convention: e_i carries the character chi^(q^(i-1)); F maps
-    e_i to e_{i+1} and e_n to chi(q) e_1.
+    Basis convention: e_i carries the character chi^(q^i); F maps
+    e_i to e_{i+1} and e_{n-1} to chi(q) e_0.  A character for which D or F
+    does not have multiplier 1 on the standard form raises NoInvariantForm.
     """
     params = chi.params
     spec = params.field()
     ctx = spec.ctx
     n = params.n
     diag = [ctx.pow(chi.zeta_index, e) for e in chi.torsion_exponents()]
-    if not induced_irreducible_criterion(diag):
-        raise NotIrreducible("conjugate characters collide on the torsion part")
     d_rows = tuple(tuple(diag[i] if i == j else 0 for j in range(n))
                    for i in range(n))
     f_rows = [[0] * n for _ in range(n)]
@@ -188,18 +157,25 @@ def build_np_group(chi: ChiQ) -> tuple[MatrixGroup, Mat]:
         f_rows[i + 1][i] = 1
     f_rows[0][n - 1] = chi.value_at_q
     f_rows = tuple(tuple(r) for r in f_rows)
-    j = _solve_invariant_form(spec, [d_rows, f_rows])
-    space = SympSpace(spec, n, j)
-    g = MatrixGroup(space, (SqMatrix(space, d_rows), SqMatrix(space, f_rows)))
+    space = SympSpace.standard(spec, n)
+    gens = (SqMatrix(space, d_rows), SqMatrix(space, f_rows))
+    for name, a in zip("DF", gens):
+        try:
+            invariant = multiplier_of(a) == 1
+        except (Singular, NotSimilitude):
+            invariant = False
+        if not invariant:
+            raise NoInvariantForm(f"{name} does not preserve the standard alternating form")
+    g = MatrixGroup(space, gens)
     _assert_irreducible(g)
-    return g, j
+    return g, space.gram
 
 
 def _assert_irreducible(g: MatrixGroup):
-    """Prove <D, F> irreducible by n spins; the distinct-character
-    criterion alone is not taken as proof.
+    """Prove <D, F> irreducible by n spins.
 
-    D must be diagonal with pairwise distinct entries.  Then every
+    D must be diagonal with pairwise distinct entries (the distinct-character
+    criterion, which `build_np_group` checks only here).  Then every
     D-invariant subspace is a sum of the lines <e_i> (the Lagrange
     polynomials in D project onto them), so every nonzero invariant
     subspace holds some e_i and its spin.  Hence the module is irreducible

@@ -73,9 +73,12 @@ def test_classify_rejects_malformed_entries(tmp_path, capsys, degree, entry):
 @pytest.mark.parametrize("part, rows, message", [
     # a 1 x 2 generator: is_similitude does not see its shape
     ("generators", [[[[1], [0]]], [[[1], [0]], [[1], [1]]]], "generator is not 2 x 2"),
+    # a singular 2 x 2 generator, refused by MatrixGroup before classify runs
+    ("generators", [[[[1], [0]], [[0], [0]]], [[[1], [0]], [[1], [1]]]],
+     "generator is not an invertible similitude"),
     # a Gram row of 3 entries
     ("gram", [[[0], [1], [0]], [[4], [0]]], "Gram matrix must be 2 x 2"),
-], ids=["generator-1x2", "gram-row-3"])
+], ids=["generator-1x2", "generator-singular", "gram-row-3"])
 def test_classify_rejects_non_square_matrices(tmp_path, capsys, part, rows, message):
     s = SympSpace.standard(field_make(5, 1), 2)
     doc = to_fixture(group(s, [make_transvection(s, (1, 0), 1),
@@ -294,6 +297,28 @@ def test_mackey_sweep_builds_each_subgroup_table_once(tmp_path, capsys, monkeypa
     assert main(["mackey", "--input", str(doc), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["counterexamples"] == 0
     assert len(seen) == len(set(seen)) == tables
+
+
+@pytest.mark.parametrize("group, p, triple", [
+    ({"semidirect": [7, 3]}, 7, (24, 2, 0)),
+    ({"semidirect": [13, 4]}, 13, (84, 4, 0)),
+    ({"permutations": [[1, 0, 2, 3], [1, 2, 3, 0]]}, 5, (0, 66, 0)),
+    ({"semidirect": [31, 5]}, 31, (180, 2, 0)),
+], ids=["7:3", "13:4", "S4", "31:5"])
+def test_prop_nh_sweep_induces_each_subgroup_character_once(tmp_path, capsys, monkeypatch,
+                                                             group, p, triple):
+    calls = []
+    real = mackey.induce
+    monkeypatch.setattr(mackey, "induce", lambda *a: calls.append(a) or real(*a))
+    doc = tmp_path / "sweep.json"
+    doc.write_text(json.dumps({"group": group, "sweep": "prop-nh", "p": p}))
+    assert main(["mackey", "--input", str(doc), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["checks"], out["skipped"], out["counterexamples"]) == triple
+    if group == {"semidirect": [7, 3]}:
+        # 34 (H, S) pairs, 8 targets Ind_N(chi) and 2 in each of the 24
+        # checks; inducing each (H, S) once per target made 328 calls
+        assert len(calls) <= 90
 
 
 def _write_docs(tmp_path) -> dict:

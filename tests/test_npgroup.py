@@ -5,7 +5,7 @@ import pytest
 import sympal.errors
 from sympal import npgroup
 from sympal.errors import InvalidParams, NotIrreducible
-from sympal.ffield import field_make, multiplicative_order
+from sympal.ffield import FIELD_LIMIT, field_make, multiplicative_order
 from sympal.groupkit import group, group_order, is_irreducible, spin
 from sympal.linalg import mat_mul, scalar_mat
 from sympal.npgroup import (
@@ -16,7 +16,7 @@ from sympal.npgroup import (
     np_params,
     twist_unramified,
 )
-from sympal.symplectic import multiplier_of
+from sympal.symplectic import make_transvection, multiplier_of, standard_gram
 
 
 def fixture_2357():
@@ -85,11 +85,21 @@ def test_np_group_fixture_shape():
     assert group_order(g) == 12
 
 
-def test_invariant_form_multiplier_one():
-    g, j = build_np_group(fixture_2357())
-    assert g.space.gram == j
-    assert multiplier_of(g.generators[0]) == 1
-    assert multiplier_of(g.generators[1]) == 1
+@pytest.mark.parametrize("n, q, p, ell", [
+    (2, 5, 3, 7), (2, 13, 7, 29), (4, 7, 5, 11), (4, 13, 5, 11), (6, 17, 7, 3),
+    (6, 17, 13, 3), (6, 7, 43, 79), (8, 19, 17, 13), (8, 19, 17, 103),
+])
+def test_invariant_form_multiplier_one(n, q, p, ell):
+    # the invariant form is the standard one, in closed form, for n = 2..8
+    assert (q, p) in find_np_primes(n, q)
+    params = np_params(n, q, p, ell)
+    assert params.field().order < FIELD_LIMIT
+    g, j = build_np_group(build_chi(params))
+    assert g.space.gram == j == standard_gram(g.space.field, n)
+    assert [multiplier_of(a) for a in g.generators] == [1, 1]
+    npgroup._assert_irreducible(g)
+    # so a transvection of the standard space lies in Sp(J)
+    assert multiplier_of(make_transvection(g.space, (1,) + (0,) * (n - 1), 1)) == 1
 
 
 def test_induction_relation():

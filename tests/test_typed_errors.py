@@ -2,6 +2,7 @@
 no function in sympal keeps a parameter it never reads."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -12,8 +13,14 @@ import pytest
 import sympal
 from sympal import ffield, groupkit, linalg, mackey, npgroup
 from sympal.classify import Huge, is_huge
-from sympal.errors import InvalidParams, NoOrderMatch, NotIrreducible, WitnessCheckFailed
-from sympal.ffield import field_make, one
+from sympal.errors import (
+    InvalidParams,
+    NoInvariantForm,
+    NoOrderMatch,
+    NotIrreducible,
+    WitnessCheckFailed,
+)
+from sympal.ffield import field_make, mult_generator, one
 from sympal.groupkit import group
 from sympal.symplectic import SqMatrix, Subspace, SympSpace, make_transvection
 
@@ -88,6 +95,22 @@ def test_build_chi_rejects_a_non_primitive_root(monkeypatch):
     monkeypatch.setattr(npgroup, "mult_generator", one)   # zeta would be 1
     with pytest.raises(InvalidParams):
         npgroup.build_chi(params)
+
+
+@pytest.mark.parametrize("forge, error, message", [
+    # chi(q) = 1: F's wrap-around pair has <F e_0, F e_1> = -1, multiplier -1
+    (lambda gen: {"value_at_q": 1}, NoInvariantForm, "F does not preserve"),
+    # zeta of order ell - 1 = 6, not p = 3: with exponents q^i mod p,
+    # d_0 d_1 = gen^(1 + 2) = -1
+    (lambda gen: {"zeta_index": gen}, NoInvariantForm, "D does not preserve"),
+    # zeta = 1: D is the identity, and the n conjugates collide
+    (lambda gen: {"zeta_index": 1}, NotIrreducible, "distinct"),
+], ids=["chi-q-is-1", "zeta-is-the-generator", "zeta-is-1"])
+def test_forged_character_raises_typed_error(forge, error, message):
+    chi = npgroup.build_chi(npgroup.np_params(2, 5, 3, 7))
+    gen = mult_generator(chi.params.field()).index
+    with pytest.raises(error, match=message):
+        npgroup.build_np_group(dataclasses.replace(chi, **forge(gen)))
 
 
 def test_dixon_split_check_raises_typed_error(monkeypatch):
