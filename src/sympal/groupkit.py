@@ -15,7 +15,8 @@ last slot first (`_Packing`).
   1 x 1 identity and g, applied by `apply_map`); the row table holds
   rows, keys and images, and no digit arithmetic of its own.  Sorted row
   keys number the rows in increasing reversed-coordinate order, and each
-  generator gets a table from a row's number to the number of row·g.
+  generator gets a table from a row's number to the number of row·g: the
+  search maps every row by every generator once, and keeps those images.
   More than n·cap rows raise CapExceeded, since every row is row i of
   some element.
 * Elements: an element is its n row numbers, the images of the
@@ -23,27 +24,32 @@ last slot first (`_Packing`).
   deterministic Schreier-Sims on the row action (`_StabilizerChain`;
   Sims 1970, Seress 2003 ch. 4-5): only the identity fixes them all, so
   |G| is the product of the basic orbit lengths, known before any element
-  is built, and past the cap CapExceeded carries it.  Within the cap each
-  element is built exactly once, as a product of transversal elements,
-  and one sort lists the keys in increasing reversed-entry-tuple order.
+  is built, and past the cap CapExceeded carries it.  Within the cap the
+  element set counts from the chain (`ElementSet`); on the first read
+  that lists or probes it, each element is built exactly once, as a
+  product of transversal elements, and one sort lists the keys in
+  increasing reversed-entry-tuple order.
 * Chains: a chain is the trivial chain extended by its generators.
   `_StabilizerChain.extend` sifts elements given as row-image tables: a
   residue of 1 means a member, and otherwise the residue joins the chain
   by incremental Schreier-Sims (Seress 2003, ch. 4).  A group's chain
   carries the order bound |Sp_n(F_q)|·|<mu(gens)>| and stops sifting
   Schreier generators once its orbit lengths multiply to it (the
-  known-order stop); an `extend` that grows the group drops the bound, so
-  every Schreier generator left is then sifted.  The chain works on
-  row numbers only: each residue, transversal element and tree shortcut
-  it stores is composed from the tables it holds, and field arithmetic
-  (`_RowTable.image_of`) makes only the tables of generators and seeds.
+  known-order stop); an `extend` that grows the group drops the bound
+  unless its caller proves one for the grown group, as `normal_closure`
+  does, and without one every Schreier generator left is sifted.  The
+  chain works on row numbers only: each residue, transversal element and
+  tree shortcut it stores is composed from the tables it holds, and field
+  arithmetic (`_RowTable.image_of`) makes only the tables of subgroup
+  generators and seeds, since the row search recorded the generators'.
 * Subgroups: every row of an element of a subgroup is a row of the group,
   so `MatrixGroup.subgroup` builds the subgroup's chain on the group's row
   table from its generators' row-image tables, with no row search of its
   own, once each generator's rows have sifted to 1 through the group's
   chain.  So `normal_closure` composes each conjugate a^-1·s·a from
   row-image tables and extends by it: no element is built, and a closure
-  past the cap has its exact order.
+  past the cap has its exact order.  mu(a^-1·s·a) = mu(s), so the closure
+  keeps the seeds' order bound.
 * Transvections: a transvection of G whose direction leads at i fixes
   the first i base points, and is determined by its row i, a point of
   level i's orbit, so `transvection_keys` sifts at most one candidate
@@ -205,19 +211,45 @@ def _reach(start: np.ndarray, steps: Sequence[Callable[[np.ndarray], np.ndarray]
 
 
 class _RowTable:
-    """The rows of <gens>, numbered."""
+    """The rows of <gens>, numbered.
+
+    The row search maps every row by every generator exactly once: each
+    row is in one frontier.  Each step records its frontier and image
+    keys, and after the search these become one read-only row-image table
+    per search generator, which `image_of` returns; the recorded keys are
+    freed then."""
 
     def __init__(self, space: SympSpace, gens: Sequence[Mat], cap: int):
         spec, n = space.field, space.n
         self.ctx = spec.ctx
         self.row_pack = _Packing(n, max((spec.order - 1).bit_length(), 1))
-        steps = [lambda keys, m=self.ctx.linear_map([[1]], g):
-                 self._row_times(np.stack(self.row_pack.decode(keys), axis=1), m) for g in gens]
+        frontiers, images = [], [[] for _ in gens]
+
+        def step(keys: np.ndarray, m: np.ndarray, out: list) -> np.ndarray:
+            if out is images[0]:   # every step of a level maps the same frontier
+                frontiers.append(keys)
+            out.append(self._row_times(np.stack(self.row_pack.decode(keys), axis=1), m))
+            return out[-1]
+
+        steps = [lambda keys, m=self.ctx.linear_map([[1]], g), out=out: step(keys, m, out)
+                 for g, out in zip(gens, images)]
         ident = linalg.identity(n)
         self.row_keys = _reach(np.sort(self.row_pack.from_slots(ident)), steps, n * cap)
         self.entries = np.stack(self.row_pack.decode(self.row_keys), axis=1).astype(np.int64)
         self.pack = _Packing(n, max((len(self.row_keys) - 1).bit_length(), 1))
         self.identity = self.key_of(ident)
+        # row numbers as int32 halve the memory of the row-image tables and
+        # the memory traffic of the chain's gathers
+        self.rowtype = np.dtype(np.int32 if len(self.row_keys) < 2**31 else np.int64)
+        source = np.searchsorted(self.row_keys, np.concatenate(frontiers))
+        frontiers.clear()
+        self._images = {}
+        for g, out in zip(gens, images):
+            image = np.empty(len(self.row_keys), dtype=self.rowtype)
+            image[source] = np.searchsorted(self.row_keys, np.concatenate(out))
+            out.clear()
+            image.flags.writeable = False
+            self._images[tuple(map(tuple, g))] = image
 
     def _row_times(self, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Keys of row·g for an (N, n) array of rows, m = linear_map([[1]], g)."""
@@ -226,12 +258,16 @@ class _RowTable:
     def image_of(self, m: Mat) -> np.ndarray:
         """The row-image table of the matrix m, which must map every row of
         the table to a row of the table (as every element of a group whose
-        rows these are does)."""
+        rows these are does).  A search generator's table is the one the
+        search recorded; any other m is mapped by field arithmetic."""
+        recorded = self._images.get(tuple(map(tuple, m)))
+        if recorded is not None:
+            return recorded
         keys = self._row_times(self.entries, self.ctx.linear_map([[1]], m))
         image, found = _find(self.row_keys, keys)
         if not found.all():
             raise WitnessCheckFailed("an element maps a reached row out of the row table")
-        return image
+        return image.astype(self.rowtype)
 
     def mat(self, rows: np.ndarray) -> Mat:
         """The matrix whose rows have these numbers."""
@@ -312,10 +348,8 @@ class _StabilizerChain:
         self.images: list[np.ndarray] = []
         self.bound = bound
         degree = len(table.row_keys)
-        # row numbers as int32 halve the memory traffic of the gathers
-        rowtype = np.int32 if degree < 2**31 else np.int64
-        self.base = np.concatenate(table.pack.decode(table.identity)).astype(rowtype)
-        self.perms = np.empty((8, degree), dtype=rowtype)
+        self.base = np.concatenate(table.pack.decode(table.identity)).astype(table.rowtype)
+        self.perms = np.empty((8, degree), dtype=table.rowtype)
         self._count = 0
         self.levels = [_Level(b, self.base, degree) for b in self.base]
         self._close(self._join(images))
@@ -324,19 +358,20 @@ class _StabilizerChain:
     def order(self) -> int:
         return math.prod(len(lev.orbit) for lev in self.levels)
 
-    def extend(self, *perms: np.ndarray) -> bool:
+    def extend(self, *perms: np.ndarray, bound: Optional[int] = None) -> bool:
         """Add the elements with these row-image tables to the group; False
         if every one is already in it.  Each is sifted through the chain as
         it stands; a nontrivial residue joins the generators of the levels
         down to the first whose point it moves, and `images` lists the
         element.  Then those orbits grow and Schreier-Sims runs again,
         sifting only the Schreier generators not yet tested (Seress 2003,
-        ch. 4).  A group that grows may pass the order bound, so it is
-        dropped, and every Schreier generator is sifted."""
+        ch. 4).  A group that grows may pass the order bound, so the bound
+        becomes `bound`, one the caller has proved for the grown group, or
+        None: then every Schreier generator is sifted."""
         lowest = self._join(perms)
         if lowest < 0:
             return False
-        self.bound = None
+        self.bound = bound
         self._close(lowest)
         return True
 
@@ -625,18 +660,40 @@ def _same_items(seq: Sequence, other) -> bool:
 class ElementSet(Sequence):
     """The enumerated elements of a group, decoded lazily from sorted keys.
 
-    Length and `in` read the keys alone; indexing and iteration decode
-    (iteration ARRAY_CHUNK keys at a time).  A view equals any sequence
-    with the same elements in the same order, like a tuple of them.
+    The set of a group's chain (`closure_enumerate`) counts from the chain:
+    its length is the chain's order, and its keys are built by
+    `_StabilizerChain.keys` on the first read that needs them (indexing,
+    iteration, `in`, `==`, `entry_chunks`) and then kept.  `in` reads the
+    keys alone; indexing and iteration decode (iteration ARRAY_CHUNK keys
+    at a time).  A view equals any sequence with the same elements in the
+    same order, like a tuple of them.
     """
 
     def __init__(self, space: SympSpace, table: _RowTable, keys: np.ndarray):
         self.space = space
         self._table = table
-        self._keys = keys
+        self._built = keys
+        self._chain: Optional[_StabilizerChain] = None
+        self._len = len(keys)
+
+    @classmethod
+    def _of_chain(cls, space: SympSpace, chain: _StabilizerChain) -> "ElementSet":
+        """The elements of the chain's group, counted now, listed on first read."""
+        view = cls(space, chain.table, chain.table.identity[:0])
+        view._built, view._chain, view._len = None, chain, chain.order
+        return view
+
+    @property
+    def _keys(self) -> np.ndarray:
+        if self._built is None:
+            keys = self._chain.keys()
+            if len(keys) != self._len:
+                raise WitnessCheckFailed("the chain changed after its elements were counted")
+            self._built, self._chain = keys, None
+        return self._built
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._len
 
     def __getitem__(self, i: int) -> SqMatrix:
         i = range(len(self))[i]
@@ -649,7 +706,7 @@ class ElementSet(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ElementSet) and other._table is self._table:
-            return np.array_equal(self._keys, other._keys)
+            return len(self) == len(other) and np.array_equal(self._keys, other._keys)
         return _same_items(self, other)
 
     __hash__ = None
@@ -820,30 +877,35 @@ def closure_enumerate(g: MatrixGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     the stabilizer chain, before any element is built, or with the count
     of rows when more than n·cap rows are reached first.
 
-    The keys are always built from the chain.  With SYMPAL_CACHE_DIR set
-    they are also written to one `closure-<hash>.npy` file there, which
-    nothing reads back: checking a file costs more than building the keys.
-    A write that fails with OSError is skipped.
+    The set counts from the chain, and its keys are built from the chain
+    on the first read that needs them (`ElementSet`).  With
+    SYMPAL_CACHE_DIR set they are built at once and written to one
+    `closure-<hash>.npy` file there, which nothing reads back: checking a
+    file costs more than building the keys.  A write that fails with
+    OSError is skipped.
     """
     chain = g.chain(cap)
     if chain.order > cap:
         raise CapExceeded(chain.order,
                           f"the group order {chain.order} is past the enumeration cap {cap}")
-    keys = chain.keys()
+    elems = ElementSet._of_chain(g.space, chain)
     path = _cache_path(g.space, g.generators, chain.table)
     if path:
         tmp = path + f".tmp{os.getpid()}.npy"   # np.save insists on the suffix
         try:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            np.save(tmp, keys)
+            np.save(tmp, elems._keys)
             os.replace(tmp, path)
         except OSError:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-    return ElementSet(g.space, chain.table, keys)
+    return elems
 
 
 def group_order(g: MatrixGroup, cap: int = DEFAULT_CAP) -> int:
+    """|G| if it is at most `cap`, else CapExceeded (`closure_enumerate`).
+    The count is the chain's order, so no key is built or sorted unless
+    SYMPAL_CACHE_DIR asks for the closure file."""
     return len(g.elements(cap))
 
 
@@ -929,7 +991,9 @@ def normal_closure(g: MatrixGroup, seeds: Sequence[SqMatrix],
     NotSubgroup) and stable under conjugation by g's generators.  Each
     conjugate a^-1·s·a of a generator s is composed from the row-image
     tables the two chains already hold and sifted; one that grows the
-    group joins the generators.  No element is built, so only g's row
+    group joins the generators.  Since mu(a^-1·s·a) = mu(s), the closure
+    keeps the seeds' order bound |Sp_n(F_q)|·|<mu(seeds)>|, so its chain
+    stops once it reaches it.  No element is built, so only g's row
     search is bounded by the cap."""
     k = g.subgroup([s for s in seeds if not s.is_identity()] or [identity_mat(g.space)], cap)
     chain = k.chain(cap)
@@ -939,7 +1003,7 @@ def normal_closure(g: MatrixGroup, seeds: Sequence[SqMatrix],
         s = work.pop()
         for a, a_inv in conjugators:
             c = a[s[a_inv]]
-            if chain.extend(c):
+            if chain.extend(c, bound=chain.bound):
                 work.append(c)
                 k.generators += (SqMatrix(g.space, chain.table.mat(c[chain.base])),)
     return k

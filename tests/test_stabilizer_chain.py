@@ -6,7 +6,9 @@ element keys, kept here as the oracle: the chain's transversal products
 must give the same sorted key array, and the same CapExceeded verdict at
 the edge of the cap.  `enumerating_normal_closure` is the earlier normal
 closure, which enumerated its subgroup every round; `normal_closure` must
-give the same group wherever that one fits under the cap.
+give the same group wherever that one fits under the cap.  `field_image`
+maps every row by field arithmetic: the row-image tables the row search
+records must equal it.
 """
 
 import ast
@@ -17,16 +19,18 @@ import time
 import numpy as np
 import pytest
 
-from sympal import groupkit
+from sympal import groupkit, linalg
 from sympal.classify import Huge, classify
 from sympal.errors import CapExceeded, NotSubgroup, WitnessCheckFailed
 from sympal.ffield import FieldElement, field_make, mult_generator, subfield_embed
 from sympal.groupkit import (
     ARRAY_CHUNK,
     DEFAULT_CAP,
+    ElementSet,
     MatrixGroup,
     closure_enumerate,
     group,
+    group_order,
     harvest_transvections,
     is_irreducible,
     normal_closure,
@@ -278,6 +282,125 @@ def test_huge_verdict_searches_rows_once(monkeypatch):
     assert len(tables) == 1
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_counting_builds_no_key(name, monkeypatch):
+    def no_keys(self):
+        raise AssertionError("keys were built")
+
+    monkeypatch.setattr(groupkit._StabilizerChain, "keys", no_keys)
+    g = build(name)
+    assert group_order(g) == len(g.elements()) == g.order()
+    assert len(closure_enumerate(group(g.space, g.generators))) == g.order()
+
+
+def _probes(eager):
+    """Members and non-members: the first and last elements, the identity,
+    and scalings (outside the group unless it holds them)."""
+    s = eager.space
+    return ([eager[0], eager[-1], identity_mat(s)]
+            + [scaling_similitude(s, c) for c in range(2, min(s.field.order, 6))])
+
+
+READS = {
+    "iter": lambda e, eager: [m.rows for m in e] == [m.rows for m in eager],
+    "index": lambda e, eager: [e[i] for i in (0, len(e) // 2, -1)]
+                              == [eager[i] for i in (0, len(e) // 2, -1)],
+    "in": lambda e, eager: [m in e for m in _probes(eager)] == [m in eager for m in _probes(eager)],
+    "eq-view": lambda e, eager: e == eager and eager == e,
+    "eq-tuple": lambda e, eager: e == tuple(eager) and e != tuple(eager)[1:],
+    "entry_chunks": lambda e, eager: all(
+        np.array_equal(a, b) for a, b in zip(e.entry_chunks(), eager.entry_chunks(), strict=True)),
+}
+
+
+@pytest.mark.parametrize("read", READS)
+@pytest.mark.parametrize("name", ["huge-f5@1", "huge-f25@2", "induced@3", "gsp2-f5@1",
+                                  "np-8,19,17,103", "one-transvection"])
+def test_reads_after_a_lazy_count_equal_the_built_keys(name, read):
+    """A count builds no key; the first read then builds the keys the
+    element search gives, and keeps them."""
+    g = build(name)
+    elems = g.elements()
+    assert len(elems) == g.order() and elems._built is None
+    table = g.chain().table
+    eager = ElementSet(g.space, table, reference_keys(table, g.chain().images, DEFAULT_CAP))
+    assert READS[read](elems, eager)
+    assert elems._built is not None and elems._built.dtype == eager._keys.dtype
+    assert np.array_equal(elems._keys, eager._keys)
+    assert g.elements() is elems
+
+
+@pytest.mark.parametrize("name", ["huge-f25@2", "induced@3", "np-8,19,17,103"])
+def test_the_cache_file_holds_the_built_keys(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMPAL_CACHE_DIR", str(tmp_path))
+    g = build(name)
+    assert group_order(g) == g.order()
+    table = g.chain().table
+    want = reference_keys(table, g.chain().images, DEFAULT_CAP)
+    saved = np.load(groupkit._cache_path(g.space, g.generators, table))
+    assert saved.dtype == want.dtype and np.array_equal(saved, want)
+    assert np.array_equal(g.elements()._keys, want)
+
+
+def test_a_chain_extended_after_its_count_is_refused():
+    g = build("huge-f5@1")
+    elems = g.elements()
+    assert len(elems) == 120
+    g.chain().extend(g.chain().table.image_of(scaling_similitude(g.space, 2).rows))
+    with pytest.raises(WitnessCheckFailed):
+        list(elems)
+
+
+# ---------------------------------------------------------------------------
+# the row search keeps the images it computes
+# ---------------------------------------------------------------------------
+
+def field_image(table, m):
+    """The row-image table of m by field arithmetic, as image_of makes it
+    for a matrix that is not a search generator."""
+    image, found = groupkit._find(table.row_keys,
+                                  table._row_times(table.entries, table.ctx.linear_map([[1]], m)))
+    assert found.all()
+    return image
+
+
+def _sp2_f125():
+    f125 = field_make(5, 3)
+    s = SympSpace.standard(f125, 2)
+    return group(s, _conjugate([make_transvection(s, (1, 0), 1),
+                                make_transvection(s, (0, 1), mult_generator(f125).index)], 1))
+
+
+def _row_image_group(name):
+    """The named group; `name%seed` conjugates any fixture's generators by
+    a seeded random similitude."""
+    base, _, seed = name.partition("%")
+    g = _sp2_f125() if base == "sp2-f125" else build(base)
+    return group(g.space, _conjugate(list(g.generators), int(seed))) if seed else g
+
+
+ROW_IMAGE_CASES = [f"{name}{c}" for name in dict.fromkeys(CASES + WREATH)
+                   for c in ("", "%11", "%12")]
+ROW_IMAGE_CASES += ["sp2-f125", "sp2-f125%11"]
+
+
+@pytest.mark.parametrize("name", ROW_IMAGE_CASES)
+def test_recorded_row_images_equal_the_field_images(name):
+    g = _row_image_group(name)
+    gens = [m.rows for m in g.generators]
+    table = groupkit._RowTable(g.space, gens, DEFAULT_CAP)
+    for m in gens:
+        recorded = table.image_of(m)
+        assert not recorded.flags.writeable   # the search's table, not a new one
+        assert recorded.dtype == table.rowtype
+        assert np.array_equal(recorded, field_image(table, m))
+    # a matrix that is no search generator takes the field path
+    square = linalg.mat_mul(g.space.field, gens[0], gens[0])
+    image = table.image_of(square)
+    assert image.flags.writeable and image.dtype == table.rowtype
+    assert np.array_equal(image, field_image(table, square))
+
+
 # ---------------------------------------------------------------------------
 # the known-order stop
 # ---------------------------------------------------------------------------
@@ -447,8 +570,10 @@ def test_forged_orbit_is_refused():
     # so two cosets share a transversal element
     j, k = 1, len(lev.orbit) - 1
     lev.parent[k], lev.label[k], lev.depth[k] = lev.parent[j], lev.label[j], lev.depth[j]
+    # the keys, and so their distinctness check, are built on first read
+    elems = closure_enumerate(g, DEFAULT_CAP)
     with pytest.raises(WitnessCheckFailed):
-        closure_enumerate(g, DEFAULT_CAP)
+        list(elems)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +685,53 @@ def test_normal_closure_past_the_cap(monkeypatch, build_g, order, closure_order)
     with pytest.raises(CapExceeded) as exc:
         k.elements()
     assert exc.value.count == closure_order
+
+
+def _bound_dropping_extend(monkeypatch):
+    """Make every extend drop the order bound, as it did before
+    normal_closure passed the seeds' bound on."""
+    inner = groupkit._StabilizerChain.extend
+    monkeypatch.setattr(groupkit._StabilizerChain, "extend",
+                        lambda chain, *perms, bound=None: inner(chain, *perms))
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(CASES + WREATH)))
+def test_normal_closure_keeps_the_seeds_bound(name, monkeypatch):
+    """The same order and the same generators as with the bound dropped,
+    and the chain still carries the seeds' bound."""
+    g = build(name)
+    k = normal_closure(g, [g.generators[0]])
+    mu = multiplier_of(g.generators[0])
+    assert k.chain().bound == sp_order(g.space.n, g.space.field.order) * (
+        groupkit._unit_group_order(g.space.field, [mu]))
+    _bound_dropping_extend(monkeypatch)
+    g = build(name)
+    want = normal_closure(g, [g.generators[0]])
+    assert k.order() == want.order()
+    assert k.generators == want.generators
+
+
+def test_normal_closure_stops_at_the_seeds_bound():
+    """<T^G> in a conjugate of Sp2(F25) is all of it, |Sp2(F25)|, the bound
+    of its seed, so Schreier generators are left unsifted, and its
+    elements are the element search's."""
+    g = build("huge-f25@1")
+    k = normal_closure(g, [g.generators[0]])
+    chain = k.chain()
+    assert chain.order == chain.bound == sp_order(2, 25)
+    assert untested(chain) > 0
+    assert np.array_equal(closure_enumerate(k)._keys,
+                          reference_keys(chain.table, chain.images, DEFAULT_CAP))
+
+
+def test_a_forged_seed_bound_below_the_order_is_refused(monkeypatch):
+    """|Sp2(F25)| - 1 = 15,599 = 19·821 is no product of orbit lengths of
+    Sp2(F25) (at most 624 and 25), so the closure passes it."""
+    g = build("huge-f25@1")
+    g.chain()
+    monkeypatch.setattr(groupkit, "sp_order", lambda n, q: sp_order(n, q) - 1)
+    with pytest.raises(WitnessCheckFailed):
+        normal_closure(g, [g.generators[0]])
 
 
 # ---------------------------------------------------------------------------
