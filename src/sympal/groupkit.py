@@ -26,9 +26,12 @@ last slot first (`_Packing`).
   |G| is the product of the basic orbit lengths, known before any element
   is built, and past the cap CapExceeded carries it.  Within the cap the
   element set counts from the chain (`ElementSet`); on the first read
-  that lists or probes it, each element is built exactly once, as a
-  product of transversal elements, and one sort lists the keys in
-  increasing reversed-entry-tuple order.
+  that lists or probes it, one walk down the Schreier trees builds each
+  element exactly once, as a product of transversal elements: the coset
+  block of an orbit point is its tree parent's block times the point's
+  tree label, written into the one key array a chunk at a time, so the
+  listing needs little memory beside its keys.  One sort then lists the
+  keys in increasing reversed-entry-tuple order.
 * Chains: a chain is the trivial chain extended by its generators.
   `_StabilizerChain.extend` sifts elements given as row-image tables: a
   residue of 1 means a member, and otherwise the residue joins the chain
@@ -109,8 +112,15 @@ from .symplectic import (
 DEFAULT_CAP = 2 * 10**7
 # elements or rows per chunk of the array passes (element iteration, the
 # harvest's orbit points, extract_induction's block-basis rewrite of the
-# block stabilizer), so their working memory does not grow with the group
+# block stabilizer), and keys per chunk of the key listing's walk
+# (`_StabilizerChain.keys`), so their working memory does not grow with the
+# group.  The walk's chunk is larger, as it pays a dozen numpy calls a
+# chunk, but no larger: at 2^15 keys the first listing of Sp4(F5) in a
+# fresh process took 0.49-0.58 s against 0.27-0.35 s at 2^14 (2-core
+# host), in page faults as malloc gave each chunk's 8-byte arrays back to
+# the system
 ARRAY_CHUNK = 4096
+_KEY_CHUNK = 1 << 14
 # Rounds of Norton's test before is_irreducible gives up.  Each round decides
 # with probability bounded below by a constant (Holt and Rees), and the test
 # corpus never needed more than 4, so reaching this bound means a bug.
@@ -585,49 +595,35 @@ class _StabilizerChain:
                     or not (complete or lev.tested.all()) or np.any(lev.where[images] < 0):
                 raise WitnessCheckFailed("the stabilizer chain is not closed")
 
-    def _transversal_action(self, lev: _Level, rows: np.ndarray) -> np.ndarray:
-        """(len(orbit), len(rows)): the images of the rows under each t_o,
-        pushed down the Schreier tree one depth at a time."""
-        out = np.empty((len(lev.orbit), len(rows)), dtype=self.perms.dtype)
-        out[0] = rows
-        for d in range(1, int(lev.depth.max()) + 1):
-            at = np.nonzero(lev.depth == d)[0]
-            out[at] = self.perms[lev.label[at][:, None], out[lev.parent[at]]]
-        return out
-
-    def _cosets(self, i: int, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For the elements `below` of G^(i+1), as row numbers at positions
-        i+1..n-1: the action of level i's transversal on the rows they use
-        at positions i..n-1, and those positions as indices into it.  So
-        act[:, at] lists G^(i) as the union of the cosets G^(i+1)·t_o."""
-        lev = self.levels[i]
-        sub = np.column_stack([np.full(len(below), lev.point, dtype=below.dtype), below])
-        used = np.zeros(len(lev.where), dtype=bool)
-        used[sub] = True
-        return self._transversal_action(lev, np.nonzero(used)[0]), (np.cumsum(used) - 1)[sub]
-
     def keys(self) -> np.ndarray:
         """Sorted keys of the group, each element built once as a product
-        h·t_o of h in G^(i+1) and a transversal element t_o of level i.
-        The top level is written into one key array 2^18 elements at a
-        time; WitnessCheckFailed unless its keys are distinct."""
-        n = len(self.levels)
-        top = next((i for i, lev in enumerate(self.levels) if len(lev.orbit) > 1), n)
-        if top == n:
-            return self.table.identity.copy()
-        below = np.zeros((1, 0), dtype=self.perms.dtype)
-        for i in range(n - 1, top, -1):
-            act, at = self._cosets(i, below)
-            below = act[:, at].reshape(-1, n - i)
-        act, at = self._cosets(top, below)
-        keys = np.empty(self.order, dtype=self.table.pack.dtype)
-        step = max(1, (1 << 18) // len(at))
-        for lo in range(0, len(act), step):
-            part = act[lo:lo + step][:, at]
-            size = part.shape[0] * part.shape[1]
-            cols = [np.full(size, b) for b in self.base[:top]]
-            cols += [part[..., j].ravel() for j in range(n - top)]
-            keys[lo * len(at):lo * len(at) + size] = self.table.pack.encode(cols)
+        h·t_o of h in G^(i+1) and a transversal element t_o of level i, so
+        G^(i) is the union of the cosets G^(i+1)·t_o (Seress 2003, ch. 4).
+        Bottom level first, the B keys of G^(i+1) fill rows 0..B-1, and the
+        block of orbit point o, rows o·B..(o+1)·B, is its tree parent's
+        block with every slot mapped by o's label, as t_o = t_parent·label:
+        a depth of the tree at a time, _KEY_CHUNK keys at a time, so no
+        working array outgrows a chunk.  WitnessCheckFailed unless the keys
+        are distinct."""
+        pack, degree = self.table.pack, self.perms.shape[1]
+        flat = self.perms[:self._count].ravel()
+        keys = np.empty(self.order, dtype=pack.dtype)
+        keys[0] = self.table.identity[0]
+        size = 1
+        for lev in reversed(self.levels):
+            blocks = keys[:len(lev.orbit) * size].reshape(-1, size)
+            step, width = max(1, _KEY_CHUNK // size), min(size, _KEY_CHUNK)
+            for d in range(1, int(lev.depth.max()) + 1):
+                at = np.nonzero(lev.depth == d)[0]
+                for o in (at[lo:lo + step] for lo in range(0, len(at), step)):
+                    shift = (lev.label[o] * degree)[:, None]
+                    for c in range(0, size, width):
+                        part = blocks[lev.parent[o], c:c + width]
+                        rows = (col.reshape(part.shape).astype(np.intp) + shift
+                                for col in pack.slots(part.ravel()))
+                        images = [flat.take(r).ravel() for r in rows]
+                        blocks[o, c:c + width] = pack.encode(images).reshape(part.shape)
+            size *= len(lev.orbit)
         keys.sort()
         if np.any(keys[1:] == keys[:-1]):
             raise WitnessCheckFailed("two products of transversal elements are equal")
@@ -663,8 +659,10 @@ class ElementSet(Sequence):
     The set of a group's chain (`closure_enumerate`) counts from the chain:
     its length is the chain's order, and its keys are built by
     `_StabilizerChain.keys` on the first read that needs them (indexing,
-    iteration, `in`, `==`, `entry_chunks`) and then kept.  `in` reads the
-    keys alone; indexing and iteration decode (iteration ARRAY_CHUNK keys
+    iteration, `in`, `==`, `entry_chunks`), in one array filled a chunk at
+    a time, and then kept; the listing must give as many keys as were
+    counted, else WitnessCheckFailed.  `in` reads the keys alone; indexing
+    (by an integer only) and iteration decode (iteration ARRAY_CHUNK keys
     at a time).  A view equals any sequence with the same elements in the
     same order, like a tuple of them.
     """
@@ -696,7 +694,7 @@ class ElementSet(Sequence):
         return self._len
 
     def __getitem__(self, i: int) -> SqMatrix:
-        i = range(len(self))[i]
+        i = range(len(self))[operator.index(i)]
         return SqMatrix(self.space, self._table.mats(self._keys[i:i + 1])[0])
 
     def __iter__(self) -> Iterator[SqMatrix]:

@@ -10,6 +10,7 @@ import random
 import time
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from sympal.classify import (
@@ -59,6 +60,7 @@ from sympal.symplectic import (
     Subspace,
     SympSpace,
     detect_transvection,
+    identity_mat,
     make_transvection,
     mat,
     multiplier_of,
@@ -144,6 +146,17 @@ def test_criterion_2_orders():
                    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                     (0, 0, 0, 1), (1, 1, 0, 0)]])
     assert group_order(g, cap=2 * 10**7) == 9_360_000 == sp_order(4, 5)
+    # and listed: 9,360,000 distinct sorted keys, holding the identity and
+    # a seeded word in the generators
+    elems = g.elements(cap=2 * 10**7)
+    keys = elems._keys
+    assert len(keys) == 9_360_000 and keys.dtype == np.uint64
+    assert np.all(keys[1:] > keys[:-1])
+    rng = random.Random(2)
+    word = identity_mat(s4)
+    for _ in range(24):
+        word = word * rng.choice(g.generators)
+    assert identity_mat(s4) in elems and word in elems
     assert time.time() - t1 < 900, "Sp4(F5) exceeded 15 min"
 
 

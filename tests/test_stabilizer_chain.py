@@ -15,6 +15,7 @@ import ast
 import pathlib
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,33 @@ def test_chain_keys_equal_the_search(name):
 def _sp2_f101():
     s = SympSpace.standard(field_make(101, 1), 2)
     return group(s, [make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)])
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(CASES + WREATH)))
+def test_chain_keys_equal_the_search_in_small_chunks(name, monkeypatch):
+    """Three keys a chunk: every level's walk crosses chunk, block and
+    depth-layer boundaries, for uint32, uint64 and V16 keys."""
+    monkeypatch.setattr(groupkit, "_KEY_CHUNK", 3)
+    g = build(name)
+    got = closure_enumerate(g, DEFAULT_CAP)._keys
+    want = reference_keys(g.chain().table, g.chain().images, DEFAULT_CAP)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_listing_keys_takes_little_more_than_the_keys():
+    """The walk's working arrays are a few chunks long, so listing
+    Sp2(F101)'s 1,030,200 keys (3.9 MB) traces at most 4 MB beside them."""
+    chain = _sp2_f101().chain()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        keys = chain.keys()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == sp_order(2, 101)
+    assert peak - keys.nbytes <= 4 * 2**20
 
 
 @pytest.mark.parametrize("name, dtype", [

@@ -285,6 +285,16 @@ def test_extraction_views_read_like_the_reference_tuples(name):
     assert zero_block not in action and ((1, 2, 3),) not in action and "block" not in action
 
 
+def test_views_refuse_a_slice():
+    """Both views index by integers only: a slice is refused by the index
+    conversion, not by arithmetic on it inside the lookup."""
+    g, v = case("induced")
+    got = extract_induction(g, v)
+    for view in (g.elements(), got.stabilizer, got.block_action):
+        with pytest.raises(TypeError, match="'slice' object cannot be interpreted as an integer"):
+            view[0:2]
+
+
 def test_two_extractions_of_one_input_are_equal():
     g, v = case("induced")
     first, second = extract_induction(g, v), extract_induction(g, v)
