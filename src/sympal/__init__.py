@@ -9,6 +9,7 @@ from .classify import (
     Huge,
     Induced,
     Reducible,
+    check_verdict,
     classify,
     extract_induction,
     is_huge,
@@ -59,7 +60,7 @@ __all__ = [
     "CapExceeded", "DEFAULT_CAP", "FieldElement", "FieldSpec", "Huge",
     "Induced", "MatrixGroup", "Reducible", "SqMatrix", "Subspace",
     "SympSpace", "SympalError", "WeightProfile", "build_chi",
-    "build_np_group", "check_npower_distinct", "classify",
+    "build_np_group", "check_npower_distinct", "check_verdict", "classify",
     "closure_enumerate", "detect_transvection", "diag_characters",
     "extract_induction", "field_make", "find_np_primes", "from_fixture",
     "group", "group_order", "harvest_transvections", "is_huge",

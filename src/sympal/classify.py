@@ -5,8 +5,9 @@ reducibility of G first; otherwise take the transvection subgroup
 H = <transvections of G> and either recognize it (irreducible case, order
 matching against |Sp_n(ell^d)|) or build the orthogonal block
 decomposition from an irreducible H-submodule and the generator orbit of
-its conjugates.  Witnesses are verified, never trusted: a failed witness
-check signals an enumeration bug, not a mathematical possibility.
+its conjugates.  `classify` constructs a verdict and `check_verdict`
+proves it on G's generators, the one place each witness fact is
+computed: a failed check signals a bug or a forged verdict.
 
 Both irreducibility questions are one deterministic spin, because the
 group holds a nontrivial transvection T with direction v.  A proper
@@ -30,12 +31,13 @@ the N-spin of T's own direction.  No element of G is built, so the cap
 bounds only the chains' row search, and NoTransvection is exact past it.
 
 The induced case is proved on the generators.  `_block_orbit` walks
-the generator orbit of the first block once, breadth first, and checks
-that each generator permutes the blocks; then so does every element, so
-G acts on the blocks and its character is induced from the stabilizer
-S_1 of the first block.  `extract_induction` builds S_1 from Schreier
-generators on G's row table, checks its index against the block count
-from the two stabilizer chains, and enumerates S_1 alone, never G.  The
+the generator orbit of the first block breadth first, and the check
+requires the blocks and `action` to be that orbit and its permutations;
+so every element permutes the blocks, G acts on them, and its character
+is induced from the stabilizer S_1 of the first block.
+`extract_induction` builds S_1 from Schreier generators on G's row
+table, checks its index against the block count from the two stabilizer
+chains, and enumerates S_1 alone, never G.  The
 first block column of each element of S_1 in the block basis is one
 F_ell-linear map of its entries, built and applied by the digit layer
 (`ffield._Fq.linear_map`), and its top block is the element's matrix on
@@ -79,7 +81,6 @@ from .symplectic import (
     TransvectionKind,
     detect_transvection,
     identity_mat,
-    is_nonsingular_subspace,
     stabilizes,
 )
 
@@ -153,7 +154,7 @@ def _match_sp_order(h: MatrixGroup, cap: int) -> int:
 
 
 def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
-    """Trichotomy verdict with verified witnesses.
+    """Trichotomy verdict, proved by `check_verdict` before it is returned.
 
     Case precedence follows the proof order: reducible, then induced,
     then huge.  Requires a cap of at least 1, characteristic >= 5 and a
@@ -200,15 +201,17 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
 
     w = spin(space, g.generators, v)
     if w.dim < space.n:
-        if not all(stabilizes(m, w) for m in g.generators):
-            raise WitnessCheckFailed("invalid reducibility witness")
-        return Reducible(w)
-
-    h = normal_closure(g, [t], cap)
-    b = spin(space, h.generators, v)
-    if b.dim == space.n:
-        return Huge(_match_sp_order(h, cap), h.order(cap))
-    return _build_induced(g, b)
+        verdict = Reducible(w)
+    else:
+        h = normal_closure(g, [t], cap)
+        b = spin(space, h.generators, v)
+        if b.dim == space.n:
+            verdict = Huge(_match_sp_order(h, cap), h.order(cap))
+        else:
+            blocks, _, action = _block_orbit(g, b)
+            verdict = Induced(tuple(blocks), b.dim, len(blocks), action)
+    check_verdict(g, verdict)
+    return verdict
 
 
 def _block_orbit(g: MatrixGroup, w: Subspace):
@@ -237,42 +240,63 @@ def _block_orbit(g: MatrixGroup, w: Subspace):
     return blocks, reps, tuple(map(tuple, perms))
 
 
-def _build_induced(g: MatrixGroup, w: Subspace) -> Induced:
-    """Blocks = generator orbit of w, the spin of a transvection direction."""
+def check_verdict(g: MatrixGroup, verdict: Classification) -> None:
+    """Raise WitnessCheckFailed unless the verdict holds on G's generators.
+
+    Reducible: the witness is a nonzero proper subspace every generator
+    stabilizes.  Induced, in this order: the blocks tile V, number
+    block_count and span V (B, their bases as columns, is invertible), are
+    `_block_orbit`'s orbit of the first block with `action` its
+    permutations, and B^T·J·B is block diagonal (nonsingular, as B and J
+    are, so each block is).  Huge: 1 <= d, d | degree, |N| = |Sp_n(ell^d)|.
+    """
+    if isinstance(verdict, Reducible):
+        w = verdict.witness
+        if not 0 < w.dim < g.space.n or not all(stabilizes(m, w) for m in g.generators):
+            raise WitnessCheckFailed("invalid reducibility witness")
+    elif isinstance(verdict, Induced):
+        _check_induced(g, verdict)
+    else:
+        f, d = g.space.field, verdict.subfield_degree
+        if not (1 <= d and f.degree % d == 0
+                and verdict.transvection_subgroup_order == sp_order(g.space.n, f.ell ** d)):
+            raise WitnessCheckFailed("huge verdict: |N| is not |Sp_n(ell^d)| with d | degree")
+
+
+def _check_induced(g: MatrixGroup, verdict: Induced):
+    """check_verdict on an induced verdict.  Returns what extract_induction
+    builds on: B^-1, B and the block representatives t_i of `_block_orbit`."""
     space = g.space
-    blocks, _, action = _block_orbit(g, w)
-    h, m = len(blocks), w.dim
-    if h * m != space.n:
-        raise WitnessCheckFailed("block orbit does not tile the space")
-    # verify: pairwise orthogonal, nonsingular, direct sum (the generators
-    # are invertible, so every block has dimension m)
-    all_rows: list = []
-    for i, b in enumerate(blocks):
-        if not is_nonsingular_subspace(b):
-            raise WitnessCheckFailed("singular block")
-        for j in range(i):
-            for u in blocks[i].basis:
-                for v in blocks[j].basis:
-                    if space.pair(u, v) != 0:
-                        raise WitnessCheckFailed("blocks not orthogonal")
-        all_rows.extend(b.basis)
-    if linalg.rank(space.field, all_rows) != space.n:
-        raise WitnessCheckFailed("blocks do not span")
-    return Induced(tuple(blocks), m, h, action)
+    n, m = space.n, verdict.block_dim
+    if len(verdict.blocks) * m != n or any(b.dim != m for b in verdict.blocks):
+        raise WitnessCheckFailed("blocks do not tile the space")
+    if verdict.block_count != len(verdict.blocks):
+        raise WitnessCheckFailed("block count is not the number of blocks")
+    basis = linalg.transpose(tuple(v for b in verdict.blocks for v in b.basis))
+    try:
+        to_blocks = linalg.inverse(space.field, basis)
+    except Singular:
+        raise WitnessCheckFailed("blocks do not span") from None
+    blocks, reps, action = _block_orbit(g, verdict.blocks[0])
+    if [b.basis for b in blocks] != [b.basis for b in verdict.blocks]:
+        raise WitnessCheckFailed("a block is off the orbit of the first block")
+    if verdict.action != action:
+        raise WitnessCheckFailed("the action is not the generators' permutations of the blocks")
+    gram = linalg.mat_mul(space.field, linalg.transpose(basis),
+                          linalg.mat_mul(space.field, space.gram, basis))
+    if any(gram[i][j] for i in range(n) for j in range(n) if i // m != j // m):
+        raise WitnessCheckFailed("blocks not orthogonal")
+    return to_blocks, basis, reps
 
 
 def is_huge(g: MatrixGroup, cap: int = DEFAULT_CAP) -> bool:
     """True iff the classifier lands in the huge case.
 
-    Equivalently G contains a conjugate of Sp_n over the prime field; on
-    fixtures the order bound |H| >= |Sp_n(ell)| is cross-checked.
+    Equivalently G contains a conjugate of Sp_n over the prime field: the
+    verdict's check proves |H| = |Sp_n(ell^d)| for a divisor d of the
+    degree, and Sp_n(ell^d) holds Sp_n(ell).
     """
-    verdict = classify(g, cap)
-    if isinstance(verdict, Huge):
-        if verdict.transvection_subgroup_order < sp_order(g.space.n, g.space.field.ell):
-            raise WitnessCheckFailed("huge verdict with |H| below |Sp_n(ell)|")
-        return True
-    return False
+    return isinstance(classify(g, cap), Huge)
 
 
 @dataclass(frozen=True)
@@ -297,15 +321,16 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
     """Stabilizer S_1 of the first block with its block representation,
     proved on the generators.
 
-    The verdict's blocks must be the generator orbit of the first block
-    (`_block_orbit`), else WitnessCheckFailed ("off the orbit").  As the
-    generators permute the blocks, so does every element: each is
-    block-monomial in the block basis, and its trace is the sum of the
-    traces of the blocks it fixes, the induced character.  By Schreier's
-    lemma (Seress 2003, §4.1) S_1 is generated by the t_{a(i)}^-1·a·t_i,
-    for block i and generator a sending it to block a(i); its chain lives
-    on G's row table.  |S_1|·block_count = |G|, from the two chains, checks
-    the count.  Only S_1 is enumerated, so G may lie past the cap.
+    The verdict is checked first (`check_verdict`, WitnessCheckFailed if
+    it fails), and that check hands over B^-1 and the block
+    representatives t_i.  As the generators permute the blocks, so does
+    every element: each is block-monomial in the block basis, and its
+    trace is the sum of the traces of the blocks it fixes, the induced
+    character.  By Schreier's lemma (Seress 2003, §4.1) S_1 is generated
+    by the t_{a(i)}^-1·a·t_i, for block i and generator a sending it to
+    block a(i) in the verdict's checked `action`; its chain lives on G's
+    row table.  |S_1|·block_count = |G|, from the two chains, checks the
+    index.  Only S_1 is enumerated, so G may lie past the cap.
 
     Let B be the matrix whose columns are the blocks' reduced-echelon
     bases, concatenated, and B_0 its first m columns, the first block's
@@ -316,20 +341,10 @@ def extract_induction(g: MatrixGroup, verdict: Induced,
     on the first block in that block's basis.  The result holds S_1's keys
     and those blocks as arrays (see InducedExtraction).
     """
-    space = g.space
-    n, m, h = space.n, verdict.block_dim, len(verdict.blocks)
-    if h * m != n or any(b.dim != m for b in verdict.blocks):
-        raise WitnessCheckFailed("blocks do not tile the space")
-    basis = linalg.transpose(tuple(v for b in verdict.blocks for v in b.basis))
-    try:
-        to_blocks = linalg.inverse(space.field, basis)
-    except Singular:
-        raise WitnessCheckFailed("blocks do not span") from None
-    blocks, reps, perms = _block_orbit(g, verdict.blocks[0])
-    if {b.basis for b in blocks} != {b.basis for b in verdict.blocks}:
-        raise WitnessCheckFailed("a block is off the orbit of the first block")
+    space, m = g.space, verdict.block_dim
+    to_blocks, basis, reps = _check_induced(g, verdict)
     back = [t.inv() for t in reps]
-    schreier = [back[j] * a * t for a, perm in zip(g.generators, perms)
+    schreier = [back[j] * a * t for a, perm in zip(g.generators, verdict.action)
                 for t, j in zip(reps, perm)]
     stab = g.subgroup([s for s in schreier if not s.is_identity()] or [identity_mat(space)], cap)
     if stab.order(cap) * verdict.block_count != g.order(cap):

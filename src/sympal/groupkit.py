@@ -604,7 +604,7 @@ class _StabilizerChain:
         block with every slot mapped by o's label, as t_o = t_parent·label:
         a depth of the tree at a time, _KEY_CHUNK keys at a time, so no
         working array outgrows a chunk.  WitnessCheckFailed unless the keys
-        are distinct."""
+        are distinct, checked on neighbours a chunk at a time."""
         pack, degree = self.table.pack, self.perms.shape[1]
         flat = self.perms[:self._count].ravel()
         keys = np.empty(self.order, dtype=pack.dtype)
@@ -625,8 +625,10 @@ class _StabilizerChain:
                         blocks[o, c:c + width] = pack.encode(images).reshape(part.shape)
             size *= len(lev.orbit)
         keys.sort()
-        if np.any(keys[1:] == keys[:-1]):
-            raise WitnessCheckFailed("two products of transversal elements are equal")
+        for lo in range(0, len(keys) - 1, _KEY_CHUNK):
+            part = keys[lo:lo + _KEY_CHUNK + 1]
+            if np.any(part[1:] == part[:-1]):
+                raise WitnessCheckFailed("two products of transversal elements are equal")
         return keys
 
 

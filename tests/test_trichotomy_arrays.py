@@ -240,6 +240,17 @@ def test_blocks_that_are_not_one_orbit_are_refused():
         extract_induction(product, v)
 
 
+@pytest.mark.parametrize("name", ["induced", "wreath-f7@1"])
+def test_a_forged_action_is_refused(name):
+    """Every generator's block permutation reversed: the blocks are still
+    the orbit, but the action is not the generators' own."""
+    g = case(name)[0] if name == "induced" else build(name)
+    v = classify(g)
+    forged = dataclasses.replace(v, action=tuple(p[::-1] for p in v.action))
+    with pytest.raises(WitnessCheckFailed, match="action"):
+        extract_induction(g, forged)
+
+
 @pytest.mark.parametrize("count", [1, 3])
 def test_wrong_block_count_is_refused(count):
     g, v = case("induced")

@@ -12,7 +12,7 @@ import pytest
 
 import sympal
 from sympal import ffield, groupkit, linalg, mackey, npgroup
-from sympal.classify import Huge, is_huge
+from sympal.classify import Huge, Induced, Reducible, check_verdict, classify
 from sympal.errors import (
     InvalidParams,
     NoInvariantForm,
@@ -21,8 +21,9 @@ from sympal.errors import (
     WitnessCheckFailed,
 )
 from sympal.ffield import field_make, mult_generator, one
-from sympal.groupkit import group
-from sympal.symplectic import SqMatrix, Subspace, SympSpace, make_transvection
+from sympal.groupkit import group, sp_order
+from sympal.symplectic import SqMatrix, Subspace, SympSpace, full_subspace, make_transvection
+from test_stabilizer_chain import CRITERION_3, WREATH, build
 
 CHECKED = sorted(m.name for m in pkgutil.iter_modules(sympal.__path__))
 
@@ -80,14 +81,76 @@ def test_field_make_scan_raises_typed_error(monkeypatch):
         ffield.field_make.__wrapped__(7, 2)   # past the cache, which holds the real spec
 
 
-def test_is_huge_rejects_a_transvection_subgroup_below_sp_n(monkeypatch):
-    classify_mod = importlib.import_module("sympal.classify")
+def test_check_verdict_rejects_a_transvection_subgroup_below_sp_n():
     s = SympSpace.standard(field_make(5, 1), 2)
     g = group(s, [make_transvection(s, (1, 0), 1), make_transvection(s, (0, 1), 1)])
-    assert is_huge(g)
-    monkeypatch.setattr(classify_mod, "classify", lambda g, cap: Huge(1, 119))
+    assert classify(g) == Huge(1, 120)
     with pytest.raises(WitnessCheckFailed):
-        is_huge(g)
+        check_verdict(g, Huge(1, 119))
+
+
+@pytest.mark.parametrize("name", CRITERION_3 + WREATH)
+def test_every_golden_verdict_passes_the_check(name):
+    g = build(name)
+    check_verdict(g, classify(g))
+
+
+def _lagrangian_swap():
+    """The Lagrangians L_1 = <e_0, e_1> and L_2 = <e_2, e_3> of the standard
+    form, swapped by its Gram matrix J (a symplectic matrix): a block orbit
+    that tiles and spans V, and its one action, but L_1 is not orthogonal
+    to L_2."""
+    s = SympSpace.standard(field_make(5, 1), 4)
+    blocks = (Subspace.from_vectors(s, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+              Subspace.from_vectors(s, [(0, 0, 1, 0), (0, 0, 0, 1)]))
+    return group(s, [SqMatrix(s, s.gram)]), Induced(blocks, 2, 2, ((1, 0),))
+
+
+def _forge(kind):
+    """(group, forged verdict) of each kind."""
+    if kind == "lagrangian-blocks":
+        return _lagrangian_swap()
+    g = build({"witness-is-v": "reducible", "witness-is-0": "reducible",
+               "degree-0": "huge-f5", "degree-not-dividing": "huge-f25",
+               "order-off-by-one": "huge-f25"}.get(kind, "induced"))
+    s, v = g.space, classify(g)
+    if kind == "witness-is-v":
+        return g, Reducible(full_subspace(s))
+    if kind == "witness-is-0":
+        return g, Reducible(Subspace(s, ()))
+    if kind == "moved-plane":
+        return g, Reducible(Subspace.from_vectors(s, [(1, 0, 0, 0), (0, 1, 0, 0)]))
+    if kind == "action-swapped":
+        # the six transvections fix both blocks, the seventh generator swaps them
+        action = v.action[:5] + (v.action[6], v.action[5])
+        return g, dataclasses.replace(v, action=action)
+    if kind == "block-not-orthogonal":
+        # <e_1, e_0 + e_3> still spans V with the first block <e_0, e_2>,
+        # but pairs with e_2
+        block = Subspace.from_vectors(s, [(0, 1, 0, 0), (1, 0, 0, 1)])
+        return g, dataclasses.replace(v, blocks=(v.blocks[0], block))
+    if kind == "degree-0":
+        return g, Huge(0, v.transvection_subgroup_order)
+    if kind == "degree-not-dividing":
+        return g, Huge(3, sp_order(2, 5 ** 3))
+    return g, dataclasses.replace(v, transvection_subgroup_order=v.transvection_subgroup_order + 1)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("witness-is-v", "invalid reducibility witness"),
+    ("witness-is-0", "invalid reducibility witness"),
+    ("moved-plane", "invalid reducibility witness"),
+    ("action-swapped", "action"),
+    ("block-not-orthogonal", "off the orbit"),
+    ("lagrangian-blocks", "not orthogonal"),
+    ("degree-0", "huge verdict"),
+    ("degree-not-dividing", "huge verdict"),
+    ("order-off-by-one", "huge verdict"),
+])
+def test_check_verdict_refuses_a_forged_verdict(kind, message):
+    g, forged = _forge(kind)
+    with pytest.raises(WitnessCheckFailed, match=message):
+        check_verdict(g, forged)
 
 
 def test_build_chi_rejects_a_non_primitive_root(monkeypatch):
