@@ -59,3 +59,7 @@ print("generator action on blocks:", v4.action)
 ext = extract_induction(g4, v4)
 print("stabilizer of the first block has index", ext.index,
       "and", len(ext.stabilizer), "elements")
+# S_1 acts on the first block as a group of its own, generated by its
+# generators' 2 x 2 matrices on that block: all of Sp_2(F_5)
+print("its action on the first block has order", ext.block_action.order(),
+      "=", sp_order(2, 5))

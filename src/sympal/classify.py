@@ -36,14 +36,11 @@ requires the blocks and `action` to be that orbit and its permutations;
 so every element permutes the blocks, G acts on them, and its character
 is induced from the stabilizer S_1 of the first block.
 `extract_induction` builds S_1 from Schreier generators on G's row
-table, checks its index against the block count from the two stabilizer
-chains, and enumerates S_1 alone, never G.  The
-first block column of each element of S_1 in the block basis is one
-F_ell-linear map of its entries, built and applied by the digit layer
-(`ffield._Fq.linear_map`), and its top block is the element's matrix on
-the first block.  The result is two views over arrays, S_1's keys and
-those blocks, so a stabilizer element or block matrix costs a decode
-only when a caller reads it.
+table and checks its index against the block count from the two
+stabilizer chains.  A representation is fixed by where the generators
+go, so S_1's action on the first block is the group its generators'
+m x m blocks generate, on that block's own symplectic space; no element
+of S_1 or of G is listed.
 """
 
 from __future__ import annotations
@@ -51,11 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from . import linalg
 from .errors import (
     CharTooSmall,
+    InvalidParams,
     NoOrderMatch,
     NoTransvection,
     Singular,
@@ -65,7 +61,6 @@ from .groupkit import (
     DEFAULT_CAP,
     ElementSet,
     MatrixGroup,
-    MatSequence,
     check_cap,
     decode_transvections,
     group_order,   # unused here; perfbench/tracing.py patches this namespace
@@ -77,7 +72,9 @@ from .groupkit import (
     transvection_keys,
 )
 from .symplectic import (
+    SqMatrix,
     Subspace,
+    SympSpace,
     TransvectionKind,
     detect_transvection,
     identity_mat,
@@ -95,11 +92,17 @@ class Reducible:
 @dataclass(frozen=True)
 class Induced:
     blocks: tuple[Subspace, ...]
-    block_dim: int
-    block_count: int
     action: tuple[tuple[int, ...], ...]   # per generator, the block permutation
 
     case = "induced"
+
+    @property
+    def block_dim(self) -> int:
+        return self.blocks[0].dim
+
+    @property
+    def block_count(self) -> int:
+        return len(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def classify(g: MatrixGroup, cap: int = DEFAULT_CAP) -> Classification:
             verdict = Huge(_match_sp_order(h, cap), h.order(cap))
         else:
             blocks, _, action = _block_orbit(g, b)
-            verdict = Induced(tuple(blocks), b.dim, len(blocks), action)
+            verdict = Induced(tuple(blocks), action)
     check_verdict(g, verdict)
     return verdict
 
@@ -244,11 +247,11 @@ def check_verdict(g: MatrixGroup, verdict: Classification) -> None:
     """Raise WitnessCheckFailed unless the verdict holds on G's generators.
 
     Reducible: the witness is a nonzero proper subspace every generator
-    stabilizes.  Induced, in this order: the blocks tile V, number
-    block_count and span V (B, their bases as columns, is invertible), are
-    `_block_orbit`'s orbit of the first block with `action` its
-    permutations, and B^T·J·B is block diagonal (nonsingular, as B and J
-    are, so each block is).  Huge: 1 <= d, d | degree, |N| = |Sp_n(ell^d)|.
+    stabilizes.  Induced, in this order: the blocks tile V and span V (B,
+    their bases as columns, is invertible), are `_block_orbit`'s orbit of
+    the first block with `action` its permutations, and B^T·J·B is block
+    diagonal (nonsingular, as B and J are, so each block is).  Huge:
+    1 <= d, d | degree, |N| = |Sp_n(ell^d)|.  Any other verdict fails.
     """
     if isinstance(verdict, Reducible):
         w = verdict.witness
@@ -256,22 +259,23 @@ def check_verdict(g: MatrixGroup, verdict: Classification) -> None:
             raise WitnessCheckFailed("invalid reducibility witness")
     elif isinstance(verdict, Induced):
         _check_induced(g, verdict)
-    else:
+    elif isinstance(verdict, Huge):
         f, d = g.space.field, verdict.subfield_degree
         if not (1 <= d and f.degree % d == 0
                 and verdict.transvection_subgroup_order == sp_order(g.space.n, f.ell ** d)):
             raise WitnessCheckFailed("huge verdict: |N| is not |Sp_n(ell^d)| with d | degree")
+    else:
+        raise WitnessCheckFailed(f"not a trichotomy verdict: {verdict!r}")
 
 
 def _check_induced(g: MatrixGroup, verdict: Induced):
     """check_verdict on an induced verdict.  Returns what extract_induction
-    builds on: B^-1, B and the block representatives t_i of `_block_orbit`."""
+    builds on: B^-1, B, the block representatives t_i of `_block_orbit`
+    and B^T·J·B."""
     space = g.space
-    n, m = space.n, verdict.block_dim
+    n, m = space.n, verdict.blocks[0].dim if verdict.blocks else 0
     if len(verdict.blocks) * m != n or any(b.dim != m for b in verdict.blocks):
         raise WitnessCheckFailed("blocks do not tile the space")
-    if verdict.block_count != len(verdict.blocks):
-        raise WitnessCheckFailed("block count is not the number of blocks")
     basis = linalg.transpose(tuple(v for b in verdict.blocks for v in b.basis))
     try:
         to_blocks = linalg.inverse(space.field, basis)
@@ -286,7 +290,7 @@ def _check_induced(g: MatrixGroup, verdict: Induced):
                           linalg.mat_mul(space.field, space.gram, basis))
     if any(gram[i][j] for i in range(n) for j in range(n) if i // m != j // m):
         raise WitnessCheckFailed("blocks not orthogonal")
-    return to_blocks, basis, reps
+    return to_blocks, basis, reps, gram
 
 
 def is_huge(g: MatrixGroup, cap: int = DEFAULT_CAP) -> bool:
@@ -301,64 +305,65 @@ def is_huge(g: MatrixGroup, cap: int = DEFAULT_CAP) -> bool:
 
 @dataclass(frozen=True)
 class InducedExtraction:
-    """The stabilizer of the first block S_1, its index (the block count),
-    and each stabilizer element's m x m matrix on S_1 in S_1's basis.
+    """The stabilizer S_1 of the first block, its index (the block count),
+    its generators, and its action on the first block W_1.
 
-    Both sequences are views over arrays, in element order:
-    `stabilizer` over the stabilizer's sorted keys, `block_action` over a
-    (|stabilizer|, m, m) index array.  Their memory is those arrays, and
-    an element or matrix is decoded only when it is read; length and `in`
-    decode nothing.  Each view equals the tuple of its items.
+    `stabilizer` is S_1's `ElementSet`: its length is counted from S_1's
+    chain, and no element is listed unless a caller reads one.
+    `block_action` is the group on W_1's own symplectic space (Gram matrix
+    the first m x m block of B^T·J·B) whose i-th generator is the matrix
+    of S_1's i-th generator on W_1, in W_1's basis.
     """
 
     stabilizer: ElementSet
     index: int
-    block_action: MatSequence
+    generators: tuple[SqMatrix, ...]
+    block_action: MatrixGroup
 
 
 def extract_induction(g: MatrixGroup, verdict: Induced,
                       cap: int = DEFAULT_CAP) -> InducedExtraction:
-    """Stabilizer S_1 of the first block with its block representation,
+    """Stabilizer S_1 of the first block with its action on that block,
     proved on the generators.
 
-    The verdict is checked first (`check_verdict`, WitnessCheckFailed if
-    it fails), and that check hands over B^-1 and the block
-    representatives t_i.  As the generators permute the blocks, so does
-    every element: each is block-monomial in the block basis, and its
-    trace is the sum of the traces of the blocks it fixes, the induced
-    character.  By Schreier's lemma (Seress 2003, §4.1) S_1 is generated
-    by the t_{a(i)}^-1·a·t_i, for block i and generator a sending it to
-    block a(i) in the verdict's checked `action`; its chain lives on G's
-    row table.  |S_1|·block_count = |G|, from the two chains, checks the
-    index.  Only S_1 is enumerated, so G may lie past the cap.
+    The verdict must be Induced (else InvalidParams) and is checked first
+    (`check_verdict`, WitnessCheckFailed if it fails); that check hands
+    over B^-1, B, the block representatives t_i and B^T·J·B.  As the
+    generators permute the blocks, so does every element: each is
+    block-monomial in the block basis, and its trace is the sum of the
+    traces of the blocks it fixes, the induced character.  By Schreier's
+    lemma (Seress 2003, §4.1) S_1 is generated by the t_{a(i)}^-1·a·t_i,
+    for block i and generator a sending it to block a(i) in the verdict's
+    checked `action`; each is sifted into G's chain, and |S_1|·block_count
+    = |G|, from the two chains, checks the index.  No element is listed,
+    so G may lie past the cap; S_1 may not, as its `ElementSet` counts it
+    (CapExceeded).
 
-    Let B be the matrix whose columns are the blocks' reduced-echelon
-    bases, concatenated, and B_0 its first m columns, the first block's
-    basis.  Each element A of S_1 is mapped to the first block column of
-    B^-1·A·B, the n x m matrix B^-1·A·B_0, by one F_ell-linear map of A's
-    entry digits (`ffield._Fq.linear_map`), ARRAY_CHUNK elements at a
-    time.  It must be zero below its top m x m block, which is A's matrix
-    on the first block in that block's basis.  The result holds S_1's keys
-    and those blocks as arrays (see InducedExtraction).
+    Let B_0 be the first m columns of B, the first block's basis.  Each
+    generator s of S_1 is mapped to B^-1·s·B_0, which must be zero below
+    its top m x m block: so every element of S_1 is, and that block is
+    s's matrix on the first block.
     """
+    if not isinstance(verdict, Induced):
+        raise InvalidParams(f"extract_induction needs an induced verdict, not {verdict!r}")
     space, m = g.space, verdict.block_dim
-    to_blocks, basis, reps = _check_induced(g, verdict)
+    to_blocks, basis, reps, gram = _check_induced(g, verdict)
     back = [t.inv() for t in reps]
     schreier = [back[j] * a * t for a, perm in zip(g.generators, verdict.action)
                 for t, j in zip(reps, perm)]
     stab = g.subgroup([s for s in schreier if not s.is_identity()] or [identity_mat(space)], cap)
     if stab.order(cap) * verdict.block_count != g.order(cap):
         raise WitnessCheckFailed("stabilizer index does not equal block count")
-    elems = stab.elements(cap)
-    ctx = space.field.ctx
-    change = ctx.linear_map(to_blocks, tuple(row[:m] for row in basis))   # A -> B^-1·A·B_0
-    action = []
-    for entries in elems.entry_chunks():
-        column = ctx.apply_map(change, entries)
-        if column[:, m:].any():
-            raise WitnessCheckFailed("a stabilizer element moves the first block")
-        action.append(column[:, :m])
-    return InducedExtraction(elems, verdict.block_count, MatSequence(np.concatenate(action)))
+    first = tuple(row[:m] for row in basis)
+    block_space = SympSpace(space.field, m, tuple(row[:m] for row in gram[:m]))
+    on_block = []
+    for s in stab.generators:
+        column = linalg.mat_mul(space.field, to_blocks, linalg.mat_mul(space.field, s.rows, first))
+        if any(any(row) for row in column[m:]):
+            raise WitnessCheckFailed("a stabilizer generator moves the first block")
+        on_block.append(SqMatrix(block_space, column[:m]))
+    return InducedExtraction(stab.elements(cap), verdict.block_count, stab.generators,
+                             MatrixGroup(block_space, tuple(on_block)))
 
 
 def serialize_verdict(v: Classification) -> dict:

@@ -12,10 +12,9 @@ digits of x^a·x^b, built from the modulus alone).  Every F_q-linear map
 of matrix entries the library needs is x -> left·x·right for fixed
 matrices, so F_ell-linear on the entries' digits: `linear_map` builds it
 as one integer array and `apply_map` maps a batch of encoded matrices by
-it.  They give row·g in the closure kernel, the harvest's (r - e_i)·J^-T,
-extract_induction's first block column B^-1·A·B_0 and each doubling step
-of the power table; the harvest builds its candidates with
-`product_digits`.  No other module knows the digit layout.
+it.  They give row·g in the closure kernel, the harvest's (r - e_i)·J^-T
+and each doubling step of the power table; the harvest builds its
+candidates with `product_digits`.  No other module knows the digit layout.
 
 Scalar arithmetic in an extension field is table lookups on logarithms,
 with no digit tuple in sight.  `exp_log` builds, from the digit layer,

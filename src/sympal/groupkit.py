@@ -110,9 +110,8 @@ from .symplectic import (
 )
 
 DEFAULT_CAP = 2 * 10**7
-# elements or rows per chunk of the array passes (element iteration, the
-# harvest's orbit points, extract_induction's block-basis rewrite of the
-# block stabilizer), and keys per chunk of the key listing's walk
+# elements or rows per chunk of the array passes (element iteration and
+# the harvest's orbit points), and keys per chunk of the key listing's walk
 # (`_StabilizerChain.keys`), so their working memory does not grow with the
 # group.  The walk's chunk is larger, as it pays a dozen numpy calls a
 # chunk, but no larger: at 2^15 keys the first listing of Sp4(F5) in a
@@ -296,13 +295,10 @@ class _RowTable:
         rows, found = self.numbers(np.asarray(m))
         return self.pack.encode(list(rows[:, None])) if found.all() else None
 
-    def entry_array(self, keys: np.ndarray) -> np.ndarray:
-        """The (len(keys), n, n) entries of the decoded elements."""
-        rows = np.stack(self.pack.decode(keys), axis=1).astype(np.intp)
-        return self.entries[rows]
-
     def mats(self, keys: np.ndarray) -> list[Mat]:
-        return [tuple(map(tuple, m)) for m in self.entry_array(keys).tolist()]
+        """The decoded elements with these keys."""
+        rows = np.stack(self.pack.decode(keys), axis=1).astype(np.intp)
+        return [tuple(map(tuple, m)) for m in self.entries[rows].tolist()]
 
 
 class _Level:
@@ -661,12 +657,12 @@ class ElementSet(Sequence):
     The set of a group's chain (`closure_enumerate`) counts from the chain:
     its length is the chain's order, and its keys are built by
     `_StabilizerChain.keys` on the first read that needs them (indexing,
-    iteration, `in`, `==`, `entry_chunks`), in one array filled a chunk at
-    a time, and then kept; the listing must give as many keys as were
-    counted, else WitnessCheckFailed.  `in` reads the keys alone; indexing
-    (by an integer only) and iteration decode (iteration ARRAY_CHUNK keys
-    at a time).  A view equals any sequence with the same elements in the
-    same order, like a tuple of them.
+    iteration, `in`, `==`), in one array filled a chunk at a time, and then
+    kept; the listing must give as many keys as were counted, else
+    WitnessCheckFailed.  `in` reads the keys alone; indexing (by an integer
+    only) and iteration decode (iteration ARRAY_CHUNK keys at a time).  A
+    view equals any sequence with the same elements in the same order,
+    like a tuple of them.
     """
 
     def __init__(self, space: SympSpace, table: _RowTable, keys: np.ndarray):
@@ -711,12 +707,6 @@ class ElementSet(Sequence):
 
     __hash__ = None
 
-    def entry_chunks(self) -> Iterator[np.ndarray]:
-        """The (C, n, n) entry arrays of the elements in order, ARRAY_CHUNK
-        elements at a time."""
-        for lo in range(0, len(self), ARRAY_CHUNK):
-            yield self._table.entry_array(self._keys[lo:lo + ARRAY_CHUNK])
-
     def __contains__(self, m) -> bool:
         """Whether m (a SqMatrix or an n x n array of field element
         indices) is an element; False for any other probe."""
@@ -727,39 +717,6 @@ class ElementSet(Sequence):
             return False
         key = self._table.key_of(probe)
         return key is not None and bool(_find(self._keys, key)[1][0])
-
-
-class MatSequence(Sequence):
-    """A read-only sequence of m x m `Mat`s over a (C, m, m) array of field
-    element indices; each matrix is decoded when it is read.  `in` compares
-    against the array without decoding.  Like ElementSet, it equals any
-    sequence with the same matrices in the same order."""
-
-    def __init__(self, mats: np.ndarray):
-        self._mats = mats
-
-    def __len__(self) -> int:
-        return len(self._mats)
-
-    def __getitem__(self, i: int) -> Mat:
-        return tuple(map(tuple, self._mats[operator.index(i)].tolist()))
-
-    def __iter__(self) -> Iterator[Mat]:
-        for lo in range(0, len(self), ARRAY_CHUNK):
-            for m in self._mats[lo:lo + ARRAY_CHUNK].tolist():
-                yield tuple(map(tuple, m))
-
-    def __contains__(self, m) -> bool:
-        probe = _int_array(m)
-        return (probe is not None and probe.shape == self._mats.shape[1:]
-                and bool(np.any(np.all(self._mats == probe, axis=(1, 2)))))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MatSequence):
-            return np.array_equal(self._mats, other._mats)
-        return _same_items(self, other)
-
-    __hash__ = None
 
 
 # ---------------------------------------------------------------------------

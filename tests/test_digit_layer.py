@@ -102,10 +102,10 @@ def _random_mat(rng, q, rows, cols):
 @pytest.mark.parametrize("ell, r", [(5, 1), (5, 2), (5, 3)])
 @pytest.mark.parametrize("n", [2, 4])
 def test_digit_maps_agree_with_mat_mul(ell, r, n):
-    """linear_map in the three shapes the library builds, each against
-    mat_mul: row·g (a 1 x n row), the square sandwich left·x·right, and
-    left·x·right with an n x m right factor (extract_induction's first
-    block column).  apply_map maps a batch of matrices at once."""
+    """linear_map against mat_mul: row·g (a 1 x n row, the shape the
+    library builds), the square sandwich left·x·right, and left·x·right
+    with an n x m right factor.  apply_map maps a batch of matrices at
+    once."""
     spec = field_make(ell, r)
     ctx = spec.ctx
     rng = random.Random(1000 * n + r)

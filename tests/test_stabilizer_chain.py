@@ -336,8 +336,6 @@ READS = {
     "in": lambda e, eager: [m in e for m in _probes(eager)] == [m in eager for m in _probes(eager)],
     "eq-view": lambda e, eager: e == eager and eager == e,
     "eq-tuple": lambda e, eager: e == tuple(eager) and e != tuple(eager)[1:],
-    "entry_chunks": lambda e, eager: all(
-        np.array_equal(a, b) for a, b in zip(e.entry_chunks(), eager.entry_chunks(), strict=True)),
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import sympal
 from sympal import ffield, groupkit, linalg, mackey, npgroup
-from sympal.classify import Huge, Induced, Reducible, check_verdict, classify
+from sympal.classify import Huge, Induced, Reducible, check_verdict, classify, extract_induction
 from sympal.errors import (
     InvalidParams,
     NoInvariantForm,
@@ -103,7 +103,7 @@ def _lagrangian_swap():
     s = SympSpace.standard(field_make(5, 1), 4)
     blocks = (Subspace.from_vectors(s, [(1, 0, 0, 0), (0, 1, 0, 0)]),
               Subspace.from_vectors(s, [(0, 0, 1, 0), (0, 0, 0, 1)]))
-    return group(s, [SqMatrix(s, s.gram)]), Induced(blocks, 2, 2, ((1, 0),))
+    return group(s, [SqMatrix(s, s.gram)]), Induced(blocks, ((1, 0),))
 
 
 def _forge(kind):
@@ -151,6 +151,18 @@ def test_check_verdict_refuses_a_forged_verdict(kind, message):
     g, forged = _forge(kind)
     with pytest.raises(WitnessCheckFailed, match=message):
         check_verdict(g, forged)
+
+
+@pytest.mark.parametrize("verdict", ["huge", None, ("induced", 2, 2)])
+def test_check_verdict_refuses_what_is_not_a_verdict(verdict):
+    with pytest.raises(WitnessCheckFailed, match="not a trichotomy verdict"):
+        check_verdict(build("induced"), verdict)
+
+
+@pytest.mark.parametrize("verdict", [Huge(1, 120), Reducible(None), "induced"])
+def test_extract_induction_refuses_a_verdict_that_is_not_induced(verdict):
+    with pytest.raises(InvalidParams, match="needs an induced verdict"):
+        extract_induction(build("induced"), verdict)
 
 
 def test_build_chi_rejects_a_non_primitive_root(monkeypatch):
